@@ -77,7 +77,7 @@ struct Rule {
 
 /// One objective binding as declared by an O line: a leaf ('L' sum, 'D'
 /// node) or a combinator ('X' lex with caps, 'M' minmax, 'W' weighted with
-/// weights, 'V' scenario-worst) over such trees.  kind 0 marks an axis whose
+/// weights) over such trees.  kind 0 marks an axis whose
 /// binding was never declared.
 struct ObjTree {
   char kind = 0;
@@ -338,8 +338,7 @@ class Checker {
         out = cycle ? kMax : dist[static_cast<std::size_t>(t.id)];
         return {};
       }
-      case 'M':
-      case 'V': {
+      case 'M': {
         std::int64_t best = std::numeric_limits<std::int64_t>::min();
         for (const ObjTree& c : t.children) {
           std::int64_t v = 0;
@@ -563,7 +562,7 @@ class Checker {
       out.id = id;
       return {};
     }
-    if (what != "X" && what != "M" && what != "W" && what != "V") {
+    if (what != "X" && what != "M" && what != "W") {
       return "unknown term kind";
     }
     out.kind = what[0];

@@ -92,9 +92,8 @@ ObjectiveTerm build_term(const synth::Specification& spec,
       return ObjectiveTerm::lex(label, std::move(caps), std::move(children));
     }
     case synth::ObjectiveExpr::Kind::MinMax:
+    case synth::ObjectiveExpr::Kind::Worst:  // a minmax over scenarios
       return ObjectiveTerm::minmax(label, std::move(children));
-    case synth::ObjectiveExpr::Kind::Worst:
-      return ObjectiveTerm::scenario_worst(label, std::move(children));
     case synth::ObjectiveExpr::Kind::Weighted:
     default:
       return ObjectiveTerm::weighted(label, expr.weights, std::move(children));

@@ -162,7 +162,7 @@ struct ShardReport {
 };
 
 struct DistributedResult {
-  /// The merged run in the sequential explorer's shape: union front (with
+  /// The merged run in dse::explore's shape: union front (with
   /// witnesses), merged-container proof, certification outcome, aggregated
   /// stats.  `base.stats.complete` iff every shard proved its band
   /// exhausted.

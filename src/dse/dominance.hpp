@@ -1,9 +1,10 @@
 // The dominance propagator — the heart of exact multi-objective DSE with
 // ASPmT.
 //
-// It holds the current Pareto archive.  At every propagation fixpoint it
-// assembles the objective-space *lower-bound corner* of the current partial
-// assignment (partial assignment evaluation) and asks the archive for a
+// It holds a snapshot of the run's Pareto archive (refreshed from the shared
+// front, see attach_shared).  At every propagation fixpoint it assembles the
+// objective-space *lower-bound corner* of the current partial assignment
+// (partial assignment evaluation) and asks the archive for a
 // weak dominator: if some archived point p is <= the corner componentwise,
 // then every completion of this partial assignment is weakly dominated by p
 // and the whole subtree is pruned with a theory nogood built from the
@@ -42,12 +43,6 @@ class DominancePropagator final : public asp::TheoryPropagator {
   DominancePropagator(const ObjectiveManager& objectives, pareto::Archive& archive)
       : objectives_(objectives), archive_(archive) {}
 
-  /// Record a newly found implementation's objective vector.  Returns true
-  /// iff the point entered the archive (i.e. was not weakly dominated).
-  bool insert(const pareto::Vec& point) { return archive_.insert(point); }
-
-  [[nodiscard]] const pareto::Archive& archive() const noexcept { return archive_; }
-
   /// Ablation switch: when disabled, dominance is only enforced on total
   /// assignments (the pre-DATE'17 behaviour).
   void set_partial_evaluation(bool enabled) noexcept { partial_eval_ = enabled; }
@@ -68,11 +63,12 @@ class DominancePropagator final : public asp::TheoryPropagator {
   /// enforce() is untouched.  nullptr (default) disables recording.
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Portfolio mode: treat the local archive as a snapshot of `shared` and
-  /// keep it fresh.  Every enforce() polls the shared generation counter
-  /// (one relaxed atomic load — lock-free) and, only when it moved, pulls
-  /// the newly published points into the local archive, so dominance
-  /// pruning tightens mid-search as peer workers discover better points.
+  /// Treat the local archive as a snapshot of `shared` and keep it fresh
+  /// (every exploration worker does, the lone one of dse::explore too).
+  /// Every enforce() polls the shared generation counter (one relaxed
+  /// atomic load — lock-free) and, only when it moved, pulls the newly
+  /// published points into the local archive, so dominance pruning
+  /// tightens mid-search as peer workers discover better points.
   /// Always sound: the local snapshot lags the shared front, and
   /// dominance-blocked regions only ever grow.
   void attach_shared(pareto::ConcurrentArchive* shared) noexcept {

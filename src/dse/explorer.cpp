@@ -1,27 +1,14 @@
 #include "dse/explorer.hpp"
 
 #include <cassert>
-#include <map>
-#include <memory>
+#include <utility>
 
-#include "cert/certify.hpp"
-#include "dse/checkpoint.hpp"
 #include "dse/context.hpp"
-#include "obs/collector.hpp"
+#include "dse/parallel_explorer.hpp"
 #include "obs/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace aspmt::dse {
-
-namespace {
-
-/// Obs event payloads have exactly three slots; axes beyond them are elided
-/// and missing ones report 0 (combinator specs may declare any axis count).
-inline std::int64_t axis_or_zero(const pareto::Vec& p, std::size_t i) {
-  return i < p.size() ? p[i] : 0;
-}
-
-}  // namespace
 
 void export_metrics(obs::MetricsRegistry& registry,
                     const ExploreResult& result) {
@@ -53,372 +40,21 @@ void export_metrics(obs::MetricsRegistry& registry,
 
 ExploreResult explore(const synth::Specification& spec,
                       const ExploreOptions& options) {
-  util::Timer timer;
-  const CommonOptions& common = options.common;
-
-  ExploreResult result;
-  const bool certify = common.certify && options.epsilon.empty();
-  if (common.certify && !options.epsilon.empty()) {
-    result.certificate_error = "certification requires exact exploration (empty epsilon)";
+  ParallelExploreOptions one;
+  one.common = options.common;
+  one.threads = 1;
+  // The checkpoint's base seed; a lone worker keeps the caller's solver
+  // configuration unchanged, so the portfolio seed has no other use here.
+  one.seed = options.common.solver_options.seed;
+  ParallelExploreResult run = detail::run_portfolio(spec, one, options.epsilon);
+  ExploreResult result = std::move(run.base);
+  // A contained exception ends the lone worker's run; report it ahead of the
+  // degradations it caused (missing witnesses, the final checkpoint write).
+  if (!run.worker_errors.empty()) {
+    result.errors.insert(
+        result.errors.begin(),
+        "exploration aborted: " + run.worker_errors.front().message);
   }
-  const bool collect = common.collect_witnesses || certify;
-  asp::ProofLog proof_log;
-
-  // Resource governance: the caller's Budget wins; otherwise build one from
-  // the numeric limits.  Either way the solver polls the same token.
-  Budget local_budget(BudgetLimits{common.time_limit_seconds,
-                                   common.conflict_budget,
-                                   common.mem_limit_mb});
-  Budget* budget = common.budget != nullptr ? common.budget : &local_budget;
-
-  FaultPlan env_fault;
-  const FaultPlan* fault = common.fault;
-  if (fault == nullptr) {
-    env_fault = FaultPlan::from_env();
-    if (env_fault.any()) fault = &env_fault;
-  }
-  FaultState fstate;
-
-  // Observability: with a sink attached, this run gets one producer ring
-  // (worker 0) and a collector thread draining it.  Without one, `rec`
-  // stays null and every instrumented site below is a pointer test.
-  std::unique_ptr<obs::Collector> collector;
-  obs::Recorder* rec = nullptr;
-  if (common.sink != nullptr) {
-    collector = std::make_unique<obs::Collector>(*common.sink, 1);
-    rec = &collector->recorder(0);
-    collector->start();
-    rec->record(obs::EventKind::RunStart,
-                static_cast<std::int64_t>(common.time_limit_seconds * 1000.0),
-                1, static_cast<std::int64_t>(common.conflict_budget));
-    rec->record(obs::EventKind::WorkerStart, 0);
-  }
-  obs::Histogram* insert_hist =
-      common.metrics != nullptr
-          ? &common.metrics->histogram("archive.comparisons_per_insert")
-          : nullptr;
-
-  BudgetMonitor monitor(budget, fault, &fstate, rec);
-
-  ContextOptions copts;
-  copts.archive_kind = common.archive_kind;
-  copts.partial_evaluation = common.partial_evaluation;
-  // Floor explanations reference redundant copair sums the checker cannot
-  // re-derive; without floors the primary sources explain every bound and
-  // the front is unchanged (floors are a pruning aid only).
-  copts.objective_floors = certify ? false : common.objective_floors;
-  copts.solver_options = common.solver_options;
-  copts.solver_options.stop = budget->token();
-  copts.solver_options.monitor = &monitor;
-  copts.solver_options.recorder = rec;
-  if (certify) copts.proof = &proof_log;
-  SynthContext ctx(spec, copts);
-  ctx.dominance().set_recorder(rec);
-  if (!options.epsilon.empty()) {
-    assert(options.epsilon.size() == ctx.objectives.count());
-    ctx.dominance().set_epsilon(options.epsilon);
-  }
-
-  // Incremental re-exploration (respec.hpp): install a previous session's
-  // learnt clauses behind a fresh assumption guard.  The guard keeps replay
-  // exactness-neutral — the first Unsat under it only proves the *augmented*
-  // problem empty, so the loop below drops the guard and re-proves
-  // completeness against the unmodified encoding.  A dump whose variable
-  // base does not match this encoding is ignored wholesale.
-  const std::uint32_t base_vars = ctx.solver.num_vars();
-  std::vector<asp::Lit> base_assume;
-  if (common.clause_replay != nullptr) {
-    const auto replay = decode_replay(*common.clause_replay, base_vars);
-    if (!replay.empty()) {
-      std::size_t installed = 0;
-      const asp::Lit guard = ctx.solver.add_guarded_clauses(replay, &installed);
-      if (installed > 0) base_assume.push_back(guard);
-      result.stats.replayed_clauses = installed;
-    }
-  }
-
-  std::map<pareto::Vec, synth::Implementation> witnesses;
-
-  // Warm start: seed the archive with the checkpointed front so every
-  // region it weakly dominates is pruned from the first propagation on.
-  std::uint64_t base_elapsed_ms = 0;
-  bool resumed = false;
-  bool warm_ancestor = false;  // resumed from a warm-started checkpoint
-  if (common.resume != nullptr) {
-    if (!checkpoint_matches(*common.resume, spec)) {
-      result.errors.push_back(
-          "resume rejected: checkpoint was written for a different "
-          "specification; starting cold");
-    } else {
-      const Checkpoint& ckpt = *common.resume;
-      for (std::size_t i = 0; i < ckpt.points.size(); ++i) {
-        ctx.dominance().insert(ckpt.points[i]);
-        if (collect && i < ckpt.witnesses.size() &&
-            !ckpt.witnesses[i].option_of_task.empty()) {
-          witnesses[ckpt.points[i]] = ckpt.witnesses[i];
-        }
-      }
-      base_elapsed_ms = ckpt.elapsed_ms;
-      resumed = !ckpt.points.empty();
-      warm_ancestor = ckpt.warm_started;
-    }
-  }
-
-  // Hybrid warm start (warmstart.hpp): validated heuristic seeds enter the
-  // archive before the first solve, so the dominance propagator prunes
-  // everything they weakly dominate from the first conflict on.  Unlike
-  // resume seeds, each one carries a freshly validated witness and (in
-  // certified mode) an in-stream `F` step, so the run stays certifiable.
-  bool warm_started = false;
-  if (warm_start_enabled(common.warm_start)) {
-    WarmStartResult ws = generate_warm_seeds(spec, common.warm_start);
-    result.stats.warm_rejected = ws.rejected_invalid + ws.rejected_dominated;
-    for (WarmSeedCandidate& seed : ws.seeds) {
-      // A resume point may already dominate the seed; skipping it keeps the
-      // archive an antichain.
-      if (!ctx.dominance().insert(seed.point)) {
-        ++result.stats.warm_rejected;
-        continue;
-      }
-      ++result.stats.warm_seeds;
-      warm_started = true;
-      if (certify) proof_log.feasible_point(seed.point);
-      result.discoveries.emplace_back(timer.elapsed_seconds(), seed.point);
-      if (rec != nullptr) {
-        // Obs events carry three payload slots; combinator specs may have
-        // fewer (or more) axes, so missing slots report 0.
-        rec->record(obs::EventKind::WarmStartSeed, axis_or_zero(seed.point, 0),
-                    axis_or_zero(seed.point, 1), axis_or_zero(seed.point, 2));
-      }
-      if (collect) witnesses[seed.point] = std::move(seed.impl);
-    }
-  }
-
-  std::unique_ptr<CheckpointWriter> ckpt_writer;
-  if (!common.checkpoint_path.empty()) {
-    ckpt_writer = std::make_unique<CheckpointWriter>(
-        common.checkpoint_path, common.checkpoint_interval_seconds,
-        fault != nullptr && fault->corrupt_checkpoint,
-        fault != nullptr && fault->sync_fail);
-  }
-  const auto snapshot = [&]() {
-    Checkpoint c;
-    c.spec_fingerprint = spec_fingerprint(spec);
-    c.seed = common.solver_options.seed;
-    c.elapsed_ms = base_elapsed_ms +
-                   static_cast<std::uint64_t>(timer.elapsed_ms());
-    c.warm_started = warm_started || warm_ancestor;
-    c.has_sections = true;
-    c.sections = spec_sections(spec);
-    if (common.checkpoint_clause_dump > 0) {
-      for (const std::vector<asp::Lit>& cl :
-           ctx.solver.export_learnts(base_vars, common.checkpoint_clause_dump)) {
-        if (cl.size() > 1024) continue;  // the checkpoint format's clause cap
-        std::vector<std::int32_t> dimacs;
-        dimacs.reserve(cl.size());
-        for (const asp::Lit l : cl) {
-          const auto v = static_cast<std::int32_t>(l.var()) + 1;
-          dimacs.push_back(l.positive() ? v : -v);
-        }
-        c.clauses.push_back(std::move(dimacs));
-      }
-      if (!c.clauses.empty()) c.clause_base_vars = base_vars;
-    }
-    c.points = ctx.archive().points();
-    if (collect) {
-      c.witnesses.reserve(c.points.size());
-      for (const pareto::Vec& p : c.points) {
-        const auto it = witnesses.find(p);
-        c.witnesses.push_back(it == witnesses.end() ? synth::Implementation{}
-                                                    : it->second);
-      }
-    }
-    return c;
-  };
-
-  // Archive insertion with observability around it: the events and the
-  // histogram only read sizes/counters, so the search trajectory is
-  // untouched whether or not a sink is attached.
-  const auto insert_point = [&](const pareto::Vec& p) {
-    const bool observing = rec != nullptr && rec->enabled();
-    const std::size_t before = observing ? ctx.archive().size() : 0;
-    const std::uint64_t cmp_before =
-        insert_hist != nullptr ? ctx.archive().comparisons() : 0;
-    const bool inserted = ctx.dominance().insert(p);
-    if (insert_hist != nullptr) {
-      insert_hist->observe(ctx.archive().comparisons() - cmp_before);
-    }
-    if (observing && inserted) {
-      rec->record(obs::EventKind::ArchiveInsert, axis_or_zero(p, 0),
-                  axis_or_zero(p, 1), axis_or_zero(p, 2));
-      const std::size_t after = ctx.archive().size();
-      if (before + 1 > after) {
-        rec->record(obs::EventKind::ArchiveEvict,
-                    static_cast<std::int64_t>(before + 1 - after),
-                    static_cast<std::int64_t>(after));
-      }
-    }
-    return inserted;
-  };
-
-  const auto record = [&](const pareto::Vec& point) {
-    ++result.stats.models;
-    if (rec != nullptr) {
-      rec->record(obs::EventKind::ModelFound, axis_or_zero(point, 0),
-                  axis_or_zero(point, 1), axis_or_zero(point, 2));
-    }
-    fault_worker_throw(fault, 0, result.stats.models);
-    if (certify) proof_log.feasible_point(point);
-    result.discoveries.emplace_back(timer.elapsed_seconds(), point);
-    if (collect) {
-      fault_alloc(fault, &fstate);
-      witnesses[point] = ctx.capture().implementation();
-    }
-    if (ckpt_writer != nullptr && ckpt_writer->due()) {
-      const Checkpoint c = snapshot();
-      const std::string err = ckpt_writer->write_if_due(c);
-      if (rec != nullptr) {
-        rec->record(obs::EventKind::CheckpointWrite,
-                    static_cast<std::int64_t>(c.points.size()),
-                    err.empty() ? 1 : 0);
-      }
-      if (!err.empty()) result.errors.push_back(err);
-    }
-  };
-
-  bool out_of_time = false;
-  bool failed = false;
-  try {
-    for (;;) {
-      const asp::Solver::Result r =
-          ctx.solver.solve(base_assume, budget->deadline());
-      if (r == asp::Solver::Result::Unsat && !base_assume.empty()) {
-        // Replay guard exhausted: the augmented problem is empty, which says
-        // nothing about the original one.  Drop the guard and keep searching
-        // — any point a stale clause hid is found now and evicts whatever it
-        // dominated in the archive.
-        base_assume.clear();
-        continue;
-      }
-      if (r == asp::Solver::Result::Sat) {
-        pareto::Vec point = ctx.capture().vector();
-        // The dominance check already rejected weakly dominated candidates,
-        // so insertion must succeed.
-        const bool inserted = insert_point(point);
-        assert(inserted);
-        (void)inserted;
-        record(point);
-        // Drill down: chase strictly dominating points until none is left.
-        // The archive already blocks f >= point, so requiring f <= point
-        // leaves exactly the strictly-better region.
-        while (common.drill_down) {
-          const asp::Lit act = asp::Lit::make(ctx.solver.new_var(), true);
-          for (std::size_t o = 0; o < ctx.objectives.count(); ++o) {
-            ctx.objectives.add_bound(o, point[o], act);
-          }
-          std::vector<asp::Lit> assume = base_assume;
-          assume.push_back(act);
-          const asp::Solver::Result r2 =
-              ctx.solver.solve(assume, budget->deadline());
-          if (r2 == asp::Solver::Result::Unknown) {
-            out_of_time = true;
-            break;
-          }
-          if (r2 == asp::Solver::Result::Unsat) break;  // point is Pareto-optimal
-          point = ctx.capture().vector();
-          const bool better = insert_point(point);
-          assert(better);
-          (void)better;
-          record(point);
-        }
-        if (out_of_time) break;
-        continue;
-      }
-      result.stats.complete = (r == asp::Solver::Result::Unsat);
-      break;
-    }
-  } catch (const std::exception& e) {
-    // Graceful degradation: the archive holds every point found so far and
-    // is returned labelled as partial instead of dying with the exception.
-    failed = true;
-    result.errors.push_back(std::string("exploration aborted: ") + e.what());
-  }
-
-  result.front = ctx.archive().points();
-  if (collect) {
-    result.witnesses.reserve(result.front.size());
-    for (const pareto::Vec& p : result.front) {
-      const auto it = witnesses.find(p);
-      if (it == witnesses.end()) {
-        // A fault between archive insert and witness capture can leave a
-        // front point witness-less; report it instead of dereferencing
-        // end() (the pre-fix behavior was UB under NDEBUG).
-        result.witnesses.emplace_back();
-        result.errors.push_back("missing witness for " + pareto::to_string(p));
-      } else {
-        result.witnesses.push_back(it->second);
-      }
-    }
-  }
-
-  result.stats.complete = result.stats.complete && !out_of_time && !failed;
-  result.stats.reason = failed ? StopReason::WorkerFailure
-                               : budget->finish(result.stats.complete);
-  if (certify) {
-    result.proof = proof_log.text();
-    if (!result.stats.complete) {
-      result.proof += "X 0\n";  // truncation marker: prefix-checkable only
-      result.certificate_error =
-          std::string("exploration stopped early (") +
-          to_string(result.stats.reason) + "); nothing to certify";
-    } else if (resumed) {
-      result.certificate_error =
-          "resumed runs are not certifiable (seeded points lack in-stream "
-          "derivations)";
-    } else if (!result.errors.empty()) {
-      result.certificate_error = result.errors.front();
-    } else {
-      std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs(
-          witnesses.begin(), witnesses.end());
-      const cert::CertifyResult cr =
-          cert::certify_front(spec, pairs, result.front, result.proof);
-      result.certified = cr.certified;
-      if (!cr.certified) result.certificate_error = cr.error;
-    }
-  }
-
-  if (ckpt_writer != nullptr) {
-    const Checkpoint c = snapshot();
-    const std::string err = ckpt_writer->write(c);
-    if (rec != nullptr) {
-      rec->record(obs::EventKind::CheckpointWrite,
-                  static_cast<std::int64_t>(c.points.size()),
-                  err.empty() ? 1 : 0);
-    }
-    if (!err.empty()) result.errors.push_back(err);
-  }
-
-  const asp::SolverStats& s = ctx.solver.stats();
-  result.stats.prunings = ctx.dominance().prunings();
-  result.stats.conflicts = s.conflicts;
-  result.stats.decisions = s.decisions;
-  result.stats.propagations = s.propagations;
-  result.stats.theory_clauses = s.theory_clauses;
-  result.stats.archive_comparisons = ctx.archive().comparisons();
-  result.stats.seconds = timer.elapsed_seconds();
-
-  if (rec != nullptr) {
-    rec->record(obs::EventKind::WorkerEnd,
-                static_cast<std::int64_t>(result.stats.models),
-                static_cast<std::int64_t>(result.stats.conflicts),
-                failed ? 1 : 0);
-    rec->record(obs::EventKind::RunEnd,
-                static_cast<std::int64_t>(result.front.size()),
-                static_cast<std::int64_t>(result.stats.models),
-                result.stats.complete ? 1 : 0);
-  }
-  if (collector != nullptr) collector->stop();
-  if (common.metrics != nullptr) export_metrics(*common.metrics, result);
   return result;
 }
 

@@ -8,6 +8,10 @@
 // archive weakly dominates.  When the solver reports unsatisfiability the
 // archive is exactly the Pareto front of the specification — with one
 // witness implementation per front point.
+//
+// There is one implementation of this loop, the portfolio worker of
+// parallel_explorer.hpp; explore() is its one-worker case, run inline in
+// the calling thread, plus the ε-dominance approximation only it offers.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +31,12 @@ struct ExploreOptions {
   /// Everything shared with the portfolio explorer — limits, archive kind,
   /// certification, fault-tolerant runtime, observability (see options.hpp).
   CommonOptions common;
-  /// ε-dominance approximation (one additive slack per objective, in
-  /// canonical order latency/energy/cost).  Empty = exact.  With a non-empty
+  /// ε-dominance approximation (one additive slack per objective axis, in
+  /// the specification's axis order).  Empty = exact.  With a non-empty
   /// epsilon the run terminates with an ε-approximate front: every true
   /// Pareto point q is covered by a returned point p with p <= q + eps.
-  /// Sequential-only: the portfolio explorer always runs exact.
+  /// explore() throws std::invalid_argument when the length differs from
+  /// the axis count.  The portfolio explorer always runs exact.
   pareto::Vec epsilon;
 };
 
@@ -42,6 +47,8 @@ struct ExploreStats {
   std::uint64_t decisions = 0;
   std::uint64_t propagations = 0;
   std::uint64_t theory_clauses = 0;
+  /// Dominance comparisons in the workers' local archives plus the shared
+  /// one.
   std::uint64_t archive_comparisons = 0;
   /// Hybrid pipeline (warmstart.hpp): validated heuristic seeds that entered
   /// the archive before solving, and candidates the validation gate or the
@@ -51,6 +58,8 @@ struct ExploreStats {
   /// Incremental re-exploration (respec.hpp): learnt clauses installed
   /// behind the replay guard (summed over workers in the portfolio).
   std::uint64_t replayed_clauses = 0;
+  /// Wall time of the whole run: search, certification and the final
+  /// checkpoint write.
   double seconds = 0.0;
   bool complete = false;  ///< true iff the front is proven exact
   /// Structured cause of termination.  `Completed` iff `complete`, except
@@ -85,14 +94,16 @@ struct ExploreResult {
   ExploreStats stats;
 };
 
-/// Compute the exact Pareto front of `spec` (latency, energy, cost).
+/// Compute the exact Pareto front of `spec`: explore_parallel with one
+/// worker, in the calling thread.  A contained exception stops the run with
+/// reason WorkerFailure and leads `errors` ("exploration aborted: ...").
 [[nodiscard]] ExploreResult explore(const synth::Specification& spec,
                                     const ExploreOptions& options = {});
 
 /// Fill `registry` from a finished run so counter totals equal the run's
 /// ExploreStats field-for-field ("explore.models" == stats.models, ...),
-/// with derived per-second gauges alongside.  Called automatically by both
-/// explorers when CommonOptions::metrics is set; public so embedders and
+/// with derived per-second gauges alongside.  Called automatically at the end
+/// of every run when CommonOptions::metrics is set; public so embedders and
 /// benches can snapshot ad-hoc runs the same way.
 void export_metrics(obs::MetricsRegistry& registry, const ExploreResult& result);
 

@@ -109,15 +109,6 @@ ObjectiveTerm ObjectiveTerm::weighted(std::string name,
                     std::move(children));
 }
 
-ObjectiveTerm ObjectiveTerm::scenario_worst(std::string name,
-                                            std::vector<ObjectiveTerm> children) {
-  if (children.size() < 2) {
-    throw std::invalid_argument("scenario_worst needs at least two children");
-  }
-  return combinator(Kind::ScenarioWorst, std::move(name), {},
-                    std::move(children));
-}
-
 ObjectiveTerm& ObjectiveTerm::with_floor(theory::LinearSumPropagator* propagator,
                                          theory::LinearSumPropagator::SumId sum) {
   if (kind_ != Kind::Linear || propagator == nullptr) {
@@ -144,8 +135,7 @@ std::int64_t ObjectiveTerm::lower_bound() const {
       for (const ObjectiveTerm& c : children_) lbs.push_back(c.lower_bound());
       return synth::lex_pack(lbs, params_);
     }
-    case Kind::MinMax:
-    case Kind::ScenarioWorst: {
+    case Kind::MinMax: {
       std::int64_t best = 0;
       for (const ObjectiveTerm& c : children_) {
         best = std::max(best, c.lower_bound());
@@ -190,8 +180,7 @@ void ObjectiveTerm::explain(std::int64_t threshold,
     case Kind::Difference:
       difference_->explain_bound(node_, out);
       return;
-    case Kind::MinMax:
-    case Kind::ScenarioWorst: {
+    case Kind::MinMax: {
       // One child carrying the max suffices: the checker's re-derived child
       // bound folds through max monotonically.
       for (const ObjectiveTerm& c : children_) {
@@ -240,8 +229,7 @@ bool ObjectiveTerm::push_bound(std::int64_t bound, asp::Lit activation,
     case Kind::Difference:
       difference_->add_bound(node_, bound, activation);
       return true;
-    case Kind::MinMax:
-    case Kind::ScenarioWorst: {
+    case Kind::MinMax: {
       // max(children) <= B  <=>  every child <= B: complete fan-out.
       bool complete = true;
       for (const ObjectiveTerm& c : children_) {
@@ -307,9 +295,6 @@ void ObjectiveTerm::serialize(std::string& out) const {
       break;
     case Kind::Weighted:
       token("W");
-      break;
-    case Kind::ScenarioWorst:
-      token("V");
       break;
   }
   token(std::to_string(children_.size()));

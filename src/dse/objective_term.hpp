@@ -7,11 +7,9 @@
 //
 //   lex(a, b, ...)       big-endian packing Σ clamp(v_i,0,cap_i)·stride_i
 //                        with static caps (part of the axis definition)
-//   minmax(a, b, ...)    max of the children
+//   minmax(a, b, ...)    max of the children (the spec's worst(...) over
+//                        scenarios is a minmax carrying its own label)
 //   weighted(w*a+...)    positive-integer weighted aggregate
-//   scenario_worst(...)  max of the children (robustness over scenarios;
-//                        semantically minmax, kept distinct for reporting
-//                        and proof-binding fidelity)
 //
 // Every node provides three facilities the dominance propagator and the
 // optimizer rely on:
@@ -25,7 +23,7 @@
 //                       folding it through the (monotone) combinators again
 //                       reaches t;
 //   * push_bound()    — decompose `term <= bound` into child theory bounds
-//                       where sound.  minmax/scenario_worst fan out
+//                       where sound.  minmax fans out
 //                       completely; weighted pushes child_i <= bound/w_i and
 //                       lex pushes a prefix bound on its most significant
 //                       child — both sound but incomplete, so the caller
@@ -54,7 +52,6 @@ class ObjectiveTerm {
     Lex,
     MinMax,
     Weighted,
-    ScenarioWorst,
   };
 
   // ---- construction -------------------------------------------------------
@@ -86,10 +83,6 @@ class ObjectiveTerm {
   [[nodiscard]] static ObjectiveTerm weighted(std::string name,
                                               std::vector<std::int64_t> weights,
                                               std::vector<ObjectiveTerm> children);
-
-  /// Best worst-case over a scenario set (at least two children).
-  [[nodiscard]] static ObjectiveTerm scenario_worst(
-      std::string name, std::vector<ObjectiveTerm> children);
 
   /// Attach a floor sum to a *linear leaf*: a redundant sum that never
   /// exceeds the leaf in a total model but can bound tighter on partial
@@ -126,8 +119,8 @@ class ObjectiveTerm {
   void explain(std::int64_t threshold, std::vector<asp::Lit>& out) const;
 
   /// Push `term <= bound` into child theory bounds where sound.  Returns
-  /// true iff the decomposition *fully* enforces the bound (leaves,
-  /// minmax/scenario_worst fan-out); false when a residual combinator-level
+  /// true iff the decomposition *fully* enforces the bound (leaves, minmax
+  /// fan-out); false when a residual combinator-level
   /// bound is still required (weighted, lex).  `mirror_floors` additionally
   /// mirrors leaf bounds onto attached floor sums (a propagation sharpener;
   /// skip it for shard ceilings, whose proofs must touch one sum only).
@@ -140,7 +133,7 @@ class ObjectiveTerm {
 
   /// Serialize the tree as proof-binding tokens:
   ///   L <sum> | D <node> | X <k> <cap...> <child>... |
-  ///   M <k> <child>... | W <k> <weight...> <child>... | V <k> <child>...
+  ///   M <k> <child>... | W <k> <weight...> <child>...
   /// A leaf serializes to exactly the legacy binding body.
   void serialize(std::string& out) const;
 

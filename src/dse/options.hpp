@@ -1,12 +1,12 @@
-// dse::CommonOptions — the single definition of every knob shared by the
-// sequential and the portfolio explorer.
+// dse::CommonOptions — the single definition of every knob shared by
+// dse::explore and the portfolio explorer.
 //
 // Both ExploreOptions and ParallelExploreOptions embed one CommonOptions by
 // composition (`opts.common.time_limit_seconds = ...`); the wrapper structs
 // only add their mode-specific extras (epsilon; threads/seed/shards).  No
 // field is declared twice across the two explorer headers, and anything
 // attachable in one place — budgets, checkpoints, fault plans, and the
-// observability sink/registry — is attachable to both explorers the same
+// observability sink/registry — is attachable to both entry points the same
 // way.
 #pragma once
 

@@ -67,14 +67,16 @@ struct SharedState {
   FaultState fstate;
   std::uint64_t checkpoint_seed = 0;
   std::uint64_t fingerprint = 0;
-  // v3 checkpoint payload: per-section digests (set once at setup) and the
-  // sequential anchor's learnt-clause dump.  Worker 0 publishes its dump at
-  // exit under `mutex`, so only the final snapshot carries clauses —
-  // mid-run snapshots dump points only.
+  // v3 checkpoint payload: per-section digests (set once at setup) and
+  // worker 0's learnt-clause dump, published at its exit under `mutex`, so
+  // only the final snapshot carries clauses — mid-run snapshots dump points
+  // only.
   SectionDigests sections;
   std::size_t clause_dump_cap = 0;
   std::uint32_t clause_base_vars = 0;
   std::vector<std::vector<std::int32_t>> clauses;
+  /// ε-dominance slack every worker's propagator applies (empty = exact).
+  pareto::Vec epsilon;
   /// Per-insert archive work histogram (nullptr without a metrics registry).
   /// In portfolio mode the comparison deltas are sampled off the shared
   /// atomic counter, so concurrent inserts may attribute a peer's work to
@@ -122,9 +124,9 @@ struct SharedState {
 };
 
 /// Diversified solver configuration for worker `index` of `total`.  Worker 0
-/// keeps the caller's base configuration bit-for-bit (it is the "sequential
-/// anchor" of the portfolio); the others jitter tie-breaking, restart
-/// cadence and activity decay.
+/// keeps the caller's base configuration bit-for-bit (it is the portfolio's
+/// anchor, and alone the whole of a one-worker run); the others jitter
+/// tie-breaking, restart cadence and activity decay.
 asp::SolverOptions diversify(asp::SolverOptions base, std::size_t index,
                              std::uint64_t portfolio_seed) {
   if (index == 0) return base;
@@ -164,6 +166,7 @@ void run_worker(std::size_t index, std::size_t total,
   assert(ctx.objectives.count() == spec.axis_count());
   ctx.dominance().attach_shared(&shared.archive);
   ctx.dominance().set_recorder(rec);
+  ctx.dominance().set_epsilon(shared.epsilon);
   // Certified mode: the propagator emits an `F` step into this worker's
   // stream for every point it pulls from the shared front (its own
   // publications included, on the sync right after the insert) — so any DOM
@@ -360,9 +363,10 @@ void run_worker(std::size_t index, std::size_t total,
       }
       pareto::Vec point = ctx.capture().vector();
       publish(point);
-      // Drill down to a Pareto-optimal point exactly as the sequential
-      // explorer does, except that a peer may publish the point first — the
-      // rejected insert is counted, never asserted against.
+      // Drill down to a Pareto-optimal point: the archive already blocks
+      // f >= point, so requiring f <= point leaves exactly the strictly
+      // better region.  A peer may publish a point first — the rejected
+      // insert is counted, never asserted against.
       bool out_of_time = false;
       while (common.drill_down) {
         const asp::Lit act = asp::Lit::make(ctx.solver.new_var(), true);
@@ -395,9 +399,9 @@ void run_worker(std::size_t index, std::size_t total,
     shared.record_failure(index, active_slice, "unknown exception");
   }
 
-  // The sequential anchor donates its learnt clauses to the final v3
-  // checkpoint (worker 0's strategy matches what a future sequential or
-  // anchor solver would replay against).
+  // Worker 0 donates its learnt clauses to the final v3 checkpoint (its
+  // strategy matches what a future one-worker run or anchor solver would
+  // replay against).
   if (index == 0 && shared.clause_dump_cap > 0) {
     std::vector<std::vector<std::int32_t>> dump;
     for (const std::vector<asp::Lit>& cl :
@@ -437,13 +441,25 @@ void run_worker(std::size_t index, std::size_t total,
 
 }  // namespace
 
-ParallelExploreResult explore_parallel(const synth::Specification& spec,
-                                       const ParallelExploreOptions& options) {
+namespace detail {
+
+ParallelExploreResult run_portfolio(const synth::Specification& spec,
+                                    const ParallelExploreOptions& options,
+                                    const pareto::Vec& epsilon) {
   const CommonOptions& common = options.common;
+  if (!epsilon.empty() && epsilon.size() != spec.axis_count()) {
+    throw std::invalid_argument(
+        "epsilon has " + std::to_string(epsilon.size()) +
+        " entries but the specification declares " +
+        std::to_string(spec.axis_count()) + " objective axes");
+  }
   std::size_t threads = options.threads != 0
                             ? options.threads
                             : std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
+  // An ε-approximate front is not the exact front a certificate asserts.
+  const bool certify = common.certify && epsilon.empty();
+  const bool collect = common.collect_witnesses || certify;
 
   Budget local_budget(BudgetLimits{common.time_limit_seconds,
                                    common.conflict_budget,
@@ -460,6 +476,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
   SharedState shared(common.archive_kind, spec.axis_count(),
                      options.archive_shards, budget, threads);
   shared.fault = fault;
+  shared.epsilon = epsilon;
   shared.checkpoint_seed = options.seed;
   shared.fingerprint = spec_fingerprint(spec);
   shared.sections = spec_sections(spec);
@@ -488,6 +505,10 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
 
   ParallelExploreResult result;
   result.workers.resize(threads);
+  if (common.certify && !certify) {
+    result.base.certificate_error =
+        "certification requires exact exploration (empty epsilon)";
+  }
 
   // Warm start: seed the shared archive before any worker spawns, so every
   // worker's first generation-counter sync pulls the checkpointed front.
@@ -533,9 +554,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
         orec->record(obs::EventKind::WarmStartSeed, axis_or_zero(seed.point, 0),
                      axis_or_zero(seed.point, 1), axis_or_zero(seed.point, 2));
       }
-      if (common.collect_witnesses || common.certify) {
-        shared.witnesses[seed.point] = std::move(seed.impl);
-      }
+      if (collect) shared.witnesses[seed.point] = std::move(seed.impl);
     }
   }
 
@@ -558,7 +577,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
   // Proof logs are per worker (never shared across threads); the winner's
   // becomes the portfolio's completeness certificate.
   std::vector<std::unique_ptr<asp::ProofLog>> logs(threads);
-  if (common.certify) {
+  if (certify) {
     for (auto& log : logs) log = std::make_unique<asp::ProofLog>();
   }
 
@@ -587,7 +606,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
   result.worker_errors = shared.errors;
 
   result.base.front = shared.archive.points();
-  if (common.collect_witnesses || common.certify) {
+  if (collect) {
     result.base.witnesses.reserve(result.base.front.size());
     for (const pareto::Vec& p : result.base.front) {
       const auto it = shared.witnesses.find(p);
@@ -603,7 +622,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
       }
     }
   }
-  if (common.collect_witnesses || common.certify) {
+  if (collect) {
     std::lock_guard lock(shared.mutex);
     result.discovery_witnesses.assign(shared.witnesses.begin(),
                                       shared.witnesses.end());
@@ -625,17 +644,27 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     stats.replayed_clauses += w.replayed_clauses;
   }
   stats.archive_comparisons += shared.archive.comparisons();
-  stats.seconds = shared.timer.elapsed_seconds();
   stats.complete = shared.complete.load(std::memory_order_acquire);
   // A contained crash is reported even when survivors proved the front
   // exact: `complete` certifies the mathematics, `reason` the operations.
   stats.reason = !result.worker_errors.empty() ? StopReason::WorkerFailure
                                                : budget->finish(stats.complete);
 
-  if (common.certify) {
+  if (certify) {
     const auto winner =
         std::find_if(result.workers.begin(), result.workers.end(),
                      [](const WorkerReport& w) { return w.proved_complete; });
+    const bool proved = stats.complete && winner != result.workers.end() &&
+                        result.worker_errors.empty();
+    // The winner's stream is the completeness proof.  Without one, worker
+    // 0's stream, honestly truncation-marked, still hands over a checkable
+    // prefix.  (Not a conditional expression: mixing the const lvalue with
+    // the temporary would copy the stream twice.)
+    if (proved) {
+      result.base.proof = logs[winner->worker]->text();
+    } else {
+      result.base.proof = logs[0]->text() + "X 0\n";
+    }
     if (!result.worker_errors.empty()) {
       result.base.certificate_error =
           "worker " + std::to_string(result.worker_errors.front().worker) +
@@ -645,19 +674,14 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
       result.base.certificate_error =
           "resumed runs are not certifiable (seeded points lack in-stream "
           "derivations)";
-    } else if (!stats.complete || winner == result.workers.end()) {
-      // Emit the sequential anchor's stream, honestly truncation-marked, so
-      // interrupted certified runs still hand over a checkable prefix.
-      result.base.proof = logs[0]->text() + "X 0\n";
+    } else if (!proved) {
       result.base.certificate_error =
-          "no worker closed the global Unsat proof; nothing to certify";
-    } else if (options.shard.active) {
-      // Shard-banded run: the winning stream concludes Unsat under the
-      // shard's box activations, not globally — hand it up unjudged; the
-      // coordinator certifies the merged front with cert::certify_merged.
-      result.base.proof = logs[winner->worker]->text();
-    } else {
-      result.base.proof = logs[winner->worker]->text();
+          std::string("exploration stopped early (") +
+          to_string(stats.reason) + "); nothing to certify";
+    } else if (!options.shard.active) {
+      // A shard-banded stream concludes Unsat under the shard's box
+      // activations, not globally, so it goes up unjudged: the coordinator
+      // certifies the merged front with cert::certify_merged.
       std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs(
           shared.witnesses.begin(), shared.witnesses.end());
       const cert::CertifyResult cr = cert::certify_front(
@@ -677,6 +701,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     }
     if (!err.empty()) result.base.errors.push_back(err);
   }
+  stats.seconds = shared.timer.elapsed_seconds();
 
   if (orec != nullptr) {
     orec->record(obs::EventKind::RunEnd,
@@ -703,6 +728,13 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     }
   }
   return result;
+}
+
+}  // namespace detail
+
+ParallelExploreResult explore_parallel(const synth::Specification& spec,
+                                       const ParallelExploreOptions& options) {
+  return detail::run_portfolio(spec, options, {});
 }
 
 }  // namespace aspmt::dse

@@ -1,5 +1,6 @@
 // Parallel portfolio exploration — N diversified ASPmT workers, one shared
-// Pareto front.
+// Pareto front.  This is the repository's one exploration loop: dse::explore
+// (explorer.hpp) is its one-worker case, run inline in the calling thread.
 //
 // Every worker owns a full independent SynthContext (solver, theories,
 // encoding, dominance propagator) configured with a distinct seed, restart
@@ -7,7 +8,9 @@
 // shared ConcurrentArchive.  Each worker's dominance propagator treats its
 // thread-local archive as a snapshot of the shared front and refreshes it
 // lazily off a lock-free generation counter, so a point found by any worker
-// starts pruning every other worker's search mid-flight.
+// starts pruning every other worker's search mid-flight.  After each model a
+// worker drills down to a Pareto-optimal point by re-solving under
+// activation-guarded bounds f <= v.
 //
 // Work partitioning: as soon as the shared front spans a range in the first
 // objective (immediately, under a warm start), it is carved into roughly
@@ -18,15 +21,16 @@
 // another, and only falls back to the unconstrained problem when the queue
 // is empty — search effort concentrates where the most unexplained
 // objective-space volume remains instead of being statically pinned to
-// worker indices.  Worker 0 always runs the unmodified sequential strategy.
+// worker indices.  Worker 0 never takes a slice and keeps the caller's
+// solver configuration, so it runs exactly the one-worker search.
 //
 // Exactness: slices and diversification only change the *order* of
 // discovery.  The run ends when some worker proves the unconstrained
 // problem unsatisfiable under dominance pruning — at that moment the shared
 // archive weakly dominates every feasible point and, since every archived
 // point is itself a feasible model, it *is* the unique exact Pareto front.
-// Hence the front is identical to the sequential explorer's for every
-// thread count (the test layer enforces this point-for-point).
+// Hence the front is identical for every thread count (the test layer
+// enforces this point-for-point).
 #pragma once
 
 #include <cstdint>
@@ -44,16 +48,16 @@
 namespace aspmt::dse {
 
 struct ParallelExploreOptions {
-  /// Everything shared with the sequential explorer — limits, archive kind,
+  /// Everything shared with dse::explore — limits, archive kind,
   /// certification, fault-tolerant runtime, observability (see options.hpp).
   /// In certified mode every worker proof-logs its own session and the
   /// winning worker's terminating Unsat proof — the completeness
   /// certificate of the whole portfolio — is machine-checked.
   CommonOptions common;
   std::size_t threads = 0;  ///< 0 = std::thread::hardware_concurrency()
-  /// Base seed for portfolio diversification; worker w runs with a solver
-  /// seed derived from (seed, w).  Worker 0 always keeps the deterministic
-  /// default configuration.
+  /// Base seed for portfolio diversification; worker w > 0 runs with a
+  /// solver seed derived from (seed, w).  Worker 0 always keeps the caller's
+  /// solver configuration.
   std::uint64_t seed = 1;
   std::size_t archive_shards = 8;  ///< ConcurrentArchive shard count
 
@@ -111,7 +115,7 @@ struct WorkerError {
 };
 
 struct ParallelExploreResult {
-  /// The portfolio's result in the sequential explorer's shape: front,
+  /// The portfolio's result in dse::explore's shape: front,
   /// witnesses, discoveries (publication order across all workers), proof /
   /// certification outcome, degradations, and stats aggregated over all
   /// workers.  Embedded by composition — the parallel result *is* an
@@ -132,9 +136,20 @@ struct ParallelExploreResult {
 
 /// Compute the exact Pareto front of `spec` with a portfolio of
 /// `options.threads` diversified workers.  With threads == 1 the worker
-/// runs inline in the calling thread (no thread is spawned) and follows the
-/// sequential explorer's exact strategy.
+/// runs inline in the calling thread (no thread is spawned): that run is
+/// dse::explore's search, step for step.
 [[nodiscard]] ParallelExploreResult explore_parallel(
     const synth::Specification& spec, const ParallelExploreOptions& options = {});
+
+namespace detail {
+/// The loop behind both public entry points: explore_parallel passes an
+/// empty `epsilon`, dse::explore one worker and its ExploreOptions::epsilon,
+/// which every worker's dominance propagator applies.  A non-empty epsilon
+/// turns certification off (recorded in certificate_error) and must hold
+/// one slack per objective axis — std::invalid_argument otherwise.
+[[nodiscard]] ParallelExploreResult run_portfolio(
+    const synth::Specification& spec, const ParallelExploreOptions& options,
+    const pareto::Vec& epsilon);
+}  // namespace detail
 
 }  // namespace aspmt::dse

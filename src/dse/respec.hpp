@@ -111,8 +111,8 @@ struct ClauseReplay {
     const ClauseReplay& replay, std::uint32_t base_vars);
 
 struct ReexploreOptions {
-  /// Explorer configuration for the incremental run.  threads <= 1 runs the
-  /// sequential explorer, anything larger the portfolio.  `base.common`'s
+  /// Explorer configuration for the incremental run (a portfolio run; one
+  /// thread is dse::explore's search).  `base.common`'s
   /// warm_start.external and clause_replay fields are overwritten by the
   /// reuse machinery; everything else (certify, budgets, observability, …)
   /// is honoured as given.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "pareto/quadtree.hpp"
 
@@ -39,6 +40,14 @@ std::vector<Vec> LinearArchive::points() const {
   std::vector<Vec> out = points_;
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void check_dimensions(const Vec& p, std::size_t dimensions) {
+  if (p.size() != dimensions) {
+    throw std::invalid_argument("point has " + std::to_string(p.size()) +
+                                " objectives, archive has " +
+                                std::to_string(dimensions));
+  }
 }
 
 std::unique_ptr<Archive> make_archive(const std::string& kind,

@@ -72,6 +72,11 @@ class LinearArchive final : public Archive {
   std::vector<Vec> points_;
 };
 
+/// Throws std::invalid_argument unless `p` has `dimensions` entries: the
+/// check on the archive insert paths (the per-fixpoint dominator query stays
+/// unchecked).
+void check_dimensions(const Vec& p, std::size_t dimensions);
+
 /// Factory used by benches/CLI: kind is "linear" or "quadtree".
 [[nodiscard]] std::unique_ptr<Archive> make_archive(const std::string& kind,
                                                     std::size_t dimensions);

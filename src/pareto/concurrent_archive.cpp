@@ -30,7 +30,9 @@ std::size_t ConcurrentArchive::shard_of(const Vec& p) const noexcept {
 }
 
 bool ConcurrentArchive::insert(const Vec& p, const std::atomic<bool>* cancel) {
-  assert(p.size() == dims_);
+  // Checked before the first shard query: find_weak_dominator does not
+  // check, and would read past the end of a short point.
+  check_dimensions(p, dims_);
   // Optimistic fast path: most candidates lose against the current front;
   // reject them with per-shard shared locks and no global serialization.
   for (const auto& s : shards_) {

@@ -41,7 +41,8 @@ class ConcurrentArchive {
 
   /// Thread-safe insert with single-archive semantics: rejected iff some
   /// archived point weakly dominates `p`; evicts points dominated by `p`
-  /// across all shards.  Returns true iff `p` entered the archive.
+  /// across all shards.  Returns true iff `p` entered the archive.  Throws
+  /// std::invalid_argument when `p` does not have dimensions() entries.
   /// `cancel`, when given, is honoured at the one point between the
   /// optimistic shared-lock pass and the exclusive escalation: a tripped
   /// token abandons the insert with zero mutation (returns false), so the

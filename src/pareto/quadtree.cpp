@@ -1,14 +1,28 @@
 #include "pareto/quadtree.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace aspmt::pareto {
 
-QuadTreeArchive::QuadTreeArchive(std::size_t dimensions)
-    : dims_(dimensions), fanout_(1U << dimensions) {
-  assert(dimensions >= 1 && dimensions <= 16);
+namespace {
+
+/// Children per node, 2^dimensions; checked before the shift, which is
+/// undefined from 32 dimensions up.
+std::uint32_t fanout_for(std::size_t dimensions) {
+  if (dimensions < 1 || dimensions > 16) {
+    throw std::invalid_argument("quad-tree archive supports 1 to 16 "
+                                "dimensions, not " +
+                                std::to_string(dimensions));
+  }
+  return 1U << dimensions;
 }
+
+}  // namespace
+
+QuadTreeArchive::QuadTreeArchive(std::size_t dimensions)
+    : dims_(dimensions), fanout_(fanout_for(dimensions)) {}
 
 std::uint32_t QuadTreeArchive::successorship(const Vec& q,
                                              const Vec& p) const noexcept {
@@ -114,7 +128,7 @@ void QuadTreeArchive::hang(std::int32_t node) {
 }
 
 bool QuadTreeArchive::insert(const Vec& p) {
-  assert(p.size() == dims_);
+  check_dimensions(p, dims_);
   if (dominator_in(root_, p) != nullptr) return false;
   erase_dominated_by(p);
   hang(alloc(p));
@@ -123,7 +137,7 @@ bool QuadTreeArchive::insert(const Vec& p) {
 }
 
 std::size_t QuadTreeArchive::erase_dominated_by(const Vec& p) {
-  assert(p.size() == dims_);
+  check_dimensions(p, dims_);
   std::vector<std::int32_t> doomed_list;
   collect_dominated(root_, p, doomed_list);
   std::erase_if(doomed_list,

@@ -19,9 +19,13 @@ namespace aspmt::pareto {
 
 class QuadTreeArchive final : public Archive {
  public:
-  /// `dimensions` in [1, 16] (children per node = 2^dimensions).
+  /// `dimensions` in [1, 16] (children per node = 2^dimensions); throws
+  /// std::invalid_argument otherwise.
   explicit QuadTreeArchive(std::size_t dimensions);
 
+  /// insert() and erase_dominated_by() throw std::invalid_argument on a
+  /// point of the wrong dimension; find_weak_dominator(), the per-fixpoint
+  /// query, does not check.
   bool insert(const Vec& p) override;
   [[nodiscard]] const Vec* find_weak_dominator(const Vec& q) const override;
   std::size_t erase_dominated_by(const Vec& p) override;

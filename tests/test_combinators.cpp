@@ -316,6 +316,8 @@ TEST(ObjectiveTreeBindings, MalformedTreesAreRejectedAtDeclaration) {
       {"O 0 M 1 L 0\n", "combinator needs two children"},
       {"O 0 M 2 L 0\n", "missing term"},
       {"O 0 Q 2 L 0 L 1\n", "unknown term kind"},
+      // worst(...) serializes as M (a labelled minmax); V is no term kind.
+      {"O 0 V 2 L 0 L 1\n", "unknown term kind"},
   };
   for (const auto& bad : kBad) {
     const auto r = check(std::string(kTwoSums) + bad.line);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -145,6 +146,19 @@ TEST(ConcurrentArchive, SingleThreadMatchesPlainArchiveSemantics) {
   EXPECT_EQ(shared.size(), 2U);
   EXPECT_EQ(shared.points(), (std::vector<Vec>{{1, 4, 5}, {3, 3, 3}}));
   EXPECT_EQ(shared.generation(), 3U);  // three successful inserts
+}
+
+TEST(ConcurrentArchive, InsertRejectsAPointOfTheWrongDimension) {
+  for (const char* kind : {"linear", "quadtree"}) {
+    ConcurrentArchive shared(kind, 3);
+    ASSERT_TRUE(shared.insert(Vec{4544, 10, 7})) << kind;
+    EXPECT_THROW(shared.insert(Vec{0, 0, 0, 0}), std::invalid_argument) << kind;
+    // A 2-axis point in a 3-axis archive: the shape of a merge archive
+    // built with the wrong axis count.
+    EXPECT_THROW(shared.insert(Vec{4544, 10}), std::invalid_argument) << kind;
+    EXPECT_EQ(shared.points(), (std::vector<Vec>{{4544, 10, 7}})) << kind;
+    EXPECT_EQ(shared.generation(), 1U) << kind;
+  }
 }
 
 TEST(ConcurrentArchive, TrippedCancelTokenAbandonsInsertWithoutMutation) {

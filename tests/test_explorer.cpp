@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dse/baselines.hpp"
 #include "synth_fixtures.hpp"
 #include "synth/validator.hpp"
@@ -140,6 +142,16 @@ TEST(Explorer, EpsilonCoversTheExactFront) {
       covered = covered || le;
     }
     EXPECT_TRUE(covered) << pareto::to_string(q);
+  }
+}
+
+TEST(Explorer, EpsilonOfTheWrongLengthThrows) {
+  const synth::Specification spec = test::chain3_bus();  // three axes
+  for (const pareto::Vec& eps : {pareto::Vec{1, 1, 1, 1}, pareto::Vec{3, 10}}) {
+    ExploreOptions opts;
+    opts.epsilon = eps;
+    EXPECT_THROW((void)explore(spec, opts), std::invalid_argument)
+        << pareto::to_string(eps);
   }
 }
 

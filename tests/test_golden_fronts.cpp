@@ -1,8 +1,8 @@
 // Golden-front regression layer: the exact Pareto front of every fixture
 // and every checked-in example specification is pinned in
-// tests/golden/<name>.front and must be reproduced bit-for-bit by the
-// sequential explorer (in certified mode) and by the parallel portfolio at
-// 1, 2 and 4 threads.  Regenerate after an intentional encoding change with
+// tests/golden/<name>.front and must be reproduced bit-for-bit, and
+// certified, by dse::explore and by the parallel portfolio at 1, 2 and 4
+// threads.  Regenerate after an intentional encoding change with
 //   ASPMT_WRITE_GOLDEN=1 ./aspmt_tests --gtest_filter='*GoldenFronts*'
 // and review the .front diff like any other code change.
 #include <gtest/gtest.h>
@@ -138,8 +138,11 @@ TEST_P(GoldenFronts, PortfolioFrontMatchesGoldenAtOneTwoFourThreads) {
   for (const std::size_t threads : {1U, 2U, 4U}) {
     dse::ParallelExploreOptions opts;
     opts.threads = threads;
+    opts.common.certify = true;
     const dse::ParallelExploreResult r = dse::explore_parallel(spec, opts);
     ASSERT_TRUE(r.base.stats.complete) << c.name << " threads " << threads;
+    EXPECT_TRUE(r.base.certified) << c.name << " threads " << threads << ": "
+                                  << r.base.certificate_error;
     EXPECT_EQ(r.base.front, golden) << c.name << " threads " << threads;
   }
 }

@@ -86,10 +86,6 @@ TEST(ObjectiveTermFactories, WeightedAndFanoutCombinatorsRejectBadShapes) {
   one.push_back(leaf(f.s0));
   EXPECT_THROW(ObjectiveTerm::minmax("m", std::move(one)),
                std::invalid_argument);
-  std::vector<ObjectiveTerm> again;
-  again.push_back(leaf(f.s0));
-  EXPECT_THROW(ObjectiveTerm::scenario_worst("v", std::move(again)),
-               std::invalid_argument);
 }
 
 TEST(ObjectiveTermFactories, FloorsAttachOnlyAtLinearLeaves) {
@@ -133,9 +129,6 @@ TEST(ObjectiveTermSerialize, CombinatorsEmitTheTreeGrammar) {
   ObjectiveTerm::weighted("w", {2, 3}, {leaf(f.s0), leaf(f.s1)}).serialize(out);
   EXPECT_EQ(out, "W 2 2 3 L 0 L 1");
   out.clear();
-  ObjectiveTerm::scenario_worst("v", {leaf(f.s0), leaf(f.s1)}).serialize(out);
-  EXPECT_EQ(out, "V 2 L 0 L 1");
-  out.clear();
   // Nesting recurses: lex over (minmax, leaf).
   ObjectiveTerm::lex("x", {30, 9},
                      {ObjectiveTerm::minmax("m", {leaf(f.s0), leaf(f.s1)}),
@@ -156,13 +149,10 @@ TEST(ObjectiveTermSemantics, CombinatorsFoldExactValuesAtTotalAssignments) {
       ObjectiveTerm::weighted("w", {2, 3}, {leaf(f.s0), leaf(f.s1)});
   const ObjectiveTerm x =
       ObjectiveTerm::lex("x", {10, 20}, {leaf(f.s0), leaf(f.s1)});
-  const ObjectiveTerm v =
-      ObjectiveTerm::scenario_worst("v", {leaf(f.s0), leaf(f.s1)});
   f.fix_all();  // s0 = 8, s1 = 9
   EXPECT_EQ(mm.lower_bound(), 9);
   EXPECT_EQ(w.lower_bound(), 2 * 8 + 3 * 9);
   EXPECT_EQ(x.lower_bound(), 8 * 21 + 9);  // big-endian, radix cap+1
-  EXPECT_EQ(v.lower_bound(), 9);
 }
 
 TEST(ObjectiveTermSemantics, LexClampsChildrenToTheirCaps) {
@@ -241,29 +231,6 @@ TEST(ObjectiveManagerBounds, ResidualCombinatorBoundsRequireThePropagator) {
        ObjectiveTerm::linear("b", &f.linear, f.s1)}));
   m.add_bound(0, 5);  // ok
   EXPECT_THROW(m.add_bound(1, 5), std::logic_error);
-}
-
-// ---- deprecated registration shims ------------------------------------------
-
-TEST(ObjectiveManagerShims, DeprecatedCallsWarnOnStderrAndDelegate) {
-  Fixture f;
-  const auto node = f.difference.new_node("mk");
-  ObjectiveManager m;
-  ::testing::internal::CaptureStderr();
-  m.add_makespan("latency", &f.difference, node);
-  m.add_linear("energy", &f.linear, f.s0);
-  m.add_floor(&f.linear, f.s1);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("add_makespan is deprecated"), std::string::npos) << err;
-  EXPECT_NE(err.find("add_linear is deprecated"), std::string::npos) << err;
-  EXPECT_NE(err.find("add_floor is deprecated"), std::string::npos) << err;
-  // The shims land in the same axes the first-class API would produce.
-  ASSERT_EQ(m.count(), 2U);
-  EXPECT_EQ(m.source(0).kind, ObjectiveManager::Source::Kind::Difference);
-  EXPECT_EQ(m.source(1).kind, ObjectiveManager::Source::Kind::Linear);
-  std::string body;
-  m.term(1).serialize(body);
-  EXPECT_EQ(body, "L 0");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/rng.hpp"
 
 namespace aspmt::pareto {
@@ -52,6 +54,29 @@ TEST(QuadTree, RootEvictionReinsertsSurvivingSubtree) {
   EXPECT_TRUE(a.insert({4, 5}));
   EXPECT_EQ(a.size(), 3U);
   EXPECT_EQ(a.points(), (std::vector<Vec>{{3, 8}, {4, 5}, {8, 3}}));
+}
+
+TEST(QuadTree, ConstructorRejectsUnsupportedDimensions) {
+  EXPECT_THROW(QuadTreeArchive{0}, std::invalid_argument);
+  EXPECT_THROW(QuadTreeArchive{17}, std::invalid_argument);
+  // 2^32 children per node does not fit the 32-bit fan-out.
+  EXPECT_THROW(QuadTreeArchive{32}, std::invalid_argument);
+}
+
+TEST(QuadTree, InsertRejectsAPointOfTheWrongDimension) {
+  QuadTreeArchive a(3);
+  ASSERT_TRUE(a.insert({1, 2, 3}));
+  EXPECT_THROW(a.insert({0, 0, 0, 0}), std::invalid_argument);
+  EXPECT_THROW(a.insert({0, 0}), std::invalid_argument);
+  EXPECT_EQ(a.points(), (std::vector<Vec>{{1, 2, 3}}));
+}
+
+TEST(QuadTree, EraseDominatedByRejectsAPointOfTheWrongDimension) {
+  QuadTreeArchive a(3);
+  ASSERT_TRUE(a.insert({1, 2, 3}));
+  EXPECT_THROW(a.erase_dominated_by({0, 0, 0, 0}), std::invalid_argument);
+  EXPECT_THROW(a.erase_dominated_by({0, 0}), std::invalid_argument);
+  EXPECT_EQ(a.size(), 1U);
 }
 
 TEST(QuadTree, ClearResets) {
