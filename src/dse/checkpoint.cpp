@@ -153,18 +153,6 @@ std::uint64_t spec_fingerprint(const synth::Specification& spec) {
   return fnv1a(synth::to_text(spec));
 }
 
-bool checkpoint_matches(const Checkpoint& ckpt,
-                        const synth::Specification& spec) {
-  if (ckpt.spec_fingerprint != spec_fingerprint(spec)) return false;
-  // The combined hash alone is not enough: compare every section digest a
-  // v3 checkpoint carries, so a per-hash collision cannot smuggle a foreign
-  // front past the resume gate.
-  if (ckpt.has_sections && !(ckpt.sections == spec_sections(spec))) {
-    return false;
-  }
-  return true;
-}
-
 std::string to_text(const Checkpoint& ckpt) {
   std::ostringstream out;
   out << kHeader << '\n';
@@ -393,8 +381,9 @@ std::string parse_checkpoint(std::string_view text, Checkpoint& out) {
       }
       // Witnesses record the base (latency, energy, cost) triple.  Only
       // under the default objective tree is that also the Pareto point; with
-      // declared combinator axes the spec-aware resume path re-validates via
-      // synth::recompute_objectives instead.
+      // declared combinator axes the spec-aware restart (checkpoint_seeds
+      // and the warm gate) re-validates via synth::recompute_objectives
+      // instead.
       const bool default_tree =
           !out.has_sections || out.sections.tree == default_tree_digest();
       if (default_tree && w.objectives() != out.points[i]) {

@@ -10,12 +10,15 @@
 // accepting anything — a corrupted checkpoint degrades to a cold start, it
 // never poisons a resumed run.
 //
-// Resuming seeds the explorer's archive with the checkpointed points before
-// search begins, so every region they weakly dominate is pruned from the
-// first propagation on.  Seeded points are ordinary feasible points to the
-// exactness argument: the final unconstrained Unsat still proves the
-// archive is the exact front.  Resumed runs are not certifiable (seeded
-// points carry no in-stream derivation) and say so.
+// Restarting from a checkpoint (reuse_checkpoint, respec.hpp — the one
+// restart path) classifies it against the spec, turns its witnesses into
+// seed candidates (checkpoint_seeds) and pushes them through the warm-start
+// gate: each is re-validated, reduced to an antichain and injected with an
+// `F` proof step before search begins, so every region the points weakly
+// dominate is pruned from the first propagation on.  Seeded points are
+// ordinary feasible points to the exactness argument — the final
+// unconstrained Unsat still proves the archive is the exact front — and
+// resumed runs certify like cold ones.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +39,10 @@ namespace aspmt::dse {
 struct Checkpoint {
   std::uint64_t spec_fingerprint = 0;
   std::uint64_t seed = 0;
-  std::uint64_t elapsed_ms = 0;  ///< cumulative across resumed segments
-  /// Format v2: true when heuristic warm-start seeds were injected at any
-  /// point in the (possibly multi-segment) run's history.  Resume semantics
-  /// are unchanged either way — resumed runs stay non-certifiable — but the
-  /// flag keeps provenance honest across resume chains.  v1 files load with
-  /// false.
+  std::uint64_t elapsed_ms = 0;  ///< the writing run's own wall time
+  /// Format v2: true when some seed entered the writing run's archive
+  /// through the warm-start gate (heuristic seeds or a restarted
+  /// checkpoint's points).  v1 files load with false.
   bool warm_started = false;
   /// Format v3: per-section spec digests (dse/respec.hpp) enabling
   /// incremental re-exploration to classify spec deltas; false on v1/v2
@@ -54,11 +55,11 @@ struct Checkpoint {
   std::uint32_t clause_base_vars = 0;
   std::vector<std::vector<std::int32_t>> clauses;
   /// Format v4: the slice scheduler's objective-0 ceilings at snapshot time
-  /// (id order).  `--reexplore-from` reseeds the scheduler from these exact
-  /// bounds instead of re-deriving a partition from the reused front, so a
-  /// resumed session works the identical regions.  Empty when the scheduler
-  /// was never seeded (single-threaded or degenerate range); v1–v3 files
-  /// load with it empty.
+  /// (id order).  A restart (reuse_checkpoint) reseeds the scheduler from
+  /// these exact bounds instead of re-deriving a partition from the reused
+  /// front, so a resumed session works the identical regions.  Empty when
+  /// the scheduler was never seeded (single-threaded or degenerate range);
+  /// v1–v3 files load with it empty.
   std::vector<std::int64_t> slice_bounds;
   /// Mutually non-dominated, sorted lexicographically.
   std::vector<pareto::Vec> points;
@@ -67,16 +68,9 @@ struct Checkpoint {
   std::vector<synth::Implementation> witnesses;
 };
 
-/// FNV-1a fingerprint of the specification's canonical text form — resuming
-/// against a different spec is refused.
+/// FNV-1a fingerprint of the specification's canonical text form — what a
+/// v1/v2 checkpoint classifies by (classify_checkpoint, respec.hpp).
 [[nodiscard]] std::uint64_t spec_fingerprint(const synth::Specification& spec);
-
-/// True iff the checkpoint was written for `spec`: the combined fingerprint
-/// matches AND (for v3 checkpoints) every per-section digest matches.  The
-/// section comparison closes a latent hole — a combined-hash collision
-/// between different specs would otherwise admit a foreign checkpoint.
-[[nodiscard]] bool checkpoint_matches(const Checkpoint& ckpt,
-                                      const synth::Specification& spec);
 
 /// Serialize to the `aspmt-ckpt 5` text format (checksum trailer included).
 /// The loader accepts v5 plus legacy v4/v3/v2/v1 files.

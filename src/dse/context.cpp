@@ -152,14 +152,13 @@ SynthContext::SynthContext(const synth::Specification& spec, ContextOptions opti
     dominance_->set_partial_evaluation(false);
   }
 
-  if (options.binding_first_heuristic) {
-    // Deciding bindings first fixes the WCET/energy/cost contributions of
-    // every task, so the objective lower bounds (and with them the dominance
-    // propagator) become meaningful at shallow decision levels.
-    for (const auto& per_task : encoding.bind_atom) {
-      for (const asp::Atom a : per_task) {
-        solver.boost_variable(encoding.compiled.atom_var[a], 100.0);
-      }
+  // Domain heuristic of the paper series (LPNMR'15): deciding bindings
+  // first fixes the WCET/energy/cost contributions of every task, so the
+  // objective lower bounds (and with them the dominance propagator) become
+  // meaningful at shallow decision levels.
+  for (const auto& per_task : encoding.bind_atom) {
+    for (const asp::Atom a : per_task) {
+      solver.boost_variable(encoding.compiled.atom_var[a], 100.0);
     }
   }
 

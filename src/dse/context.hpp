@@ -22,9 +22,6 @@ namespace aspmt::dse {
 struct ContextOptions {
   std::string archive_kind = "quadtree";
   bool partial_evaluation = true;
-  /// Domain heuristic of the paper series (LPNMR'15): decide binding atoms
-  /// before routing/serialization atoms so theory evaluation bites early.
-  bool binding_first_heuristic = true;
   /// Binding-pair floor bounds in the encoding (ablation switch).
   bool objective_floors = true;
   /// When set, the whole session is proof-logged: the solver emits its

@@ -242,53 +242,6 @@ std::vector<Shard> shard_objective_space(const synth::Specification& spec,
   return result;
 }
 
-bool save_seed_file(const std::string& path,
-                    std::span<const WarmSeedCandidate> seeds) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "aspmt-seeds 1\n" << seeds.size() << "\n";
-  for (const WarmSeedCandidate& s : seeds) {
-    out << "d";
-    for (const std::int64_t v : s.point) out << ' ' << v;
-    out << "\nw " << witness_to_text(s.impl) << "\n";
-  }
-  return static_cast<bool>(out);
-}
-
-std::string load_seed_file(const std::string& path,
-                           std::vector<WarmSeedCandidate>& out) {
-  std::ifstream in(path);
-  if (!in) return "cannot read '" + path + "'";
-  std::string header;
-  std::getline(in, header);
-  if (header != "aspmt-seeds 1") return "bad seed-file header";
-  std::size_t count = 0;
-  if (!(in >> count)) return "missing seed count";
-  in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-  std::string line;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line) || line.size() < 2 || line[0] != 'd') {
-      return "expected 'd' line";
-    }
-    WarmSeedCandidate seed;
-    std::string_view rest(line);
-    take_token(rest);  // "d"
-    while (!rest.empty()) {
-      std::int64_t v = 0;
-      if (!parse_i64(take_token(rest), v)) return "malformed seed point";
-      seed.point.push_back(v);
-    }
-    if (!std::getline(in, line) || line.rfind("w ", 0) != 0) {
-      return "expected 'w' line";
-    }
-    const std::string werr =
-        witness_from_text(std::string_view(line).substr(2), seed.impl);
-    if (!werr.empty()) return "bad seed witness: " + werr;
-    out.push_back(std::move(seed));
-  }
-  return {};
-}
-
 std::string shard_result_to_text(const ParallelExploreResult& r) {
   std::ostringstream out;
   out << "complete " << (r.base.stats.complete ? 1 : 0) << "\n";
@@ -503,10 +456,22 @@ DistributedResult explore_distributed(const synth::Specification& spec,
     }
     const std::string spec_path = dir + "/spec.txt";
     synth::save_specification(spec, spec_path);
+    // The seed pool travels as a checkpoint (seeds are a sorted antichain),
+    // which the worker reads back with checkpoint_seeds.  No fsync: the
+    // file lives only as long as the scratch directory.
     std::string seeds_path;
     if (!seeds.empty()) {
-      seeds_path = dir + "/seeds.txt";
-      if (!save_seed_file(seeds_path, seeds)) seeds_path.clear();
+      Checkpoint pool;
+      pool.spec_fingerprint = spec_fingerprint(spec);
+      pool.has_sections = true;
+      pool.sections = spec_sections(spec);
+      for (const WarmSeedCandidate& seed : seeds) {
+        pool.points.push_back(seed.point);
+        pool.witnesses.push_back(seed.impl);
+      }
+      seeds_path = dir + "/seeds.ckpt";
+      std::ofstream out(seeds_path);
+      if (!(out << to_text(pool))) seeds_path.clear();
     }
     const std::string binary = resolve_worker_path(options.worker_path);
     const double hb_timeout = std::max(0.5, options.heartbeat_timeout_seconds);
@@ -765,8 +730,7 @@ DistributedResult explore_distributed(const synth::Specification& spec,
   std::map<pareto::Vec, synth::Implementation> witness_by_point;
   std::vector<std::pair<pareto::Vec, synth::Implementation>> union_discoveries;
   pareto::ConcurrentArchive merged(options.base.common.archive_kind,
-                                   spec.axis_count(),
-                                   options.base.archive_shards);
+                                   spec.axis_count());
   std::uint64_t total_models = 0;
 
   result.shards.reserve(shards.size());
@@ -805,19 +769,15 @@ DistributedResult explore_distributed(const synth::Specification& spec,
   }
 
   result.base.front = merged.points();
-  const bool want_witnesses =
-      options.base.common.collect_witnesses || options.base.common.certify;
-  if (want_witnesses) {
-    result.base.witnesses.reserve(result.base.front.size());
-    for (const pareto::Vec& p : result.base.front) {
-      const auto it = witness_by_point.find(p);
-      if (it == witness_by_point.end()) {
-        result.base.witnesses.emplace_back();
-        result.base.errors.push_back("missing witness for " +
-                                     pareto::to_string(p));
-      } else {
-        result.base.witnesses.push_back(it->second);
-      }
+  result.base.witnesses.reserve(result.base.front.size());
+  for (const pareto::Vec& p : result.base.front) {
+    const auto it = witness_by_point.find(p);
+    if (it == witness_by_point.end()) {
+      result.base.witnesses.emplace_back();
+      result.base.errors.push_back("missing witness for " +
+                                   pareto::to_string(p));
+    } else {
+      result.base.witnesses.push_back(it->second);
     }
   }
   result.base.stats.models = total_models;

@@ -42,7 +42,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -76,29 +75,20 @@ struct Shard {
 /// shard when the sample collapses entirely.
 ///
 /// When `seeds_out` is non-null it receives the validated sample points.
-/// The coordinator forwards them to *every* shard as warm-start seeds: a
-/// feasible point outside a shard's band still dominates (and thereby
-/// prunes) candidates inside it, and without that cross-band knowledge each
-/// shard would redo the global dominance work banding was meant to split —
-/// on one core the distributed run would be strictly slower than the
-/// portfolio.  Seeds re-enter through the certifiable warm gate (validate +
-/// F proof step), so sharing them never weakens the merged certificate.
+/// The coordinator forwards them to *every* shard as warm-start seeds (in
+/// process mode as an `aspmt-ckpt` file the worker reads with
+/// checkpoint_seeds): a feasible point outside a shard's band still
+/// dominates (and thereby prunes) candidates inside it, and without that
+/// cross-band knowledge each shard would redo the global dominance work
+/// banding was meant to split — on one core the distributed run would be
+/// strictly slower than the portfolio.  Seeds re-enter through the
+/// certifiable warm gate (validate + F proof step), so sharing them never
+/// weakens the merged certificate.
 [[nodiscard]] std::vector<Shard> shard_objective_space(
     const synth::Specification& spec, std::size_t shards,
     std::size_t objective, std::uint64_t sample_budget = 256,
     std::uint64_t seed = 1, std::vector<WarmSeedCandidate>* seeds_out = nullptr,
     WarmStartMethod method = WarmStartMethod::Sampler);
-
-/// Serialize warm seeds for the worker handoff (`--warm-seeds FILE`): a
-/// `aspmt-seeds 1` header then alternating `d <objectives>` / `w <witness>`
-/// lines (checkpoint witness encoding).  Returns false on I/O failure.
-bool save_seed_file(const std::string& path,
-                    std::span<const WarmSeedCandidate> seeds);
-
-/// Parse save_seed_file output.  Returns "" on success, a diagnostic
-/// otherwise; `out` holds the seeds parsed so far on failure.
-[[nodiscard]] std::string load_seed_file(const std::string& path,
-                                         std::vector<WarmSeedCandidate>& out);
 
 struct DistributedOptions {
   /// Per-shard portfolio configuration: `base.threads` is the thread count

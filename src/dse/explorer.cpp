@@ -1,6 +1,7 @@
 #include "dse/explorer.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "dse/context.hpp"
@@ -64,7 +65,12 @@ WitnessEnumeration enumerate_witnesses(const synth::Specification& spec,
                                        double time_limit_seconds) {
   const util::Deadline deadline(time_limit_seconds);
   SynthContext ctx(spec, {});
-  assert(point.size() == ctx.objectives.count());
+  if (point.size() != ctx.objectives.count()) {
+    throw std::invalid_argument(
+        "point has " + std::to_string(point.size()) +
+        " entries but the specification declares " +
+        std::to_string(ctx.objectives.count()) + " objective axes");
+  }
   // Pin every objective at the point (monotone tightening on a fresh
   // context is sound without activation literals).
   for (std::size_t o = 0; o < ctx.objectives.count(); ++o) {
@@ -78,8 +84,11 @@ WitnessEnumeration enumerate_witnesses(const synth::Specification& spec,
       return result;
     }
     // With f <= p and p Pareto-optimal, equality is forced.
-    assert(ctx.capture().vector() == point &&
-           "point must be Pareto-optimal for exact witness enumeration");
+    if (ctx.capture().vector() != point) {
+      throw std::invalid_argument(
+          pareto::to_string(point) + " is not Pareto-optimal: " +
+          pareto::to_string(ctx.capture().vector()) + " dominates it");
+    }
     result.implementations.push_back(ctx.capture().implementation());
     std::vector<asp::Lit> blocking;
     blocking.reserve(ctx.encoding.decision_lits.size());

@@ -88,7 +88,7 @@ struct ExploreResult {
   /// early end with an `X 0` truncation marker.
   std::string proof;
   /// Non-fatal degradations survived during the run (contained exceptions,
-  /// missing witnesses, checkpoint I/O failures, rejected resume files).
+  /// missing witnesses, checkpoint I/O failures).
   /// Empty on a healthy run.
   std::vector<std::string> errors;
   ExploreStats stats;
@@ -113,10 +113,11 @@ struct WitnessEnumeration {
 };
 
 /// Enumerate all distinct implementations achieving exactly the objective
-/// vector `point` (which must be Pareto-optimal — otherwise strictly better
-/// implementations would slip under the bounds and the function reports
-/// them as a contract violation via assertion).  Distinctness is modulo the
-/// decision atoms: binding, routing, serialization order.
+/// vector `point`.  Distinctness is modulo the decision atoms: binding,
+/// routing, serialization order.  Throws std::invalid_argument when `point`
+/// does not have one entry per objective axis, or when the search meets an
+/// implementation strictly better than `point` (it is not Pareto-optimal).
+/// An infeasible `point` yields no implementations.
 [[nodiscard]] WitnessEnumeration enumerate_witnesses(
     const synth::Specification& spec, const pareto::Vec& point,
     std::size_t limit = 1000, double time_limit_seconds = 0.0);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "asp/solver.hpp"
 #include "dse/warmstart.hpp"
@@ -24,15 +25,21 @@ class MetricsRegistry;
 namespace aspmt::dse {
 
 class Budget;
-struct Checkpoint;
-struct ClauseReplay;
 struct FaultPlan;
+
+/// A learnt-clause dump offered for assumption-guarded replay (respec.hpp).
+/// Literals use the signed 1-based DIMACS convention of the proof stream;
+/// `base_vars` is the variable count of the encoding that produced them.
+/// No clauses = no replay.
+struct ClauseReplay {
+  std::uint32_t base_vars = 0;
+  std::vector<std::vector<std::int32_t>> clauses;
+};
 
 struct CommonOptions {
   double time_limit_seconds = 0.0;  ///< 0 = unlimited
   bool partial_evaluation = true;   ///< Figure 3 ablation switch
   std::string archive_kind = "quadtree";  ///< or "linear" (Figure 4 ablation)
-  bool collect_witnesses = true;
   /// After every model, immediately descend to a Pareto-optimal point by
   /// re-solving under activation-guarded bounds f <= v: mediocre interim
   /// points never enter the archive, so dominance pruning is maximal from
@@ -45,17 +52,19 @@ struct CommonOptions {
   /// witness with synth::Validator, and machine-check the terminating Unsat
   /// proof with the independent checker — on success the result's
   /// `certified` flag asserts the front is exactly the Pareto front of the
-  /// declared system.  Forces witness collection on and objective floors
-  /// off (floor explanations are not independently re-derivable; the front
-  /// is unaffected).  Incompatible with a non-empty epsilon.
+  /// declared system.  Forces objective floors off (floor explanations are
+  /// not independently re-derivable; the front is unaffected).
+  /// Incompatible with a non-empty epsilon.  Witnesses are collected on
+  /// every run, certified or not.
   bool certify = false;
   asp::SolverOptions solver_options{};  ///< portfolio workers diversify this
   /// Hybrid heuristic–exact pipeline (warmstart.hpp): a budgeted heuristic
   /// pass whose validated candidates seed the archive before solving, so
   /// dominance pruning bites from the first conflict.  Exactness-preserving:
   /// every seed is re-validated and proof-logged, and `certify` still
-  /// certifies warm runs end-to-end (unlike `resume`, whose points carry no
-  /// in-stream derivations).
+  /// certifies warm runs end-to-end.  A restart from a checkpoint appends
+  /// its points to `warm_start.external` (reuse_checkpoint, respec.hpp), so
+  /// they pass the same gate.
   WarmStartOptions warm_start;
 
   // ---- fault-tolerant runtime (see budget.hpp / checkpoint.hpp) ----------
@@ -68,20 +77,14 @@ struct CommonOptions {
   /// Periodic archive snapshots ("" = off), written atomically.
   std::string checkpoint_path;
   double checkpoint_interval_seconds = 30.0;
-  /// Warm start: seed the archive (and witness table) from a loaded
-  /// checkpoint.  Rejected with a recorded error when the spec fingerprint
-  /// does not match.  Resumed runs are not certifiable.
-  const Checkpoint* resume = nullptr;
-  /// Incremental re-exploration (respec.hpp): learnt clauses from a previous
-  /// session, installed behind a fresh assumption guard after encoding.  The
-  /// guard makes replay exactness-neutral — the run drops it on the first
-  /// Unsat under it and re-proves completeness without — so a stale dump can
-  /// delay the proof but never distort the front.  Certifiable: each replayed
-  /// clause is logged as a `G` proof step.  Ignored when base_vars does not
-  /// match the encoding's variable count.
-  const ClauseReplay* clause_replay = nullptr;
-  /// v3 checkpoints: cap on learnt clauses dumped per snapshot (0 = none).
-  std::size_t checkpoint_clause_dump = 1024;
+  /// Restarts (respec.hpp): learnt clauses from a previous session,
+  /// installed behind a fresh assumption guard after encoding.  The guard
+  /// makes replay exactness-neutral — the run drops it on the first Unsat
+  /// under it and re-proves completeness without — so a stale dump can
+  /// delay the proof but never distort the front.  Certifiable: each
+  /// replayed clause is logged as a `G` proof step.  Ignored when base_vars
+  /// does not match the encoding's variable count.
+  ClauseReplay clause_replay;
   /// Fault-injection plan; nullptr = consult ASPMT_FAULT_INJECT.
   const FaultPlan* fault = nullptr;
 

@@ -23,6 +23,8 @@ namespace aspmt::dse {
 namespace {
 
 constexpr std::size_t kNoSlice = std::numeric_limits<std::size_t>::max();
+/// Learnt clauses worker 0 dumps into the final checkpoint.
+constexpr std::size_t kClauseDump = 1024;
 
 /// Obs event payloads have exactly three slots; axes beyond them are elided
 /// and missing ones report 0 (combinator specs may declare any axis count).
@@ -38,9 +40,9 @@ std::uint64_t mix_seed(std::uint64_t x) {
 }
 
 struct SharedState {
-  SharedState(const std::string& kind, std::size_t axes, std::size_t shards,
-              Budget* bdg, std::size_t total_workers)
-      : archive(kind, axes, shards),
+  SharedState(const std::string& kind, std::size_t axes, Budget* bdg,
+              std::size_t total_workers)
+      : archive(kind, axes),
         budget(bdg),
         slice_parts(total_workers > 1 ? 2 * (total_workers - 1) : 0) {}
 
@@ -48,8 +50,7 @@ struct SharedState {
   Budget* budget;
   std::atomic<bool> complete{false};
   util::Timer timer;
-  std::uint64_t base_elapsed_ms = 0;  ///< carried over from a resumed run
-  bool warm_started = false;  ///< heuristic seeds were injected (checkpoint v2)
+  bool warm_started = false;  ///< some seed entered through the warm gate
 
   std::mutex mutex;  // guards witnesses, discoveries, errors
   std::map<pareto::Vec, synth::Implementation> witnesses;
@@ -72,7 +73,6 @@ struct SharedState {
   // only the final snapshot carries clauses — mid-run snapshots dump points
   // only.
   SectionDigests sections;
-  std::size_t clause_dump_cap = 0;
   std::uint32_t clause_base_vars = 0;
   std::vector<std::vector<std::int32_t>> clauses;
   /// ε-dominance slack every worker's propagator applies (empty = exact).
@@ -101,8 +101,7 @@ struct SharedState {
     Checkpoint c;
     c.spec_fingerprint = fingerprint;
     c.seed = checkpoint_seed;
-    c.elapsed_ms = base_elapsed_ms +
-                   static_cast<std::uint64_t>(timer.elapsed_ms());
+    c.elapsed_ms = static_cast<std::uint64_t>(timer.elapsed_ms());
     c.warm_started = warm_started;
     c.has_sections = true;
     c.sections = sections;
@@ -181,8 +180,8 @@ void run_worker(std::size_t index, std::size_t total,
   // completeness claim — so replay never taints the global Unsat proof.
   const std::uint32_t base_vars = ctx.solver.num_vars();
   std::vector<asp::Lit> base_assume;
-  if (common.clause_replay != nullptr) {
-    const auto replay = decode_replay(*common.clause_replay, base_vars);
+  if (!common.clause_replay.clauses.empty()) {
+    const auto replay = decode_replay(common.clause_replay, base_vars);
     if (!replay.empty()) {
       std::size_t installed = 0;
       const asp::Lit guard = ctx.solver.add_guarded_clauses(replay, &installed);
@@ -280,10 +279,8 @@ void run_worker(std::size_t index, std::size_t total,
     {
       std::lock_guard lock(shared.mutex);
       shared.discoveries.emplace_back(shared.timer.elapsed_seconds(), point);
-      if (common.collect_witnesses || proof != nullptr) {
-        fault_alloc(shared.fault, &shared.fstate);
-        shared.witnesses[point] = ctx.capture().implementation();
-      }
+      fault_alloc(shared.fault, &shared.fstate);
+      shared.witnesses[point] = ctx.capture().implementation();
     }
     if (shared.checkpoint != nullptr && shared.checkpoint->due()) {
       // Ignore write errors here: a failing disk must not kill the search.
@@ -402,10 +399,10 @@ void run_worker(std::size_t index, std::size_t total,
   // Worker 0 donates its learnt clauses to the final v3 checkpoint (its
   // strategy matches what a future one-worker run or anchor solver would
   // replay against).
-  if (index == 0 && shared.clause_dump_cap > 0) {
+  if (index == 0) {
     std::vector<std::vector<std::int32_t>> dump;
     for (const std::vector<asp::Lit>& cl :
-         ctx.solver.export_learnts(base_vars, shared.clause_dump_cap)) {
+         ctx.solver.export_learnts(base_vars, kClauseDump)) {
       if (cl.size() > 1024) continue;  // the checkpoint format's clause cap
       std::vector<std::int32_t> dimacs;
       dimacs.reserve(cl.size());
@@ -459,7 +456,6 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
   if (threads == 0) threads = 1;
   // An ε-approximate front is not the exact front a certificate asserts.
   const bool certify = common.certify && epsilon.empty();
-  const bool collect = common.collect_witnesses || certify;
 
   Budget local_budget(BudgetLimits{common.time_limit_seconds,
                                    common.conflict_budget,
@@ -473,14 +469,12 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
     if (env_fault.any()) fault = &env_fault;
   }
 
-  SharedState shared(common.archive_kind, spec.axis_count(),
-                     options.archive_shards, budget, threads);
+  SharedState shared(common.archive_kind, spec.axis_count(), budget, threads);
   shared.fault = fault;
   shared.epsilon = epsilon;
   shared.checkpoint_seed = options.seed;
   shared.fingerprint = spec_fingerprint(spec);
   shared.sections = spec_sections(spec);
-  shared.clause_dump_cap = common.checkpoint_clause_dump;
   if (common.metrics != nullptr) {
     shared.insert_hist =
         &common.metrics->histogram("archive.comparisons_per_insert");
@@ -510,57 +504,33 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
         "certification requires exact exploration (empty epsilon)";
   }
 
-  // Warm start: seed the shared archive before any worker spawns, so every
-  // worker's first generation-counter sync pulls the checkpointed front.
-  bool resumed = false;
-  if (common.resume != nullptr) {
-    if (!checkpoint_matches(*common.resume, spec)) {
-      result.base.errors.push_back(
-          "resume rejected: checkpoint was written for a different "
-          "specification; starting cold");
-    } else {
-      const Checkpoint& ckpt = *common.resume;
-      for (std::size_t i = 0; i < ckpt.points.size(); ++i) {
-        shared.archive.insert(ckpt.points[i]);
-        if (i < ckpt.witnesses.size() &&
-            !ckpt.witnesses[i].option_of_task.empty()) {
-          shared.witnesses[ckpt.points[i]] = ckpt.witnesses[i];
-        }
-      }
-      shared.base_elapsed_ms = ckpt.elapsed_ms;
-      resumed = !ckpt.points.empty();
-      shared.warm_started = ckpt.warm_started;
-    }
-  }
-
-  // Hybrid warm start: validated heuristic seeds enter the shared archive
-  // before any worker spawns, so every worker's first generation-counter
-  // sync pulls them (emitting per-stream F steps in certified mode) and the
-  // slice scheduler can rank slices by hypervolume gap from t ~ 0.
+  // Warm start, for heuristic seeds and restarted checkpoints alike: the
+  // gate's validated antichain enters the still-empty shared archive (so
+  // every seed is accepted) before any worker spawns.  Every worker's first
+  // generation-counter sync pulls the seeds (emitting per-stream F steps in
+  // certified mode), and the slice scheduler can rank slices by hypervolume
+  // gap from t ~ 0.  Search and this gate are the archive's only sources.
   if (warm_start_enabled(common.warm_start)) {
     WarmStartResult ws = generate_warm_seeds(spec, common.warm_start);
-    result.base.stats.warm_rejected =
-        ws.rejected_invalid + ws.rejected_dominated;
+    ExploreStats& stats = result.base.stats;
+    stats.warm_rejected = ws.rejected_invalid + ws.rejected_dominated;
+    stats.warm_seeds = ws.seeds.size();
+    shared.warm_started = !ws.seeds.empty();
     for (WarmSeedCandidate& seed : ws.seeds) {
-      if (!shared.archive.insert(seed.point)) {
-        ++result.base.stats.warm_rejected;  // a resume point dominates it
-        continue;
-      }
-      ++result.base.stats.warm_seeds;
-      shared.warm_started = true;
+      shared.archive.insert(seed.point);
       shared.discoveries.emplace_back(shared.timer.elapsed_seconds(),
                                       seed.point);
       if (orec != nullptr) {
         orec->record(obs::EventKind::WarmStartSeed, axis_or_zero(seed.point, 0),
                      axis_or_zero(seed.point, 1), axis_or_zero(seed.point, 2));
       }
-      if (collect) shared.witnesses[seed.point] = std::move(seed.impl);
+      shared.witnesses[seed.point] = std::move(seed.impl);
     }
   }
 
-  // Checkpoint-v4 slice persistence / shard requeue: rebuild the slice
-  // partition from explicit bounds so a resumed session works the same
-  // regions (gap scores refresh against whatever front is already seeded).
+  // Checkpoint-v4 slice persistence: rebuild the slice partition from
+  // explicit bounds so a restarted session works the same regions (gap
+  // scores refresh against whatever front is already seeded).
   if (!options.slice_bounds.empty() && threads > 1) {
     shared.scheduler.seed_bounds(options.slice_bounds, shared.archive.points());
   }
@@ -606,27 +576,21 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
   result.worker_errors = shared.errors;
 
   result.base.front = shared.archive.points();
-  if (collect) {
-    result.base.witnesses.reserve(result.base.front.size());
-    for (const pareto::Vec& p : result.base.front) {
-      const auto it = shared.witnesses.find(p);
-      if (it == shared.witnesses.end()) {
-        // A worker death between archive insert and witness capture leaves
-        // the point witness-less; report it instead of dereferencing end()
-        // (the pre-fix behavior was UB under NDEBUG).
-        result.base.witnesses.emplace_back();
-        result.base.errors.push_back("missing witness for " +
-                                     pareto::to_string(p));
-      } else {
-        result.base.witnesses.push_back(it->second);
-      }
+  result.base.witnesses.reserve(result.base.front.size());
+  for (const pareto::Vec& p : result.base.front) {
+    const auto it = shared.witnesses.find(p);
+    if (it == shared.witnesses.end()) {
+      // A worker death between archive insert and witness capture leaves
+      // the point witness-less; report it instead of dereferencing end().
+      result.base.witnesses.emplace_back();
+      result.base.errors.push_back("missing witness for " +
+                                   pareto::to_string(p));
+    } else {
+      result.base.witnesses.push_back(it->second);
     }
   }
-  if (collect) {
-    std::lock_guard lock(shared.mutex);
-    result.discovery_witnesses.assign(shared.witnesses.begin(),
-                                      shared.witnesses.end());
-  }
+  result.discovery_witnesses.assign(shared.witnesses.begin(),
+                                    shared.witnesses.end());
   result.base.discoveries = std::move(shared.discoveries);
   std::stable_sort(result.base.discoveries.begin(),
                    result.base.discoveries.end(),
@@ -670,10 +634,6 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
           "worker " + std::to_string(result.worker_errors.front().worker) +
           " failed (" + result.worker_errors.front().message +
           "); a degraded run is never certified";
-    } else if (resumed) {
-      result.base.certificate_error =
-          "resumed runs are not certifiable (seeded points lack in-stream "
-          "derivations)";
     } else if (!proved) {
       result.base.certificate_error =
           std::string("exploration stopped early (") +

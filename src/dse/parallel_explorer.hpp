@@ -59,7 +59,6 @@ struct ParallelExploreOptions {
   /// solver seed derived from (seed, w).  Worker 0 always keeps the caller's
   /// solver configuration.
   std::uint64_t seed = 1;
-  std::size_t archive_shards = 8;  ///< ConcurrentArchive shard count
 
   /// Distributed objective-space banding (dse/distributed.hpp).  When
   /// active, every worker permanently assumes
@@ -78,7 +77,7 @@ struct ParallelExploreOptions {
   };
   ShardBand shard;
 
-  /// Pre-seeded slice bounds (checkpoint v4 persistence, shard requeue):
+  /// Pre-seeded slice bounds (a v4 checkpoint's, set by reuse_checkpoint):
   /// when non-empty the SliceScheduler is built from these objective-0
   /// ceilings before any worker spawns instead of waiting for a front
   /// snapshot that spans a range.
@@ -127,9 +126,8 @@ struct ParallelExploreResult {
   std::vector<WorkerReport> workers;
   /// Every discovered point with its captured witness (not just the final
   /// front — dominated discoveries keep their witnesses too, because shard
-  /// proofs reference them through `F` steps).  Filled when certification or
-  /// witness collection is on; the distributed merge layer validates the
-  /// union of these across shards.
+  /// proofs reference them through `F` steps).  The distributed merge layer
+  /// validates the union of these across shards.
   std::vector<std::pair<pareto::Vec, synth::Implementation>>
       discovery_witnesses;
 };

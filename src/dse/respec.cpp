@@ -1,6 +1,7 @@
 #include "dse/respec.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <thread>
 
 #include "dse/checkpoint.hpp"
@@ -198,12 +199,15 @@ std::vector<std::vector<asp::Lit>> decode_replay(const ClauseReplay& replay,
 
 namespace {
 
-/// Convert a checkpointed witness into a seed candidate for `new_spec`.
+/// Cap on replayed clauses (the dump is best-first already).
+constexpr std::size_t kMaxReplayClauses = 4096;
+
+/// Re-decode a checkpointed witness into a seed candidate for `new_spec`.
 /// The witness's global option indices come from the *old* spec; under an
 /// unchanged mapping section they coincide with the new ones, otherwise the
 /// bound resource is matched by id.  The genotype decode recomputes routes,
 /// schedule and objectives against the new spec and rejects anything
-/// infeasible there — nothing from the checkpoint is trusted.
+/// infeasible there.
 bool reseed_witness(const synth::Specification& new_spec,
                     const synth::Implementation& old_impl,
                     WarmSeedCandidate& out) {
@@ -248,52 +252,62 @@ bool reseed_witness(const synth::Specification& new_spec,
 
 }  // namespace
 
-ReexploreResult reexplore(const Checkpoint& prev,
-                          const synth::Specification& new_spec,
-                          const ReexploreOptions& options) {
-  ReexploreResult result;
-  ReuseStats& reuse = result.reuse;
-  reuse.delta = classify_checkpoint(prev, new_spec);
-  const DeltaClass cls = reuse.delta.cls;
-
-  ParallelExploreOptions run = options.base;
-  CommonOptions& common = run.common;
-  // Reuse flows exclusively through the (certifiable) warm-start gate and
-  // the guarded replay — never through `resume`, whose seeds skip
-  // re-validation and forfeit certification.
-  common.resume = nullptr;
-  common.warm_start.external.clear();
-  common.clause_replay = nullptr;
-
-  // Archive reuse: every checkpoint witness is re-decoded against the NEW
-  // spec; survivors enter the warm gate (validate → antichain → inject),
-  // which also emits their F proof steps, keeping the run certifiable.
-  if (cls != DeltaClass::Unsafe) {
-    for (const synth::Implementation& w : prev.witnesses) {
-      if (w.option_of_task.empty()) continue;
-      ++reuse.archive_candidates;
-      WarmSeedCandidate cand;
-      if (!reseed_witness(new_spec, w, cand)) continue;
-      ++reuse.archive_reused;
-      common.warm_start.external.push_back(std::move(cand));
+std::vector<WarmSeedCandidate> checkpoint_seeds(
+    const Checkpoint& ckpt, const synth::Specification& spec) {
+  std::vector<WarmSeedCandidate> seeds;
+  if (classify_checkpoint(ckpt, spec).cls == DeltaClass::Unsafe) return seeds;
+  for (const synth::Implementation& w : ckpt.witnesses) {
+    if (w.option_of_task.empty()) continue;  // missing witness
+    WarmSeedCandidate cand;
+    if (synth::validate_implementation(spec, w).empty()) {
+      // Still an implementation of `spec`: keep it (and its schedule) as it
+      // is, so a restart re-seeds exactly the checkpointed point.
+      cand.point = synth::recompute_objectives(spec, w);
+      cand.impl = w;
+    } else if (!reseed_witness(spec, w, cand)) {
+      continue;
     }
+    seeds.push_back(std::move(cand));
   }
+  return seeds;
+}
+
+ReuseStats reuse_checkpoint(const Checkpoint& ckpt,
+                            const synth::Specification& spec,
+                            ParallelExploreOptions& run) {
+  ReuseStats reuse;
+  reuse.delta = classify_checkpoint(ckpt, spec);
+  const DeltaClass cls = reuse.delta.cls;
+  CommonOptions& common = run.common;
+
+  // Archive reuse: the seeds enter the warm gate (validate → antichain →
+  // inject), which also emits their F proof steps, keeping the run
+  // certifiable.
+  if (cls != DeltaClass::Unsafe) {
+    reuse.archive_candidates = static_cast<std::size_t>(std::count_if(
+        ckpt.witnesses.begin(), ckpt.witnesses.end(),
+        [](const synth::Implementation& w) {
+          return !w.option_of_task.empty();
+        }));
+  }
+  std::vector<WarmSeedCandidate> seeds = checkpoint_seeds(ckpt, spec);
+  reuse.archive_reused = seeds.size();
 
   // Clause reuse: only when the variable layout provably survived the edit.
   // The dump is re-validated here (a checkpoint struct handed to us need not
   // have gone through the parser); invalid clauses are dropped, and the
-  // whole dump degrades to nothing on a base mismatch.
-  ClauseReplay replay;
+  // explorer drops the whole dump on a base mismatch.
   if ((cls == DeltaClass::Identical || cls == DeltaClass::ClauseSafe) &&
-      prev.clause_base_vars > 0 && !prev.clauses.empty()) {
-    reuse.clause_candidates = prev.clauses.size();
-    replay.base_vars = prev.clause_base_vars;
-    for (const std::vector<std::int32_t>& c : prev.clauses) {
-      if (replay.clauses.size() >= options.max_replay_clauses) break;
+      ckpt.clause_base_vars > 0 && !ckpt.clauses.empty()) {
+    reuse.clause_candidates = ckpt.clauses.size();
+    ClauseReplay replay;
+    replay.base_vars = ckpt.clause_base_vars;
+    for (const std::vector<std::int32_t>& c : ckpt.clauses) {
+      if (replay.clauses.size() >= kMaxReplayClauses) break;
       bool valid = !c.empty();
       for (const std::int32_t l : c) {
         const auto v = static_cast<std::uint32_t>(l < 0 ? -l : l);
-        if (l == 0 || v > prev.clause_base_vars) {
+        if (l == 0 || v > ckpt.clause_base_vars) {
           valid = false;
           break;
         }
@@ -301,8 +315,8 @@ ReexploreResult reexplore(const Checkpoint& prev,
       if (valid) replay.clauses.push_back(c);
     }
     if (!replay.clauses.empty()) {
-      common.clause_replay = &replay;
       reuse.clauses_replayed = replay.clauses.size();
+      common.clause_replay = std::move(replay);
     }
   }
 
@@ -313,26 +327,26 @@ ReexploreResult reexplore(const Checkpoint& prev,
   // Slice resumption.  A v4 checkpoint persists the previous session's
   // slice bounds, so the scheduler reseeds the *identical* partition (slice
   // bounds are pure work-partitioning heuristics — safe under every delta
-  // class that reuses anything).  Without them, fall back to PR 7 behavior:
-  // the scheduler derives a fresh partition from the reused front.
-  if (threads > 1 && cls != DeltaClass::Unsafe && !prev.slice_bounds.empty()) {
-    run.slice_bounds = prev.slice_bounds;
-    reuse.slices_resumed = prev.slice_bounds.size();
-  } else if (threads > 1 && common.warm_start.external.size() >= 2) {
+  // class that reuses anything).  Without them the scheduler derives a
+  // fresh partition from the reused front.
+  if (threads > 1 && cls != DeltaClass::Unsafe && !ckpt.slice_bounds.empty()) {
+    run.slice_bounds = ckpt.slice_bounds;
+    reuse.slices_resumed = ckpt.slice_bounds.size();
+  } else if (threads > 1 && seeds.size() >= 2) {
     std::vector<pareto::Vec> pts;
-    pts.reserve(common.warm_start.external.size());
-    for (const WarmSeedCandidate& c : common.warm_start.external) {
-      pts.push_back(c.point);
-    }
+    pts.reserve(seeds.size());
+    for (const WarmSeedCandidate& c : seeds) pts.push_back(c.point);
     SliceScheduler probe;
     if (probe.seed(pts, 2 * (threads - 1))) reuse.slices_resumed = probe.pending();
   }
 
-  reuse.cold_start =
-      common.warm_start.external.empty() && common.clause_replay == nullptr;
+  reuse.cold_start = seeds.empty() && reuse.clauses_replayed == 0;
+  common.warm_start.external.insert(common.warm_start.external.end(),
+                                    std::make_move_iterator(seeds.begin()),
+                                    std::make_move_iterator(seeds.end()));
 
   // Pre-run observability: the run's own collector is not up yet and this
-  // function is single-threaded here, so the events go straight to the sink.
+  // function is single-threaded, so the events go straight to the sink.
   if (common.sink != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::RespecDelta;
@@ -346,9 +360,6 @@ ReexploreResult reexplore(const Checkpoint& prev,
     e.c = static_cast<std::int64_t>(reuse.slices_resumed);
     common.sink->on_event(e);
   }
-
-  result.base = explore_parallel(new_spec, run).base;
-
   if (common.metrics != nullptr) {
     obs::MetricsRegistry& m = *common.metrics;
     m.counter("respec.archive_candidates").set(reuse.archive_candidates);
@@ -360,6 +371,16 @@ ReexploreResult reexplore(const Checkpoint& prev,
     m.gauge("respec.reuse_rate").set(reuse.reuse_rate());
     m.gauge("respec.cold_start").set(reuse.cold_start ? 1.0 : 0.0);
   }
+  return reuse;
+}
+
+ReexploreResult reexplore(const Checkpoint& prev,
+                          const synth::Specification& new_spec,
+                          const ReexploreOptions& options) {
+  ReexploreResult result;
+  ParallelExploreOptions run = options.base;
+  result.reuse = reuse_checkpoint(prev, new_spec, run);
+  result.base = explore_parallel(new_spec, run).base;
   return result;
 }
 

@@ -7,9 +7,10 @@
 // previous session's checkpoint and the edited specification, and reuses
 // everything reuse-safe:
 //
-//   * the Pareto archive — still-feasible witnesses are re-decoded against
-//     the *new* spec and pushed through the warm-start
-//     validate→antichain-reduce→inject gate (re-validate, never trust);
+//   * the Pareto archive — witnesses still valid for the *new* spec are
+//     taken as they are, the others re-decoded against it, and all are
+//     pushed through the warm-start validate→antichain-reduce→inject gate
+//     (re-validate, never trust);
 //   * learnt clauses — replayed behind a fresh assumption guard
 //     (asp::Solver::add_guarded_clauses), so a stale or hostile dump can
 //     prune nothing from the final answer;
@@ -19,6 +20,12 @@
 // The exactness bar is unconditional: an incremental run returns the same
 // front a cold run would, certified, at any thread count — reuse only ever
 // changes how fast the search gets there.
+//
+// reuse_checkpoint is the repository's one restart step, not just the spec
+// edit's: CLI --resume and --reexplore-from, dse::Session retries and (its
+// checkpoint_seeds half) the distributed shard worker all put saved points
+// back into an archive through it, so every restart is exact by the same
+// argument and certifiable.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +33,7 @@
 #include <vector>
 
 #include "dse/parallel_explorer.hpp"
+#include "dse/warmstart.hpp"
 #include "synth/spec.hpp"
 
 namespace aspmt::dse {
@@ -34,8 +42,8 @@ struct Checkpoint;
 
 /// Per-section FNV-1a digests of a specification.  Two specs with equal
 /// digests in a section are structurally identical there; the combined
-/// checkpoint fingerprint remains the whole-text hash (and is compared as
-/// well — see checkpoint_matches).
+/// checkpoint fingerprint remains the whole-text hash, which is all a v1/v2
+/// checkpoint can be classified by.
 struct SectionDigests {
   std::uint64_t tasks = 0;       ///< task names + message topology
   std::uint64_t resources = 0;   ///< resources, kinds, capacities, links, hops
@@ -95,15 +103,8 @@ struct DeltaReport {
 [[nodiscard]] DeltaReport classify_checkpoint(const Checkpoint& prev,
                                               const synth::Specification& next);
 
-/// A learnt-clause dump offered for assumption-guarded replay.  Literals use
-/// the signed 1-based DIMACS convention of the proof stream; `base_vars` is
-/// the variable count of the encoding that produced them.
-struct ClauseReplay {
-  std::uint32_t base_vars = 0;
-  std::vector<std::vector<std::int32_t>> clauses;
-};
-
-/// Decode a dump into solver literals for asp::Solver::add_guarded_clauses.
+/// Decode a dump (ClauseReplay, options.hpp) into solver literals for
+/// asp::Solver::add_guarded_clauses.
 /// Returns empty when `base_vars` does not match the dump's base (the dump
 /// came from a different encoding); clauses containing a zero or
 /// out-of-range literal are dropped individually, never installed.
@@ -112,20 +113,15 @@ struct ClauseReplay {
 
 struct ReexploreOptions {
   /// Explorer configuration for the incremental run (a portfolio run; one
-  /// thread is dse::explore's search).  `base.common`'s
-  /// warm_start.external and clause_replay fields are overwritten by the
-  /// reuse machinery; everything else (certify, budgets, observability, …)
-  /// is honoured as given.
+  /// thread is dse::explore's search), amended by reuse_checkpoint.
   ParallelExploreOptions base;
-  /// Cap on replayed clauses (the dump is best-first already).
-  std::size_t max_replay_clauses = 4096;
 };
 
 struct ReuseStats {
   DeltaReport delta;
   std::size_t archive_candidates = 0;  ///< checkpoint witnesses considered
-  std::size_t archive_reused = 0;  ///< survived re-decode against the new
-                                   ///< spec (the warm gate re-validates each)
+  std::size_t archive_reused = 0;  ///< seeds checkpoint_seeds produced (the
+                                   ///< warm gate re-validates each)
   std::size_t clause_candidates = 0;  ///< clauses offered by the checkpoint
   /// Validated clauses handed to the run for guarded install.  The explorer
   /// still drops the whole hand-off if its base_vars does not match the
@@ -150,11 +146,31 @@ struct ReexploreResult {
   ReuseStats reuse;
 };
 
-/// Re-explore an edited specification, reusing whatever the delta
-/// classification marks safe from `prev`.  Never trusts checkpoint content:
-/// witnesses are re-decoded and re-validated, clauses are guard-isolated,
-/// and an invalid clause dump is dropped (degrading towards a cold start)
-/// rather than installed.  `new_spec` must satisfy validate().empty() and
+/// The one conversion from a checkpoint to warm-start seed candidates for
+/// `spec`: nothing on an Unsafe delta; otherwise one candidate per
+/// checkpoint witness that validates against `spec` as it is, or that
+/// re-decodes to a feasible implementation of `spec` (global mapping
+/// indices re-resolved; a vanished option falls back to the same binding
+/// resource).  Every candidate's point is recomputed from its witness, and
+/// the warm gate re-validates it anyway: nothing from the checkpoint is
+/// trusted.  Points without a witness are not re-seeded.
+[[nodiscard]] std::vector<WarmSeedCandidate> checkpoint_seeds(
+    const Checkpoint& ckpt, const synth::Specification& spec);
+
+/// The one restart step: classify `ckpt` against `spec` and amend `run` with
+/// whatever the delta marks safe to reuse — checkpoint_seeds appended to
+/// `run.common.warm_start.external`; for Identical/ClauseSafe deltas the
+/// clause dump (invalid clauses dropped, at most 4096) as
+/// `run.common.clause_replay`; and at > 1 thread the v4 slice bounds as
+/// `run.slice_bounds`.  Emits the respec-delta/respec-reuse events to
+/// `run.common.sink` and sets the `respec.*` metrics.  A default-constructed
+/// checkpoint (what a failed load leaves) is an Unsafe delta: a cold start.
+ReuseStats reuse_checkpoint(const Checkpoint& ckpt,
+                            const synth::Specification& spec,
+                            ParallelExploreOptions& run);
+
+/// Re-explore an edited specification: reuse_checkpoint, then
+/// explore_parallel.  `new_spec` must satisfy validate().empty() and
 /// outlive the call.
 [[nodiscard]] ReexploreResult reexplore(const Checkpoint& prev,
                                         const synth::Specification& new_spec,

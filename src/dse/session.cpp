@@ -1,9 +1,9 @@
 #include "dse/session.hpp"
 
-#include <filesystem>
 #include <utility>
 
 #include "dse/checkpoint.hpp"
+#include "dse/respec.hpp"
 
 namespace aspmt::dse {
 
@@ -24,25 +24,18 @@ ParallelExploreResult Session::run() {
   opts.common.checkpoint_path = options_.checkpoint_path;
   opts.common.checkpoint_interval_seconds =
       options_.checkpoint_interval_seconds;
-  opts.common.resume = nullptr;
 
-  // Auto-resume: a matching checkpoint at the session's anchor means a
-  // previous attempt (this process or a predecessor that was killed) made
-  // progress — seed from it.  A missing, corrupt, or foreign file degrades
-  // to a cold start; the explorer records the mismatch diagnostic itself
-  // when `resume` is set, so only a *loadable matching* file is passed on.
-  Checkpoint ckpt;
-  bool resumed = false;
-  if (options_.resume_from_checkpoint && !options_.checkpoint_path.empty() &&
-      std::filesystem::exists(options_.checkpoint_path)) {
-    const std::string err = load_checkpoint(options_.checkpoint_path, ckpt);
-    if (err.empty() && checkpoint_matches(ckpt, spec_)) {
-      opts.common.resume = &ckpt;
-      resumed = true;
+  // Restart: a checkpoint at the session's anchor means a previous attempt
+  // (this process or a predecessor that was killed) made progress.  A
+  // missing or corrupt file is a cold start; a loaded one goes through the
+  // one restart step, which classifies it against the spec and re-validates
+  // every point it reuses.
+  if (!options_.checkpoint_path.empty()) {
+    Checkpoint ckpt;
+    if (load_checkpoint(options_.checkpoint_path, ckpt).empty()) {
+      reuse_checkpoint(ckpt, spec_, opts);
     }
   }
-  resumed_.store(resumed, std::memory_order_release);
-
   return explore_parallel(spec_, opts);
 }
 

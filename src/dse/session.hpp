@@ -7,10 +7,13 @@
 // specification.  Session packages exactly that: it owns the parsed spec,
 // derives a fresh per-attempt Budget from fixed BudgetLimits (the numeric
 // limits in CommonOptions would be consumed by the first attempt's
-// wall-clock otherwise), pins the checkpoint path, and auto-resumes from
-// that checkpoint whenever a matching one exists — which covers both the
+// wall-clock otherwise), pins the checkpoint path, and restarts from that
+// checkpoint whenever a loadable one exists — which covers both the
 // retry-after-failure path and the killed-daemon recovery path with the
-// same code.
+// same code.  The restart is reuse_checkpoint (respec.hpp), the same step
+// as the CLI's --resume: the checkpoint is classified against the spec and
+// its points re-enter through the warm-start gate, so a retried attempt is
+// exact and certifies like a first one.
 //
 // Cancellation is sticky: cancel() trips the current attempt's Budget and
 // every future attempt starts pre-tripped, so a supervisor racing a cancel
@@ -28,19 +31,18 @@
 namespace aspmt::dse {
 
 struct SessionOptions {
-  /// Explorer configuration.  `base.common.budget`, `.checkpoint_path`,
-  /// `.checkpoint_interval_seconds` and `.resume` are owned by the session
-  /// and overwritten on every attempt; everything else passes through.
+  /// Explorer configuration.  `base.common.budget`, `.checkpoint_path` and
+  /// `.checkpoint_interval_seconds` are owned by the session and overwritten
+  /// on every attempt; a restart amends the rest (reuse_checkpoint), which
+  /// otherwise passes through.
   ParallelExploreOptions base;
   /// Per-attempt resource ceilings (each attempt gets the full allowance —
   /// a retried job is not punished for its failed attempts' wall time).
   BudgetLimits limits;
   /// Crash-safety anchor ("" = none): periodic snapshots are written here
-  /// and a matching file found at attempt start is resumed from.
+  /// and a loadable file found at attempt start is restarted from.
   std::string checkpoint_path;
   double checkpoint_interval_seconds = 1.0;
-  /// Gate for the auto-resume probe (tests force cold starts with false).
-  bool resume_from_checkpoint = true;
 };
 
 class Session {
@@ -53,8 +55,8 @@ class Session {
 
   /// Run one attempt to completion (or budget trip / cancellation).
   /// Serialized: one attempt at a time per session.  May be called again
-  /// after a failure or interruption; the new attempt resumes from the
-  /// session checkpoint when one matches the spec.
+  /// after a failure or interruption; the new attempt restarts from the
+  /// session checkpoint when one loads.
   [[nodiscard]] ParallelExploreResult run();
 
   /// Trip the in-flight attempt (if any) and poison future ones.
@@ -67,12 +69,6 @@ class Session {
 
   [[nodiscard]] bool cancel_requested() const noexcept {
     return cancelled_.load(std::memory_order_acquire);
-  }
-
-  /// True iff the most recent run() warm-started from the session
-  /// checkpoint (such runs are never certifiable).
-  [[nodiscard]] bool resumed_last_run() const noexcept {
-    return resumed_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] const synth::Specification& spec() const noexcept {
@@ -91,7 +87,6 @@ class Session {
   std::mutex budget_mutex_;
   std::shared_ptr<Budget> budget_;
   std::atomic<bool> cancelled_{false};
-  std::atomic<bool> resumed_{false};
 };
 
 }  // namespace aspmt::dse

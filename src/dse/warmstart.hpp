@@ -58,9 +58,10 @@ struct WarmStartOptions {
   /// population/generation split is derived from this.
   std::uint64_t budget = 400;
   std::uint64_t seed = 1;
-  /// Extra candidates injected alongside the generated ones.  They pass the
-  /// same validation gate — tests use this to prove that infeasible or
-  /// mislabelled seeds cannot poison the archive.
+  /// Extra candidates injected alongside the generated ones: a restarted
+  /// checkpoint's points (reuse_checkpoint, respec.hpp), a distributed
+  /// shard's seed pool, or test input.  They pass the same validation gate,
+  /// so infeasible or mislabelled seeds cannot poison the archive.
   std::vector<WarmSeedCandidate> external;
 };
 
@@ -86,7 +87,8 @@ struct WarmStartResult {
 /// Run the configured heuristic pass and validate every candidate.  The
 /// returned seeds all satisfy
 ///   validate_implementation(spec, impl) == ""  &&  impl.objectives() == point
-/// and form an antichain under weak dominance.
+/// and form an antichain under weak dominance, sorted lexicographically by
+/// point.
 [[nodiscard]] WarmStartResult generate_warm_seeds(
     const synth::Specification& spec, const WarmStartOptions& options);
 

@@ -1,7 +1,8 @@
 // Checkpoint format round-trips byte-for-byte, corruption of any kind is
 // rejected (degrading to a cold start), and a run killed by its budget and
-// resumed from its checkpoint reaches exactly the same final front as an
-// uninterrupted run.
+// restarted from its checkpoint — through reuse_checkpoint, the one restart
+// path of the CLI, dse::Session and the shard requeue — reaches exactly the
+// same final front as an uninterrupted run, certified.
 #include "dse/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,10 @@
 #include <string_view>
 
 #include "dse/explorer.hpp"
+#include "dse/fault.hpp"
 #include "dse/parallel_explorer.hpp"
+#include "dse/respec.hpp"
+#include "dse/session.hpp"
 #include "synth_fixtures.hpp"
 
 namespace aspmt::dse {
@@ -46,6 +50,16 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Restart `spec` from `ckpt` through reexplore (reuse_checkpoint, then the
+/// portfolio at `threads`; one thread is dse::explore's search), certified.
+ExploreResult restart(const Checkpoint& ckpt, const synth::Specification& spec,
+                      std::size_t threads) {
+  ReexploreOptions ro;
+  ro.base.threads = threads;
+  ro.base.common.certify = true;
+  return reexplore(ckpt, spec, ro).base;
 }
 
 /// A checkpoint with real witnesses, produced by an actual exploration.
@@ -138,15 +152,54 @@ TEST(Checkpoint, UnsortedPointsAreRejected) {
   EXPECT_NE(err.find("sorted"), std::string::npos) << err;
 }
 
+// Resuming from another spec's checkpoint starts cold: the delta is Unsafe,
+// so none of its points is offered to the warm gate, and the front is the
+// cold one.
 TEST(Checkpoint, ResumeFromForeignSpecStartsCold) {
+  const synth::Specification spec = test::chain3_bus();
   const Checkpoint foreign = explored_checkpoint(test::two_proc_bus());
-  ExploreOptions opts;
-  opts.common.resume = &foreign;
-  const ExploreResult r = explore(test::chain3_bus(), opts);
-  ASSERT_TRUE(r.stats.complete);
-  ASSERT_FALSE(r.errors.empty());
-  EXPECT_NE(r.errors.front().find("resume rejected"), std::string::npos);
-  EXPECT_EQ(r.front, explore(test::chain3_bus()).front);  // unpoisoned
+  ReexploreOptions ro;
+  ro.base.common.certify = true;
+  const ReexploreResult r = reexplore(foreign, spec, ro);
+  EXPECT_EQ(r.reuse.delta.cls, DeltaClass::Unsafe);
+  EXPECT_TRUE(r.reuse.cold_start);
+  EXPECT_EQ(r.reuse.archive_reused, 0U);
+  ASSERT_TRUE(r.base.stats.complete);
+  EXPECT_EQ(r.base.stats.warm_seeds, 0U);
+  EXPECT_EQ(r.base.front, explore(spec).front);  // unpoisoned
+  EXPECT_TRUE(r.base.certified) << r.base.certificate_error;
+}
+
+// A checkpoint cannot change the front it is restarted into: a foreign one
+// classifies Unsafe and starts cold, and a fully forged one — the target
+// spec's fingerprint and section digests over another spec's points — is
+// taken at its word as Identical, yet every witness is re-validated against
+// the target spec, so only feasible target points can reach the archive.
+TEST(Checkpoint, ForeignOrForgedCheckpointCannotChangeTheFront) {
+  const synth::Specification spec = test::chain3_bus();
+  ExploreOptions cold_opts;
+  cold_opts.common.certify = true;
+  const ExploreResult cold = explore(spec, cold_opts);
+  ASSERT_TRUE(cold.certified) << cold.certificate_error;
+
+  const Checkpoint foreign = explored_checkpoint(test::two_proc_bus());
+  Checkpoint forged = foreign;
+  forged.spec_fingerprint = spec_fingerprint(spec);
+  forged.has_sections = true;
+  forged.sections = spec_sections(spec);
+  EXPECT_EQ(classify_checkpoint(foreign, spec).cls, DeltaClass::Unsafe);
+  EXPECT_TRUE(checkpoint_seeds(foreign, spec).empty());
+  EXPECT_EQ(classify_checkpoint(forged, spec).cls, DeltaClass::Identical);
+
+  const Checkpoint* const untrusted[] = {&foreign, &forged};
+  for (const Checkpoint* ckpt : untrusted) {
+    for (const std::size_t threads : {1U, 2U}) {
+      const ExploreResult r = restart(*ckpt, spec, threads);
+      ASSERT_TRUE(r.stats.complete);
+      EXPECT_EQ(r.front, cold.front) << "threads " << threads;
+      EXPECT_TRUE(r.certified) << r.certificate_error;
+    }
+  }
 }
 
 TEST(Checkpoint, KilledAndResumedRunMatchesUninterrupted) {
@@ -168,13 +221,17 @@ TEST(Checkpoint, KilledAndResumedRunMatchesUninterrupted) {
   Checkpoint ckpt;
   ASSERT_EQ(load_checkpoint(path, ckpt), "");
   EXPECT_EQ(ckpt.points, killed.front);  // the final write is unconditional
+  ASSERT_FALSE(ckpt.points.empty()) << "the kill must leave points to reuse";
 
-  ExploreOptions second;
-  second.common.resume = &ckpt;
-  const ExploreResult resumed = explore(spec, second);
-  ASSERT_TRUE(resumed.stats.complete);
-  EXPECT_EQ(resumed.front, uninterrupted.front);
-  EXPECT_EQ(resumed.stats.reason, StopReason::Completed);
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    const ExploreResult resumed = restart(ckpt, spec, threads);
+    ASSERT_TRUE(resumed.stats.complete) << "threads " << threads;
+    EXPECT_EQ(resumed.front, uninterrupted.front) << "threads " << threads;
+    EXPECT_EQ(resumed.stats.reason, StopReason::Completed);
+    EXPECT_GT(resumed.stats.warm_seeds, 0U) << "threads " << threads;
+    EXPECT_TRUE(resumed.certified)
+        << "threads " << threads << ": " << resumed.certificate_error;
+  }
   std::remove(path.c_str());
 }
 
@@ -195,25 +252,81 @@ TEST(Checkpoint, ParallelResumeMatchesUninterrupted) {
   Checkpoint ckpt;
   ASSERT_EQ(load_checkpoint(path, ckpt), "");
 
-  ParallelExploreOptions second;
-  second.threads = 2;
-  second.common.resume = &ckpt;
-  const ParallelExploreResult resumed = explore_parallel(spec, second);
-  ASSERT_TRUE(resumed.base.stats.complete);
-  EXPECT_EQ(resumed.base.front, uninterrupted.front);
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    const ExploreResult resumed = restart(ckpt, spec, threads);
+    ASSERT_TRUE(resumed.stats.complete) << "threads " << threads;
+    EXPECT_EQ(resumed.front, uninterrupted.front) << "threads " << threads;
+    EXPECT_TRUE(resumed.certified)
+        << "threads " << threads << ": " << resumed.certificate_error;
+  }
+  std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ResumedRunsAreNotCertifiable) {
+TEST(Checkpoint, ResumedRunsAreCertifiable) {
   const synth::Specification spec = test::two_proc_bus();
   const Checkpoint ckpt = explored_checkpoint(spec);
-  ExploreOptions opts;
-  opts.common.resume = &ckpt;
-  opts.common.certify = true;
-  const ExploreResult r = explore(spec, opts);
+  const ExploreResult r = restart(ckpt, spec, 1);
   ASSERT_TRUE(r.stats.complete);
-  EXPECT_FALSE(r.certified);
-  EXPECT_NE(r.certificate_error.find("not certifiable"), std::string::npos)
-      << r.certificate_error;
+  EXPECT_EQ(r.stats.warm_seeds, ckpt.points.size())
+      << "every checkpointed point re-enters through the warm gate";
+  EXPECT_TRUE(r.certified) << r.certificate_error;
+}
+
+// A checkpoint point without a witness (only a fault between archive insert
+// and witness capture leaves one) cannot pass the warm gate, so it is not
+// re-seeded — and the restart is still exact.
+TEST(Checkpoint, WitnessLessPointsAreNotReseeded) {
+  const synth::Specification spec = test::chain3_bus();
+  Checkpoint ckpt = explored_checkpoint(spec);
+  ASSERT_GE(ckpt.points.size(), 2U);
+  ckpt.witnesses[1] = synth::Implementation{};
+  EXPECT_EQ(checkpoint_seeds(ckpt, spec).size(), ckpt.points.size() - 1);
+  const ExploreResult r = restart(ckpt, spec, 2);
+  ASSERT_TRUE(r.stats.complete);
+  EXPECT_EQ(r.front, explore(spec).front);
+  EXPECT_TRUE(r.certified) << r.certificate_error;
+}
+
+// The service's retry path: a certified Session whose first attempt is cut
+// short after checkpointing restarts from that checkpoint on the next run()
+// and still returns the cold front, certified.
+TEST(Session, RetryAfterACheckpointedInterruptCertifies) {
+  const synth::Specification spec = test::diamond_two_proc();
+  ExploreOptions cold_opts;
+  cold_opts.common.certify = true;
+  const ExploreResult cold = explore(spec, cold_opts);
+  ASSERT_TRUE(cold.certified) << cold.certificate_error;
+
+  // The deadline trips on the third budget poll: after the first model (and
+  // its checkpoint write), during its drill-down.  The plan is disarmed
+  // before the retry.
+  FaultPlan plan;
+  plan.deadline_after_polls = 3;
+  const std::string path = temp_path("session.txt");
+  std::remove(path.c_str());
+  SessionOptions sopts;
+  sopts.base.threads = 1;
+  sopts.base.common.certify = true;
+  sopts.base.common.fault = &plan;
+  sopts.checkpoint_path = path;
+  sopts.checkpoint_interval_seconds = 0.0;
+  Session session(spec, sopts);
+
+  const ParallelExploreResult first = session.run();
+  ASSERT_FALSE(first.base.stats.complete);
+  EXPECT_FALSE(first.base.certified);
+  Checkpoint ckpt;
+  ASSERT_EQ(load_checkpoint(path, ckpt), "");
+  ASSERT_FALSE(ckpt.points.empty()) << "the first attempt must checkpoint";
+
+  plan = FaultPlan{};
+  const ParallelExploreResult second = session.run();
+  ASSERT_TRUE(second.base.stats.complete);
+  EXPECT_EQ(second.base.stats.warm_seeds, ckpt.points.size())
+      << "the retry must restart from the checkpoint";
+  EXPECT_EQ(second.base.front, cold.front);
+  EXPECT_TRUE(second.base.certified) << second.base.certificate_error;
+  std::remove(path.c_str());
 }
 
 // --- format v2: the warm-start provenance flag ----------------------------
@@ -288,29 +401,27 @@ TEST(Checkpoint, ClauseCountMismatchIsRejected) {
   EXPECT_NE(err.find("clause count mismatch"), std::string::npos) << err;
 }
 
-// The latent hole the per-section digests close: a checkpoint whose
-// *combined* fingerprint happens to equal the spec's but whose section
-// digests disagree must be refused by the resume gate — the combined hash
-// alone would have admitted a foreign front.
+// A v3+ checkpoint classifies by its per-section digests, not by the
+// combined fingerprint: a combined-hash match with one differing section
+// (a simulated collision victim) is not taken as Identical, and the
+// restart from it is still exact and certified.
 TEST(Checkpoint, PerSectionDigestMismatchDefeatsCombinedHashCollision) {
   const synth::Specification spec = test::two_proc_bus();
   Checkpoint forged = explored_checkpoint(spec);
   forged.has_sections = true;
   forged.sections = spec_sections(spec);
-  ASSERT_TRUE(checkpoint_matches(forged, spec));
-  forged.sections.objectives ^= 0xdeadbeefULL;  // simulated collision victim
-  EXPECT_FALSE(checkpoint_matches(forged, spec))
+  ASSERT_EQ(classify_checkpoint(forged, spec).cls, DeltaClass::Identical);
+  forged.sections.objectives ^= 0xdeadbeefULL;
+  ASSERT_EQ(forged.spec_fingerprint, spec_fingerprint(spec));
+  const DeltaReport delta = classify_checkpoint(forged, spec);
+  EXPECT_NE(delta.cls, DeltaClass::Identical)
       << "combined hash matches but a section digest differs";
+  EXPECT_TRUE(delta.objectives_changed);
 
-  // And the explorer's resume gate actually consults it: the forged
-  // checkpoint is rejected (cold start), not silently absorbed.
-  ExploreOptions opts;
-  opts.common.resume = &forged;
-  const ExploreResult r = explore(spec, opts);
+  const ExploreResult r = restart(forged, spec, 1);
   ASSERT_TRUE(r.stats.complete);
-  ASSERT_FALSE(r.errors.empty());
-  EXPECT_NE(r.errors.front().find("resume rejected"), std::string::npos);
   EXPECT_EQ(r.front, explore(spec).front);
+  EXPECT_TRUE(r.certified) << r.certificate_error;
 }
 
 TEST(Checkpoint, ExploredRunRecordsSectionsAndClausesInSnapshot) {
@@ -481,10 +592,10 @@ TEST(Checkpoint, ParallelWarmStartedRunRecordsTheFlag) {
   std::remove(path.c_str());
 }
 
-// Resuming *after* a warm start keeps PR 4 resume semantics: the continued
-// run is exact but not certifiable (archive history crosses streams), and
-// the warm flag rides along into the next checkpoint generation.
-TEST(Checkpoint, ResumeAfterWarmStartIsExactButNotCertifiable) {
+// Resuming *after* a warm start: the continued run is exact and certifies,
+// and the warm flag rides along into the next checkpoint generation because
+// the resumed points themselves enter through the warm gate.
+TEST(Checkpoint, ResumeAfterWarmStartIsExactAndCertifiable) {
   const synth::Specification spec = test::diamond_two_proc();
   const ExploreResult cold = explore(spec);
   ASSERT_TRUE(cold.stats.complete);
@@ -503,20 +614,17 @@ TEST(Checkpoint, ResumeAfterWarmStartIsExactButNotCertifiable) {
   EXPECT_TRUE(ckpt.warm_started);
 
   const std::string path2 = temp_path("warm_resume2.txt");
-  ExploreOptions second;
-  second.common.resume = &ckpt;
-  second.common.certify = true;
-  second.common.checkpoint_path = path2;
-  const ExploreResult resumed = explore(spec, second);
+  ReexploreOptions second;
+  second.base.threads = 1;
+  second.base.common.certify = true;
+  second.base.common.checkpoint_path = path2;
+  const ExploreResult resumed = reexplore(ckpt, spec, second).base;
   ASSERT_TRUE(resumed.stats.complete);
   EXPECT_EQ(resumed.front, cold.front);
-  EXPECT_FALSE(resumed.certified);
-  EXPECT_NE(resumed.certificate_error.find("not certifiable"),
-            std::string::npos)
-      << resumed.certificate_error;
+  EXPECT_TRUE(resumed.certified) << resumed.certificate_error;
   Checkpoint next;
   ASSERT_EQ(load_checkpoint(path2, next), "");
-  EXPECT_TRUE(next.warm_started) << "warm provenance must survive resume";
+  EXPECT_TRUE(next.warm_started) << "resumed points enter through the gate";
   std::remove(path.c_str());
   std::remove(path2.c_str());
 }

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,11 +21,13 @@
 #include <vector>
 
 #include "cert/certify.hpp"
+#include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
 #include "dse/parallel_explorer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "pareto/point.hpp"
+#include "synth/specio.hpp"
 #include "synth/validator.hpp"
 #include "synth_fixtures.hpp"
 
@@ -112,52 +116,36 @@ TEST(Distributed, SplitSampleDoublesAsValidatedSeedPool) {
   }
 }
 
-// ---- seed-file handoff -----------------------------------------------------
+// ---- seed-pool handoff -----------------------------------------------------
 
-TEST(Distributed, SeedFileRoundTrips) {
+// Process mode hands the split sample to every worker as an `aspmt-ckpt`
+// file stamped with the spec's fingerprint and section digests; the worker
+// turns it back into seeds with checkpoint_seeds.  The sample must meet the
+// checkpoint parser's invariants (sorted antichain, witnesses matching their
+// points) and come back seed for seed.
+TEST(Distributed, SeedPoolSurvivesTheCheckpointHandoff) {
+  const synth::Specification spec = test::chain3_bus();
   std::vector<WarmSeedCandidate> seeds;
-  (void)shard_objective_space(test::chain3_bus(), 2, 1, 256, 1, &seeds);
+  (void)shard_objective_space(spec, 2, 1, 256, 1, &seeds);
   ASSERT_FALSE(seeds.empty());
 
-  const std::string path = temp_path("seeds_roundtrip.txt");
-  ASSERT_TRUE(save_seed_file(path, seeds));
-  std::vector<WarmSeedCandidate> loaded;
-  ASSERT_EQ(load_seed_file(path, loaded), "");
-  ASSERT_EQ(loaded.size(), seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(loaded[i].point, seeds[i].point);
-    EXPECT_EQ(loaded[i].impl.objectives(), seeds[i].impl.objectives());
-    EXPECT_EQ(loaded[i].impl.option_of_task, seeds[i].impl.option_of_task);
+  Checkpoint pool;
+  pool.spec_fingerprint = spec_fingerprint(spec);
+  pool.has_sections = true;
+  pool.sections = spec_sections(spec);
+  for (const WarmSeedCandidate& s : seeds) {
+    pool.points.push_back(s.point);
+    pool.witnesses.push_back(s.impl);
   }
-  std::remove(path.c_str());
-}
-
-TEST(Distributed, CorruptSeedFilesAreRejected) {
-  std::vector<WarmSeedCandidate> seeds;
-  (void)shard_objective_space(test::chain3_bus(), 2, 1, 256, 1, &seeds);
-  ASSERT_FALSE(seeds.empty());
-  const std::string path = temp_path("seeds_corrupt.txt");
-  ASSERT_TRUE(save_seed_file(path, seeds));
-  const std::string good = slurp(path);
-
-  auto rejects = [&](const std::string& text) {
-    std::ofstream(path, std::ios::binary) << text;
-    std::vector<WarmSeedCandidate> out;
-    return !load_seed_file(path, out).empty();
-  };
-  EXPECT_TRUE(rejects("aspmt-seeds 9\n0\n")) << "wrong header version";
-  EXPECT_TRUE(rejects("not a seed file\n")) << "foreign header";
-  // Truncation: drop the final witness line — the promised count is short.
-  const std::size_t last_w = good.rfind("\nw ");
-  ASSERT_NE(last_w, std::string::npos);
-  EXPECT_TRUE(rejects(good.substr(0, last_w + 1))) << "truncated file";
-  // A witness that fails to parse must not slip through as empty.
-  std::string bad = good;
-  const std::size_t w_at = bad.find("\nw ");
-  ASSERT_NE(w_at, std::string::npos);
-  bad.replace(w_at, 3, "\nw @");
-  EXPECT_TRUE(rejects(bad)) << "mangled witness";
-  std::remove(path.c_str());
+  Checkpoint loaded;
+  ASSERT_EQ(parse_checkpoint(to_text(pool), loaded), "");
+  const std::vector<WarmSeedCandidate> back = checkpoint_seeds(loaded, spec);
+  ASSERT_EQ(back.size(), seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_EQ(back[i].point, seeds[i].point);
+    EXPECT_EQ(back[i].impl.option_of_task, seeds[i].impl.option_of_task);
+    EXPECT_EQ(back[i].impl.start, seeds[i].impl.start);
+  }
 }
 
 // ---- RESULT payload --------------------------------------------------------
@@ -503,6 +491,77 @@ TEST(Distributed, RemovedCliAliasesAreHardErrors) {
   const std::string err2 = slurp(err_path);
   EXPECT_NE(err2.find("--checkpoint-out"), std::string::npos) << err2;
   std::remove(err_path.c_str());
+}
+
+/// Run the CLI with `args`, stdout and stderr captured into `out`; returns
+/// the exit status.  The capture file is per test: ctest runs tests in
+/// parallel processes.
+int run_cli(const std::string& args, std::string& out) {
+  const std::string log =
+      ::testing::TempDir() + "aspmt_cli_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".log";
+  const int status = std::system(
+      (std::string(ASPMT_DSE_BIN) + " " + args + " >" + log + " 2>&1").c_str());
+  out = slurp(log);
+  std::remove(log.c_str());
+  return status == -1 || !WIFEXITED(status) ? -1 : WEXITSTATUS(status);
+}
+
+TEST(Cli, EveryModeNamesTheFlagsItCannotHonour) {
+  const std::string spec = temp_path("cli_reject.spec");
+  synth::save_specification(test::chain3_bus(), spec);
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {"--threads 2 --epsilon 1,1,1", "--epsilon"},
+      {"--resume a --reexplore-from b", "--resume"},
+      {"--shard-objective 2", "--shard-objective"},
+      {"--shard-workers 2 --epsilon 1,1,1", "--epsilon"},
+      {"--shard-workers 2 --warm-start nsga2", "--warm-start"},
+      {"--shard-workers 2 --conflict-budget 10", "--conflict-budget"},
+      {"--shard-workers 2 --mem-limit-mb 100", "--mem-limit-mb"},
+      {"--shards 2 --checkpoint-out x", "--checkpoint-out"},
+      {"--shards 2 --resume x", "--resume"},
+  };
+  for (const auto& c : cases) {
+    std::string out;
+    EXPECT_EQ(run_cli("explore " + spec + " " + c.args, out), 2) << c.args;
+    EXPECT_NE(out.find(c.flag), std::string::npos) << c.args << ": " << out;
+  }
+  std::remove(spec.c_str());
+}
+
+TEST(Cli, ResumeCertifiesAndKeepsEpsilonAtOneThread) {
+  const std::string spec = temp_path("cli_resume.spec");
+  const std::string ckpt = temp_path("cli_resume.ckpt");
+  const std::string cold = temp_path("cli_cold.front");
+  const std::string warm = temp_path("cli_warm.front");
+  synth::save_specification(test::diamond_two_proc(), spec);
+  std::string out;
+  ASSERT_EQ(run_cli("explore " + spec + " --front-out " + cold +
+                        " --checkpoint-out " + ckpt,
+                    out),
+            0)
+      << out;
+  for (const char* threads : {"1", "2"}) {
+    EXPECT_EQ(run_cli("explore " + spec + " --resume " + ckpt +
+                          " --certify --threads " + threads + " --front-out " +
+                          warm,
+                      out),
+              0)
+        << out;
+    EXPECT_NE(out.find("certified: yes"), std::string::npos) << out;
+    EXPECT_EQ(slurp(warm), slurp(cold)) << "threads " << threads;
+  }
+  EXPECT_EQ(run_cli("explore " + spec + " --resume " + ckpt + " --epsilon 0,0,0",
+                    out),
+            0)
+      << out;
+  EXPECT_NE(out.find("eps-approximate set"), std::string::npos) << out;
+  for (const std::string& path : {spec, ckpt, cold, warm}) {
+    std::remove(path.c_str());
+  }
 }
 
 #endif  // ASPMT_DSE_BIN

@@ -223,6 +223,25 @@ TEST(WitnessEnumeration, LimitShortCircuits) {
   EXPECT_EQ(w.implementations.size(), 1U);
 }
 
+TEST(WitnessEnumeration, PointOfTheWrongLengthThrows) {
+  // One entry short of the three axes: a checked error, never a read past
+  // the end of the point.
+  EXPECT_THROW((void)enumerate_witnesses(test::chain3_bus(), {1, 2}),
+               std::invalid_argument);
+}
+
+TEST(WitnessEnumeration, NonOptimalPointThrows) {
+  // A point every front point strictly dominates: the bounds f <= p admit
+  // strictly better implementations, which must not be passed off as
+  // witnesses of p.
+  const synth::Specification spec = test::chain3_bus();
+  const ExploreResult r = explore(spec);
+  ASSERT_TRUE(r.stats.complete);
+  pareto::Vec worse = r.front.front();
+  for (std::int64_t& v : worse) v += 1000;
+  EXPECT_THROW((void)enumerate_witnesses(spec, worse), std::invalid_argument);
+}
+
 TEST(Explorer, TimeoutReportsIncomplete) {
   const synth::Specification spec = test::diamond_two_proc();
   ExploreOptions opts;

@@ -91,8 +91,10 @@ void soak(std::size_t workers) {
         req.tenant = "t" + std::to_string(s % 2);
         req.spec_text = goldens[fixture].text;
         req.priority = static_cast<std::int64_t>(n % 4);
-        // Certification is asserted only for clean first-attempt completions
-        // (a resumed retry is never certifiable), so flaky jobs skip it.
+        // Certification is asserted for clean first-attempt completions, so
+        // flaky jobs skip it.  (A retried attempt certifies too — Session
+        // restarts through reuse_checkpoint — which the Session tests pin;
+        // here the flaky jobs only churn the retry path.)
         req.certify = !flaky && n % 4 == 1;
         if (flaky) {
           req.before_attempt = [](std::size_t attempt) {

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <csignal>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -38,6 +40,7 @@
 #include "dse/explorer.hpp"
 #include "dse/optimizer.hpp"
 #include "dse/parallel_explorer.hpp"
+#include "dse/respec.hpp"
 #include "dse/warmstart.hpp"
 #include "ea/nsga2.hpp"
 #include "gen/generator.hpp"
@@ -153,21 +156,24 @@ int usage() {
       "                'minmax(latency,cost);worst(energy,energy@throttle)'\n"
       "  aspmt_dse explore  spec.txt [--time-limit SEC] [--archive KIND]\n"
       "            [--no-partial-eval] [--epsilon L,E,C] [--witnesses]\n"
-      "            [--threads N] [--seed S]   (N>0: parallel portfolio)\n"
+      "            [--threads N] [--seed S]   (N>1: parallel portfolio;\n"
+      "                                  --epsilon runs one worker)\n"
       "            [--certify] [--proof-out FILE] [--front-out FILE]\n"
       "            [--conflict-budget N] [--mem-limit-mb MB]\n"
       "            [--checkpoint-out FILE] [--checkpoint-interval SEC]\n"
-      "            [--resume FILE]\n"
-      "            [--reexplore-from FILE]  incremental re-exploration: reuse a\n"
-      "                                  previous session's checkpoint against an\n"
-      "                                  edited spec (archive + clauses + slices)\n"
+      "            [--resume FILE | --reexplore-from FILE]  restart from a\n"
+      "                                  checkpoint, after a stop or a spec edit\n"
+      "                                  (archive + clauses + slices; exact and\n"
+      "                                  certifiable)\n"
       "            [--warm-start nsga2|sampler|off] [--warm-start-budget N]\n"
       "            [--warm-start-seed S]  (heuristic seeds; still exact+certifiable)\n"
       "            [--trace-out FILE]    Chrome trace_event JSON (Perfetto)\n"
       "            [--events-out FILE]   NDJSON event log\n"
       "            [--metrics-out FILE]  metrics snapshot JSON\n"
       "            [--progress]          live status line on stderr\n"
-      "            [--shard-workers M]   distributed: M worker processes\n"
+      "            [--shard-workers M]   distributed: M worker processes (no\n"
+      "                                  --epsilon, restart, warm start, conflict\n"
+      "                                  or memory budget, or --checkpoint-out)\n"
       "            [--shards K]          objective-space bands (default M)\n"
       "            [--shard-objective I] banded objective (1=energy, 2=cost)\n"
       "            [--heartbeat-timeout SEC]  dead-worker requeue threshold\n"
@@ -312,16 +318,6 @@ int finish_explore(const Args& args, bool complete, bool certified,
   return rc;
 }
 
-/// The run's resource ceilings from the command line (wall clock, solver
-/// conflicts, peak RSS).
-dse::BudgetLimits budget_limits(const Args& args) {
-  dse::BudgetLimits limits;
-  limits.wall_seconds = args.num("time-limit", 0.0);
-  limits.conflicts = static_cast<std::uint64_t>(args.num("conflict-budget", 0));
-  limits.memory_mb = static_cast<std::size_t>(args.num("mem-limit-mb", 0));
-  return limits;
-}
-
 /// Apply --warm-start / --warm-start-budget / --warm-start-seed.  Returns
 /// false (after a stderr message) on an unknown method name.  The heuristic
 /// RNG seed defaults to --seed so `--seed S` alone varies both halves.
@@ -339,6 +335,38 @@ bool apply_warm_start(const Args& args, dse::WarmStartOptions& warm) {
   warm.seed = static_cast<std::uint64_t>(
       args.num("warm-start-seed", args.num("seed", 1)));
   return true;
+}
+
+/// The exploration configuration from the command line, shared by every
+/// explore mode and the shard worker.  Returns false (after a stderr
+/// message) on an unknown --warm-start method.
+bool explore_options(const Args& args, dse::ParallelExploreOptions& opts) {
+  opts.threads = static_cast<std::size_t>(args.num("threads", 1));
+  opts.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  dse::CommonOptions& common = opts.common;
+  common.time_limit_seconds = args.num("time-limit", 0.0);
+  common.conflict_budget =
+      static_cast<std::uint64_t>(args.num("conflict-budget", 0));
+  common.mem_limit_mb = static_cast<std::size_t>(args.num("mem-limit-mb", 0));
+  common.archive_kind = args.get("archive", "quadtree");
+  common.partial_evaluation = !args.flag("no-partial-eval");
+  common.certify = args.flag("certify");
+  common.checkpoint_path = args.get("checkpoint-out", "");
+  common.checkpoint_interval_seconds = args.num("checkpoint-interval", 30.0);
+  return apply_warm_start(args, common.warm_start);
+}
+
+/// A mode never drops a flag silently: returns 2 (after naming the first of
+/// `flags` given on the command line) when the mode cannot honour it, else
+/// 0.
+int reject_flags(const Args& args, std::initializer_list<const char*> flags,
+                 const char* why) {
+  for (const char* flag : flags) {
+    if (!args.flag(flag)) continue;
+    std::cerr << "error: --" << flag << ' ' << why << "\n";
+    return 2;
+  }
+  return 0;
 }
 
 /// Print a front table with one column per Pareto axis, headed by the
@@ -363,22 +391,6 @@ void print_warm_stats(const dse::ExploreStats& stats) {
   if (stats.warm_seeds == 0 && stats.warm_rejected == 0) return;
   std::cout << "warm start: " << stats.warm_seeds << " seed(s) injected, "
             << stats.warm_rejected << " rejected\n";
-}
-
-/// Load --resume, degrading to a cold start (with a stderr note) when the
-/// file is missing, corrupted, or structurally invalid.
-std::optional<dse::Checkpoint> load_resume(const Args& args) {
-  const std::string path = args.get("resume", "");
-  if (path.empty()) return std::nullopt;
-  dse::Checkpoint ckpt;
-  const std::string err = dse::load_checkpoint(path, ckpt);
-  if (!err.empty()) {
-    std::cerr << "resume rejected: " << err << "; starting cold\n";
-    return std::nullopt;
-  }
-  std::cout << "resuming from " << path << " (" << ckpt.points.size()
-            << " points, " << ckpt.elapsed_ms << " ms prior search)\n";
-  return ckpt;
 }
 
 void print_run_errors(const std::vector<std::string>& errors) {
@@ -444,37 +456,22 @@ struct ObsSetup {
   }
 };
 
-/// --reexplore-from CKPT: incremental re-exploration (dse/respec.hpp).  The
-/// positional spec is the *edited* specification; the checkpoint is the
-/// previous session.  A missing or corrupted checkpoint degrades to a cold
-/// start (empty checkpoint == Unsafe delta) instead of failing the run.
-int explore_incremental(const synth::Specification& spec, const Args& args) {
+/// --resume (after a stop) and --reexplore-from (after a spec edit) are one
+/// restart, dse::reuse_checkpoint: the checkpoint is classified against the
+/// spec and whatever is reusable re-enters through the certifiable
+/// warm-start gate.  A missing or corrupted checkpoint is a cold start.
+void apply_restart(const Args& args, const synth::Specification& spec,
+                   dse::ParallelExploreOptions& opts) {
+  const std::string path =
+      args.get(args.flag("resume") ? "resume" : "reexplore-from", "");
+  if (path.empty()) return;
   dse::Checkpoint prev;
-  const std::string path = args.get("reexplore-from", "");
   const std::string err = dse::load_checkpoint(path, prev);
   if (!err.empty()) {
-    std::cerr << "reexplore: " << err << "; starting cold\n";
+    std::cerr << "cannot reuse " << path << ": " << err << "; starting cold\n";
     prev = dse::Checkpoint{};
   }
-  dse::ReexploreOptions opts;
-  opts.base.threads = static_cast<std::size_t>(args.num("threads", 1));
-  opts.base.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  dse::CommonOptions& common = opts.base.common;
-  common.time_limit_seconds = args.num("time-limit", 0.0);
-  common.archive_kind = args.get("archive", "quadtree");
-  common.partial_evaluation = !args.flag("no-partial-eval");
-  common.certify = args.flag("certify");
-  if (!apply_warm_start(args, common.warm_start)) return 2;
-  dse::Budget budget(budget_limits(args));
-  common.budget = &budget;
-  common.checkpoint_path = args.get("checkpoint-out", "");
-  common.checkpoint_interval_seconds = args.num("checkpoint-interval", 30.0);
-  ObsSetup obs_setup;
-  if (!obs_setup.init(args)) return 1;
-  obs_setup.wire(common);
-  const SignalGuard guard(&budget);
-  const dse::ReexploreResult r = dse::reexplore(prev, spec, opts);
-  const dse::ReuseStats& reuse = r.reuse;
+  const dse::ReuseStats reuse = dse::reuse_checkpoint(prev, spec, opts);
   std::cout << "delta: " << dse::delta_class_name(reuse.delta.cls)
             << " (archive " << reuse.archive_reused << "/"
             << reuse.archive_candidates << ", clauses "
@@ -482,87 +479,6 @@ int explore_incremental(const synth::Specification& spec, const Args& args) {
             << ", slices " << reuse.slices_resumed << ", reuse rate "
             << util::fmt(reuse.reuse_rate(), 2)
             << (reuse.cold_start ? ", cold start" : "") << ")\n";
-  std::cout << "exact front: " << r.base.front.size() << " points ("
-            << (r.base.stats.complete ? "complete" : "partial")
-            << ", stopped: " << dse::to_string(r.base.stats.reason) << ", "
-            << util::fmt(r.base.stats.seconds, 3) << "s, "
-            << r.base.stats.models << " models, " << r.base.stats.prunings
-            << " prunings)\n";
-  print_warm_stats(r.base.stats);
-  print_run_errors(r.base.errors);
-  print_front(spec, r.base.front);
-  if (args.flag("witnesses")) {
-    for (const auto& witness : r.base.witnesses) {
-      std::cout << "\n" << witness.describe(spec);
-    }
-  }
-  const int obs_rc = obs_setup.finish();
-  const int rc =
-      finish_explore(args, r.base.stats.complete, r.base.certified,
-                     r.base.certificate_error, r.base.proof, r.base.front);
-  return rc != 0 ? rc : obs_rc;
-}
-
-int explore_portfolio(const synth::Specification& spec, const Args& args) {
-  dse::ParallelExploreOptions opts;
-  opts.threads = static_cast<std::size_t>(args.num("threads", 1));
-  opts.common.time_limit_seconds = args.num("time-limit", 0.0);
-  opts.common.archive_kind = args.get("archive", "quadtree");
-  opts.common.partial_evaluation = !args.flag("no-partial-eval");
-  opts.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  opts.common.certify = args.flag("certify");
-  if (!apply_warm_start(args, opts.common.warm_start)) return 2;
-  dse::Budget budget(budget_limits(args));
-  opts.common.budget = &budget;
-  opts.common.checkpoint_path = args.get("checkpoint-out", "");
-  opts.common.checkpoint_interval_seconds =
-      args.num("checkpoint-interval", 30.0);
-  const std::optional<dse::Checkpoint> resume = load_resume(args);
-  if (resume) opts.common.resume = &*resume;
-  ObsSetup obs_setup;
-  if (!obs_setup.init(args)) return 1;
-  obs_setup.wire(opts.common);
-  const SignalGuard guard(&budget);
-  const dse::ParallelExploreResult r = dse::explore_parallel(spec, opts);
-  std::cout << "exact front: " << r.base.front.size() << " points ("
-            << (r.base.stats.complete ? "complete" : "partial")
-            << ", stopped: " << dse::to_string(r.base.stats.reason) << ", "
-            << util::fmt(r.base.stats.seconds, 3) << "s, " << r.workers.size()
-            << " workers, " << r.base.stats.models << " models, "
-            << r.base.stats.prunings << " prunings)\n";
-  print_warm_stats(r.base.stats);
-  for (const dse::WorkerError& e : r.worker_errors) {
-    std::cerr << "warning: worker " << e.worker << " failed: " << e.message
-              << "\n";
-  }
-  print_run_errors(r.base.errors);
-  print_front(spec, r.base.front);
-  std::cout << "\nper-worker breakdown:\n";
-  util::Table workers({"worker", "models", "slice", "inserts", "rejected",
-                       "prunings", "conflicts", "restarts", "sec", "proof"});
-  for (const dse::WorkerReport& w : r.workers) {
-    workers.add_row({util::fmt(static_cast<long long>(w.worker)),
-                     util::fmt(static_cast<long long>(w.models)),
-                     util::fmt(static_cast<long long>(w.slice_models)),
-                     util::fmt(static_cast<long long>(w.shared_inserts)),
-                     util::fmt(static_cast<long long>(w.rejected_inserts)),
-                     util::fmt(static_cast<long long>(w.prunings)),
-                     util::fmt(static_cast<long long>(w.conflicts)),
-                     util::fmt(static_cast<long long>(w.restarts)),
-                     util::fmt(w.seconds, 3),
-                     w.proved_complete ? "yes" : "-"});
-  }
-  workers.print(std::cout);
-  if (args.flag("witnesses")) {
-    for (const auto& witness : r.base.witnesses) {
-      std::cout << "\n" << witness.describe(spec);
-    }
-  }
-  const int obs_rc = obs_setup.finish();
-  const int rc =
-      finish_explore(args, r.base.stats.complete, r.base.certified,
-                     r.base.certificate_error, r.base.proof, r.base.front);
-  return rc != 0 ? rc : obs_rc;
 }
 
 // ---- distributed exploration (dse/distributed.hpp) -------------------------
@@ -617,53 +533,32 @@ class ShardPipeSink final : public obs::EventSink {
 int cmd_shard_worker(const Args& args) {
   const synth::Specification spec = load(args);
   dse::ParallelExploreOptions opts;
-  opts.threads = static_cast<std::size_t>(args.num("threads", 1));
-  opts.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  opts.common.time_limit_seconds = args.num("time-limit", 0.0);
-  opts.common.archive_kind = args.get("archive", "quadtree");
-  opts.common.partial_evaluation = !args.flag("no-partial-eval");
-  opts.common.certify = args.flag("certify");
-  opts.common.collect_witnesses = true;  // RESULT payload + checkpoints
-  opts.common.checkpoint_path = args.get("checkpoint-out", "");
-  opts.common.checkpoint_interval_seconds = args.num("checkpoint-interval", 0.0);
+  if (!explore_options(args, opts)) return 2;
   opts.shard.active = true;
   opts.shard.objective = static_cast<std::size_t>(args.num("shard-objective", 1));
   opts.shard.lo = args.i64("shard-lo", std::numeric_limits<std::int64_t>::min());
   opts.shard.hi = args.i64("shard-hi", std::numeric_limits<std::int64_t>::max());
 
-  // Shared seed pool: the coordinator's split sample, forwarded to every
-  // shard so cross-band dominance pruning survives the partition.  Seeds go
-  // through the same validation gate as any warm start.
-  const std::string seeds_path = args.get("warm-seeds", "");
-  if (!seeds_path.empty()) {
-    const std::string err =
-        dse::load_seed_file(seeds_path, opts.common.warm_start.external);
-    if (!err.empty()) {
-      std::cerr << "warm-seeds rejected: " << err << "; starting cold\n";
-    }
-  }
-
-  // Requeue resume: the dead predecessor's checkpoint re-enters through the
-  // certifiable warm-start gate — every point re-validates and emits its F
-  // proof step, so a resumed shard certifies like a cold one.
-  const std::string resume_path = args.get("shard-resume", "");
-  if (!resume_path.empty()) {
+  // The shared seed pool (the coordinator's split sample, so cross-band
+  // dominance pruning survives the partition) and, on a requeue, the dead
+  // predecessor's checkpoint.  Both are `aspmt-ckpt` files whose points
+  // re-enter through the certifiable warm-start gate: each re-validates and
+  // emits its F proof step, so a resumed shard certifies like a cold one.
+  // No clause replay: cert::certify_merged has never checked a `G` step.
+  for (const char* flag : {"warm-seeds", "shard-resume"}) {
+    const std::string path = args.get(flag, "");
+    if (path.empty()) continue;
     dse::Checkpoint ckpt;
-    const std::string err = dse::load_checkpoint(resume_path, ckpt);
+    const std::string err = dse::load_checkpoint(path, ckpt);
     if (!err.empty()) {
-      std::cerr << "shard-resume rejected: " << err << "; starting cold\n";
-    } else if (!dse::checkpoint_matches(ckpt, spec)) {
-      std::cerr << "shard-resume rejected: spec mismatch; starting cold\n";
-    } else {
-      for (std::size_t i = 0; i < ckpt.points.size(); ++i) {
-        if (i >= ckpt.witnesses.size() ||
-            ckpt.witnesses[i].option_of_task.empty()) {
-          continue;  // witness-less points cannot pass the validation gate
-        }
-        opts.common.warm_start.external.push_back(
-            dse::WarmSeedCandidate{ckpt.points[i], ckpt.witnesses[i]});
-      }
+      std::cerr << "--" << flag << " rejected: " << err << "; ignoring it\n";
+      continue;
     }
+    std::vector<dse::WarmSeedCandidate> seeds = dse::checkpoint_seeds(ckpt, spec);
+    opts.common.warm_start.external.insert(
+        opts.common.warm_start.external.end(),
+        std::make_move_iterator(seeds.begin()),
+        std::make_move_iterator(seeds.end()));
   }
 
   ShardPipeSink sink(
@@ -697,19 +592,22 @@ int cmd_shard_worker(const Args& args) {
 }
 
 int explore_sharded(const synth::Specification& spec, const Args& args) {
+  if (const int rc = reject_flags(
+          args,
+          {"epsilon", "resume", "reexplore-from", "warm-start",
+           "warm-start-budget", "warm-start-seed", "conflict-budget",
+           "mem-limit-mb", "checkpoint-out", "checkpoint-interval"},
+          "cannot be honoured with --shard-workers or --shards")) {
+    return rc;
+  }
   dse::DistributedOptions opts;
+  if (!explore_options(args, opts.base)) return 2;
   opts.processes = static_cast<std::size_t>(args.num("shard-workers", 2));
   opts.shards = static_cast<std::size_t>(args.num("shards", 0));
   opts.shard_objective =
       static_cast<std::size_t>(args.num("shard-objective", 1));
   opts.heartbeat_timeout_seconds = args.num("heartbeat-timeout", 10.0);
   opts.in_process = args.flag("shards-in-process");
-  opts.base.threads = static_cast<std::size_t>(args.num("threads", 1));
-  opts.base.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  opts.base.common.time_limit_seconds = args.num("time-limit", 0.0);
-  opts.base.common.archive_kind = args.get("archive", "quadtree");
-  opts.base.common.partial_evaluation = !args.flag("no-partial-eval");
-  opts.base.common.certify = args.flag("certify");
   {
     // Mirrors the explore_distributed pre-flight: banding is only sound on
     // a linear leaf axis (an energy or cost metric).
@@ -768,51 +666,90 @@ int explore_sharded(const synth::Specification& spec, const Args& args) {
   return rc != 0 ? rc : obs_rc;
 }
 
+/// `explore`: sharded over worker processes with --shard-workers/--shards;
+/// otherwise one process — dse::explore for an ε-approximate set (one
+/// worker), dse::explore_parallel otherwise.
 int cmd_explore(const Args& args) {
   const synth::Specification spec = load(args);
-  if (args.flag("reexplore-from")) return explore_incremental(spec, args);
   if (args.flag("shard-workers") || args.flag("shards")) {
     return explore_sharded(spec, args);
   }
-  if (args.flag("threads")) return explore_portfolio(spec, args);
-  dse::ExploreOptions opts;
-  opts.common.time_limit_seconds = args.num("time-limit", 0.0);
-  opts.common.archive_kind = args.get("archive", "quadtree");
-  opts.common.partial_evaluation = !args.flag("no-partial-eval");
-  if (const auto eps = parse_epsilon(args.get("epsilon", ""))) {
-    opts.epsilon = *eps;
+  if (const int rc = reject_flags(
+          args, {"shard-objective", "heartbeat-timeout", "shards-in-process"},
+          "needs --shard-workers or --shards")) {
+    return rc;
   }
-  opts.common.certify = args.flag("certify");
-  if (!apply_warm_start(args, opts.common.warm_start)) return 2;
-  dse::Budget budget(budget_limits(args));
+  dse::ParallelExploreOptions opts;
+  if (!explore_options(args, opts)) return 2;
+  const std::optional<pareto::Vec> epsilon =
+      parse_epsilon(args.get("epsilon", ""));
+  if (epsilon && opts.threads != 1) {
+    std::cerr << "error: --epsilon runs one worker and cannot be honoured "
+                 "with --threads "
+              << opts.threads << "\n";
+    return 2;
+  }
+  if (args.flag("resume") && args.flag("reexplore-from")) {
+    std::cerr << "error: --resume and --reexplore-from are the same restart; "
+                 "give one checkpoint\n";
+    return 2;
+  }
+  dse::Budget budget(dse::BudgetLimits{opts.common.time_limit_seconds,
+                                       opts.common.conflict_budget,
+                                       opts.common.mem_limit_mb});
   opts.common.budget = &budget;
-  opts.common.checkpoint_path = args.get("checkpoint-out", "");
-  opts.common.checkpoint_interval_seconds =
-      args.num("checkpoint-interval", 30.0);
-  const std::optional<dse::Checkpoint> resume = load_resume(args);
-  if (resume) opts.common.resume = &*resume;
   ObsSetup obs_setup;
   if (!obs_setup.init(args)) return 1;
   obs_setup.wire(opts.common);
+  apply_restart(args, spec, opts);
   const SignalGuard guard(&budget);
-  const dse::ExploreResult r = dse::explore(spec, opts);
-  std::cout << (opts.epsilon.empty() ? "exact front" : "eps-approximate set")
-            << ": " << r.front.size() << " points ("
-            << (r.stats.complete ? "complete" : "partial") << ", stopped: "
-            << dse::to_string(r.stats.reason) << ", "
-            << util::fmt(r.stats.seconds, 3) << "s, " << r.stats.models
-            << " models, " << r.stats.prunings << " prunings)\n";
-  print_warm_stats(r.stats);
-  print_run_errors(r.errors);
-  print_front(spec, r.front);
+  dse::ParallelExploreResult r;
+  if (epsilon) {
+    r.base = dse::explore(spec, dse::ExploreOptions{opts.common, *epsilon});
+  } else {
+    r = dse::explore_parallel(spec, opts);
+  }
+  std::cout << (epsilon ? "eps-approximate set" : "exact front") << ": "
+            << r.base.front.size() << " points ("
+            << (r.base.stats.complete ? "complete" : "partial")
+            << ", stopped: " << dse::to_string(r.base.stats.reason) << ", "
+            << util::fmt(r.base.stats.seconds, 3) << "s, "
+            << r.base.stats.models << " models, " << r.base.stats.prunings
+            << " prunings)\n";
+  print_warm_stats(r.base.stats);
+  for (const dse::WorkerError& e : r.worker_errors) {
+    std::cerr << "warning: worker " << e.worker << " failed: " << e.message
+              << "\n";
+  }
+  print_run_errors(r.base.errors);
+  print_front(spec, r.base.front);
+  if (r.workers.size() > 1) {
+    std::cout << "\nper-worker breakdown:\n";
+    util::Table workers({"worker", "models", "slice", "inserts", "rejected",
+                         "prunings", "conflicts", "restarts", "sec", "proof"});
+    for (const dse::WorkerReport& w : r.workers) {
+      workers.add_row({util::fmt(static_cast<long long>(w.worker)),
+                       util::fmt(static_cast<long long>(w.models)),
+                       util::fmt(static_cast<long long>(w.slice_models)),
+                       util::fmt(static_cast<long long>(w.shared_inserts)),
+                       util::fmt(static_cast<long long>(w.rejected_inserts)),
+                       util::fmt(static_cast<long long>(w.prunings)),
+                       util::fmt(static_cast<long long>(w.conflicts)),
+                       util::fmt(static_cast<long long>(w.restarts)),
+                       util::fmt(w.seconds, 3),
+                       w.proved_complete ? "yes" : "-"});
+    }
+    workers.print(std::cout);
+  }
   if (args.flag("witnesses")) {
-    for (std::size_t i = 0; i < r.witnesses.size(); ++i) {
-      std::cout << "\n" << r.witnesses[i].describe(spec);
+    for (const auto& witness : r.base.witnesses) {
+      std::cout << "\n" << witness.describe(spec);
     }
   }
   const int obs_rc = obs_setup.finish();
-  const int rc = finish_explore(args, r.stats.complete, r.certified,
-                                r.certificate_error, r.proof, r.front);
+  const int rc =
+      finish_explore(args, r.base.stats.complete, r.base.certified,
+                     r.base.certificate_error, r.base.proof, r.base.front);
   return rc != 0 ? rc : obs_rc;
 }
 
