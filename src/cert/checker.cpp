@@ -3,37 +3,54 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 namespace aspmt::cert {
 namespace {
 
-using Lits = std::vector<std::int64_t>;
+// A proof literal l (signed, 1-based) is checked against 1 <= |l| <= 2^31,
+// the range asp::proof_int emits, and then stored as the 32-bit code
+// 2·(|l|−1) + (l < 0): the two phases of a variable are adjacent and
+// `code ^ 1` is the negation.
+using Code = std::uint32_t;
+using Codes = std::vector<Code>;
 
-// Sort by variable, negative phase first — makes duplicates and
-// complementary pairs adjacent and gives a canonical deletion key.
-struct LitLess {
-  bool operator()(std::int64_t a, std::int64_t b) const noexcept {
-    const std::int64_t va = std::abs(a);
-    const std::int64_t vb = std::abs(b);
-    if (va != vb) return va < vb;
-    return a < b;
-  }
-};
+constexpr std::int64_t kMaxVar = std::int64_t{1} << 31;
 
-void canonicalize(Lits& lits) {
-  std::sort(lits.begin(), lits.end(), LitLess{});
+[[nodiscard]] constexpr bool in_range(std::int64_t l) noexcept {
+  return l != 0 && l >= -kMaxVar && l <= kMaxVar;
+}
+
+/// Requires in_range(l).
+[[nodiscard]] constexpr Code code_of(std::int64_t l) noexcept {
+  return l > 0 ? static_cast<Code>(2 * (l - 1)) : static_cast<Code>(2 * (-l - 1) + 1);
+}
+
+/// Sort by variable, positive phase first — makes duplicates and
+/// complementary pairs adjacent and gives the deletion index its key order.
+void canonicalize(Codes& lits) {
+  std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
 }
 
-[[nodiscard]] bool is_tautology(const Lits& lits) {
+[[nodiscard]] bool is_tautology(const Codes& lits) {
   for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
-    if (lits[i] == -lits[i + 1]) return true;
+    if ((lits[i] ^ 1) == lits[i + 1]) return true;
   }
   return false;
+}
+
+/// Hash of a canonical literal list (the deletion index key).
+[[nodiscard]] std::uint64_t hash_lits(const Codes& lits) noexcept {
+  std::uint64_t h = lits.size();
+  for (const Code c : lits) {
+    h = (h ^ c) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+  }
+  return h;
 }
 
 /// Whitespace tokenizer over one proof line.
@@ -66,13 +83,13 @@ struct Edge {
   std::int64_t from = 0;
   std::int64_t to = 0;
   std::int64_t weight = 0;
-  Lits guards;  // all must be true for the edge to apply
+  Codes guards;  // all must be true for the edge to apply
 };
 
 struct Rule {
   std::int64_t head = 0;
-  std::int64_t body = 0;
-  Lits pos_heads;  // head literals of the positive body atoms
+  Code body = 0;
+  std::vector<std::int64_t> pos_heads;  // head literals of the positive body atoms
 };
 
 /// One objective binding as declared by an O line: a leaf ('L' sum, 'D'
@@ -86,6 +103,13 @@ struct ObjTree {
   std::vector<ObjTree> children;
 };
 
+/// A watch-list entry: the clause at `cref`, and one of its literals whose
+/// truth satisfies the clause without reading its memory.
+struct Watch {
+  std::uint32_t cref = 0;
+  Code blocker = 0;
+};
+
 /// The whole verification state: clause database with watched-literal unit
 /// propagation plus the declared theory tables.
 class Checker {
@@ -96,111 +120,122 @@ class Checker {
 
  private:
   // ---- unit propagation ---------------------------------------------------
+  //
+  // Clauses live in one flat arena, each as [size<<1 | deleted] followed by
+  // its literal codes; a clause is addressed by the offset of its header
+  // (cref).  watches_[p] holds the clauses watching ¬p, visited when p
+  // becomes true.
 
-  [[nodiscard]] static std::size_t lit_index(std::int64_t l) noexcept {
-    return 2 * static_cast<std::size_t>(std::abs(l) - 1) + (l < 0 ? 1 : 0);
+  /// Grow every per-variable and per-literal table to cover variable index
+  /// `var` (0-based).
+  void ensure_var(Code var) {
+    if (var < var_flags_.size()) return;
+    const std::size_t n = static_cast<std::size_t>(var) + 1;
+    var_flags_.resize(n, 0);
+    val_.resize(2 * n, 0);
+    lit_mark_.resize(2 * n, 0);
+    watches_.resize(2 * n);
   }
 
-  void ensure_var(std::int64_t l) {
-    const auto v = static_cast<std::size_t>(std::abs(l));
-    if (assign_.size() < v + 1) assign_.resize(v + 1, 0);
-    if (watch_.size() < 2 * v) watch_.resize(2 * v);
+  void assign(Code c) {
+    val_[c] = 1;
+    val_[c ^ 1] = -1;
+    trail_.push_back(c);
   }
 
-  [[nodiscard]] int value(std::int64_t l) const noexcept {
-    const int a = assign_[static_cast<std::size_t>(std::abs(l))];
-    return l < 0 ? -a : a;
-  }
-
-  void assign(std::int64_t l) {
-    assign_[static_cast<std::size_t>(std::abs(l))] =
-        static_cast<std::int8_t>(l < 0 ? -1 : 1);
-    trail_.push_back(l);
-  }
-
-  /// False iff `l` is already false.
-  bool enqueue(std::int64_t l) {
-    const int v = value(l);
-    if (v == 1) return true;
-    if (v == -1) return false;
-    assign(l);
+  /// False iff `c` is already false.
+  bool enqueue(Code c) {
+    if (val_[c] == 1) return true;
+    if (val_[c] == -1) return false;
+    assign(c);
     return true;
   }
 
   bool propagate() {
     while (qhead_ < trail_.size()) {
-      const std::int64_t p = trail_[qhead_++];
-      auto& wl = watch_[lit_index(-p)];
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < wl.size(); ++i) {
-        const std::uint32_t ci = wl[i];
-        if (!active_[ci]) continue;  // deleted: lazily drop from the list
-        Lits& ls = clause_lits_[ci];
-        if (ls[0] == -p) std::swap(ls[0], ls[1]);
-        if (value(ls[0]) == 1) {
-          wl[out++] = ci;
+      const Code p = trail_[qhead_++];
+      const Code false_lit = p ^ 1;
+      std::vector<Watch>& ws = watches_[p];
+      Watch* i = ws.data();
+      Watch* j = i;
+      Watch* const end = i + ws.size();
+      while (i != end) {
+        if (val_[i->blocker] == 1) {
+          *j++ = *i++;
+          continue;
+        }
+        const std::uint32_t cref = i->cref;
+        ++i;
+        std::uint32_t* const header = &arena_[cref];
+        if ((*header & 1) != 0) continue;  // deleted: drop the watch
+        const std::uint32_t size = *header >> 1;
+        Code* const lits = header + 1;
+        if (lits[0] == false_lit) {
+          lits[0] = lits[1];
+          lits[1] = false_lit;
+        }
+        const Watch w{cref, lits[0]};
+        if (val_[lits[0]] == 1) {
+          *j++ = w;
           continue;
         }
         bool moved = false;
-        for (std::size_t k = 2; k < ls.size(); ++k) {
-          if (value(ls[k]) != -1) {
-            std::swap(ls[1], ls[k]);
-            watch_[lit_index(ls[1])].push_back(ci);
+        for (std::uint32_t k = 2; k < size; ++k) {
+          if (val_[lits[k]] != -1) {
+            lits[1] = lits[k];
+            lits[k] = false_lit;
+            watches_[lits[1] ^ 1].push_back(w);
             moved = true;
             break;
           }
         }
         if (moved) continue;
-        wl[out++] = ci;  // clause stays unit/conflicting on ls[0]
-        if (value(ls[0]) == -1) {
-          for (++i; i < wl.size(); ++i) wl[out++] = wl[i];
-          wl.resize(out);
+        *j++ = w;  // clause stays unit/conflicting on lits[0]
+        if (val_[lits[0]] == -1) {
+          while (i != end) *j++ = *i++;
+          ws.resize(static_cast<std::size_t>(j - ws.data()));
           return false;
         }
-        assign(ls[0]);
+        assign(lits[0]);
       }
-      wl.resize(out);
+      ws.resize(static_cast<std::size_t>(j - ws.data()));
     }
     return true;
   }
 
   void undo_to(std::size_t save) {
-    while (trail_.size() > save) {
-      assign_[static_cast<std::size_t>(std::abs(trail_.back()))] = 0;
-      trail_.pop_back();
+    for (std::size_t k = save; k < trail_.size(); ++k) {
+      val_[trail_[k]] = 0;
+      val_[trail_[k] ^ 1] = 0;
     }
+    trail_.resize(save);
     qhead_ = std::min(qhead_, save);
   }
 
   /// RUP: asserting the negation of every clause literal propagates to a
   /// conflict (or the clause is already satisfied/tautological at root).
-  [[nodiscard]] bool rup(const Lits& clause) {
+  [[nodiscard]] bool rup(const Codes& clause) {
     if (root_conflict_) return true;
     const std::size_t save = trail_.size();
-    bool conflict = false;
     bool satisfied = false;
-    for (const std::int64_t l : clause) {
-      ensure_var(l);
-      const int v = value(l);
-      if (v == 1) {  // root unit (or a complementary clause literal)
+    for (const Code c : clause) {
+      if (val_[c] == 1) {  // root unit (or a complementary clause literal)
         satisfied = true;
         break;
       }
-      if (v == -1) continue;
-      assign(-l);
+      if (val_[c] == 0) assign(c ^ 1);
     }
-    if (!satisfied) conflict = !propagate();
+    const bool conflict = !satisfied && !propagate();
     undo_to(save);
     return conflict || satisfied;
   }
 
   /// The clause set is contradictory once all `assumptions` are asserted.
-  [[nodiscard]] bool refutes_assumptions(const Lits& assumptions) {
+  [[nodiscard]] bool refutes_assumptions(const Codes& assumptions) {
     if (root_conflict_) return true;
     const std::size_t save = trail_.size();
     bool conflict = false;
-    for (const std::int64_t a : assumptions) {
-      ensure_var(a);
+    for (const Code a : assumptions) {
       if (!enqueue(a)) {
         conflict = true;
         break;
@@ -212,83 +247,114 @@ class Checker {
   }
 
   /// Add a verified/axiomatic clause to the database and restore the root
-  /// fixpoint.  `lits` must be canonical.
-  void install(Lits lits) {
-    if (root_conflict_ || is_tautology(lits)) return;
-    for (const std::int64_t l : lits) ensure_var(l);
+  /// fixpoint.  `lits` must be canonical; it is reordered.  False iff the
+  /// arena would outgrow kMaxArena.
+  [[nodiscard]] bool install(Codes& lits) {
+    if (root_conflict_ || is_tautology(lits)) return true;
     if (lits.empty()) {
       root_conflict_ = true;
-      return;
+      return true;
     }
-    const std::uint32_t id = static_cast<std::uint32_t>(clause_lits_.size());
-    by_lits_[lits].push_back(id);
+    const std::uint64_t hash = hash_lits(lits);
     // Pick two non-false watches; fewer mean the clause is unit or false
     // under the root assignment right away.
     std::size_t nonfalse = 0;
     for (std::size_t i = 0; i < lits.size() && nonfalse < 2; ++i) {
-      if (value(lits[i]) != -1) std::swap(lits[nonfalse++], lits[i]);
+      if (val_[lits[i]] != -1) std::swap(lits[nonfalse++], lits[i]);
     }
-    const bool watchable = nonfalse >= 2;
-    if (!watchable) {
-      if (nonfalse == 0) {
-        root_conflict_ = true;
-      } else if (!enqueue(lits[0]) || !propagate()) {
-        root_conflict_ = true;
-      }
+    if (nonfalse < 2) {
+      // The clause lives on only as root facts: it is never watched, and no
+      // deletion can match it, so it needs no storage.
+      if (nonfalse == 0 || !enqueue(lits[0]) || !propagate()) root_conflict_ = true;
+      return true;
     }
-    clause_lits_.push_back(std::move(lits));
-    active_.push_back(watchable);  // unit/false clauses live on as root facts
-    if (watchable) {
-      watch_[lit_index(clause_lits_[id][0])].push_back(id);
-      watch_[lit_index(clause_lits_[id][1])].push_back(id);
-    }
+    // Keeps every cref and every size<<1 header within 32 bits.
+    if (arena_.size() + 1 + lits.size() > kMaxArena) return false;
+    const auto cref = static_cast<std::uint32_t>(arena_.size());
+    arena_.push_back(static_cast<std::uint32_t>(lits.size()) << 1);
+    arena_.insert(arena_.end(), lits.begin(), lits.end());
+    watches_[lits[0] ^ 1].push_back({cref, lits[1]});
+    watches_[lits[1] ^ 1].push_back({cref, lits[0]});
+    by_hash_[hash].push_back(cref);
+    return true;
+  }
+
+  /// Deactivate the oldest active clause whose literal set is `lits`
+  /// (canonical), if there is one.
+  void erase(const Codes& lits) {
+    const auto it = by_hash_.find(hash_lits(lits));
+    if (it == by_hash_.end()) return;
+    std::vector<std::uint32_t>& crefs = it->second;
+    for (const Code c : lits) lit_mark_[c] = 1;
+    const auto match = std::find_if(crefs.begin(), crefs.end(), [&](std::uint32_t cref) {
+      const Code* const begin = &arena_[cref + 1];
+      return (arena_[cref] >> 1) == lits.size() &&
+             std::all_of(begin, begin + lits.size(),
+                         [&](Code c) { return lit_mark_[c] != 0; });
+    });
+    for (const Code c : lits) lit_mark_[c] = 0;
+    if (match == crefs.end()) return;
+    arena_[*match] |= 1;
+    crefs.erase(match);
+    if (crefs.empty()) by_hash_.erase(it);
   }
 
   // ---- theory re-derivation ----------------------------------------------
+  //
+  // While a lemma is checked, lit_mark_ flags the literals of its clause.
+  // `G`, the literals the clause claims cannot all hold together, is the
+  // negation of that set: g is in G iff lit_mark_[g ^ 1].
 
-  /// Longest origin distances over the edges whose guards are all in `G`
-  /// (nodes are implicitly >= 0).  Bellman-Ford; `cycle` reports a positive
+  [[nodiscard]] bool in_clause(Code c) const noexcept { return lit_mark_[c] != 0; }
+
+  /// The marked clause contains the negation of `l`, a payload integer that
+  /// was never range-checked.
+  [[nodiscard]] bool clause_negates(std::int64_t l) const noexcept {
+    if (!in_range(l)) return false;
+    const Code c = code_of(l) ^ 1;
+    return c < lit_mark_.size() && lit_mark_[c] != 0;
+  }
+
+  /// Longest origin distances into dist_ over the edges whose guards are
+  /// all in G (nodes are implicitly >= 0).  Bellman-Ford; true on a positive
   /// cycle (distances divergent, any bound claim holds vacuously).
-  void longest_paths(const std::set<std::int64_t>& G, std::vector<std::int64_t>& dist,
-                     bool& cycle) const {
-    dist.assign(static_cast<std::size_t>(num_nodes_), 0);
-    cycle = false;
-    std::vector<const Edge*> live;
+  [[nodiscard]] bool longest_paths() {
+    dist_.assign(static_cast<std::size_t>(num_nodes_), 0);
+    live_.clear();
     for (const Edge& e : edges_) {
       const bool on = std::all_of(e.guards.begin(), e.guards.end(),
-                                  [&](std::int64_t g) { return G.count(g) != 0; });
-      if (on) live.push_back(&e);
+                                  [&](Code g) { return in_clause(g ^ 1); });
+      if (on) live_.push_back(&e);
     }
     bool changed = true;
     for (std::int64_t round = 0; round <= num_nodes_ && changed; ++round) {
       changed = false;
-      for (const Edge* e : live) {
-        const std::int64_t nd = dist[static_cast<std::size_t>(e->from)] + e->weight;
-        if (nd > dist[static_cast<std::size_t>(e->to)]) {
-          dist[static_cast<std::size_t>(e->to)] = nd;
+      for (const Edge* e : live_) {
+        const std::int64_t nd = dist_[static_cast<std::size_t>(e->from)] + e->weight;
+        if (nd > dist_[static_cast<std::size_t>(e->to)]) {
+          dist_[static_cast<std::size_t>(e->to)] = nd;
           changed = true;
         }
       }
     }
-    cycle = changed;  // still relaxing after |V| rounds
+    return changed;  // still relaxing after |V| rounds
   }
 
-  [[nodiscard]] std::int64_t clause_weight_in_sum(
-      std::size_t sum, const std::set<std::int64_t>& clause_set) const {
+  /// Weight of the terms of `sum` whose guard the clause negates.
+  [[nodiscard]] std::int64_t clause_weight_in_sum(std::size_t sum) const {
     std::int64_t total = 0;
     for (const auto& [guard, weight] : sums_[sum]) {
-      if (clause_set.count(-guard) != 0) total += weight;
+      if (in_clause(guard ^ 1)) total += weight;
     }
     return total;
   }
 
   /// Weight forfeited when every guard occurring *positively* in the clause
   /// is assumed false (the LL lemma shape: at least one of them must hold).
-  [[nodiscard]] std::int64_t clause_weight_forfeited(
-      std::size_t sum, const std::set<std::int64_t>& clause_set) const {
+  [[nodiscard]] std::int64_t clause_weight_forfeited(std::size_t sum) const {
     std::int64_t total = 0;
     for (const auto& [guard, weight] : sums_[sum]) {
-      if (clause_set.count(guard) != 0) total += weight;
+      if (in_clause(guard)) total += weight;
     }
     return total;
   }
@@ -318,31 +384,26 @@ class Checker {
   /// big-endian packing for lex — the same arithmetic the solver binds).  A
   /// positive cycle in a difference leaf makes its bound vacuously infinite.
   /// Returns an empty string and writes `out` on success.
-  [[nodiscard]] std::string tree_lower_bound(
-      const ObjTree& t, const std::set<std::int64_t>& G,
-      const std::set<std::int64_t>& clause_set, std::int64_t& out) const {
+  [[nodiscard]] std::string tree_lower_bound(const ObjTree& t, std::int64_t& out) {
     constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
     switch (t.kind) {
       case 'L': {
         if (t.id < 0 || static_cast<std::size_t>(t.id) >= sums_.size()) {
           return "unknown sum";
         }
-        out = clause_weight_in_sum(static_cast<std::size_t>(t.id), clause_set);
+        out = clause_weight_in_sum(static_cast<std::size_t>(t.id));
         return {};
       }
       case 'D': {
         if (t.id < 0 || t.id >= num_nodes_) return "unknown node";
-        std::vector<std::int64_t> dist;
-        bool cycle = false;
-        longest_paths(G, dist, cycle);
-        out = cycle ? kMax : dist[static_cast<std::size_t>(t.id)];
+        out = longest_paths() ? kMax : dist_[static_cast<std::size_t>(t.id)];
         return {};
       }
       case 'M': {
         std::int64_t best = std::numeric_limits<std::int64_t>::min();
         for (const ObjTree& c : t.children) {
           std::int64_t v = 0;
-          const std::string why = tree_lower_bound(c, G, clause_set, v);
+          const std::string why = tree_lower_bound(c, v);
           if (!why.empty()) return why;
           best = std::max(best, v);
         }
@@ -353,7 +414,7 @@ class Checker {
         __int128 acc = 0;
         for (std::size_t i = 0; i < t.children.size(); ++i) {
           std::int64_t v = 0;
-          const std::string why = tree_lower_bound(t.children[i], G, clause_set, v);
+          const std::string why = tree_lower_bound(t.children[i], v);
           if (!why.empty()) return why;
           acc += static_cast<__int128>(t.params[i]) * v;
         }
@@ -366,7 +427,7 @@ class Checker {
         __int128 acc = 0;
         for (std::size_t i = 0; i < t.children.size(); ++i) {
           std::int64_t v = 0;
-          const std::string why = tree_lower_bound(t.children[i], G, clause_set, v);
+          const std::string why = tree_lower_bound(t.children[i], v);
           if (!why.empty()) return why;
           const std::int64_t cap = t.params[i];
           acc = acc * (static_cast<__int128>(cap) + 1) +
@@ -380,21 +441,13 @@ class Checker {
     }
   }
 
-  /// Verify one theory lemma against the declared tables.  Returns an empty
-  /// string on success, the reason otherwise.
+  /// Verify one theory lemma, whose clause is marked in lit_mark_, against
+  /// the declared tables.  Returns an empty string on success, the reason
+  /// otherwise.
   [[nodiscard]] std::string verify_lemma(std::string_view tag,
-                                         const std::vector<std::int64_t>& payload,
-                                         const Lits& clause) {
-    std::set<std::int64_t> clause_set(clause.begin(), clause.end());
-    // G: literals the clause claims cannot all hold together.
-    std::set<std::int64_t> G;
-    for (const std::int64_t l : clause) G.insert(-l);
-
+                                         const std::vector<std::int64_t>& payload) {
     if (tag == "DC") {
-      std::vector<std::int64_t> dist;
-      bool cycle = false;
-      longest_paths(G, dist, cycle);
-      if (!cycle) return "no positive cycle under the clause guards";
+      if (!longest_paths()) return "no positive cycle under the clause guards";
       return {};
     }
     if (tag == "DB") {
@@ -406,13 +459,10 @@ class Checker {
       if (node_bounds_.count({node, bound, act}) == 0) {
         return "node bound was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_negates(act)) {
         return "clause misses the bound's activation negation";
       }
-      std::vector<std::int64_t> dist;
-      bool cycle = false;
-      longest_paths(G, dist, cycle);
-      if (!cycle && dist[static_cast<std::size_t>(node)] <= bound) {
+      if (!longest_paths() && dist_[static_cast<std::size_t>(node)] <= bound) {
         return "guarded longest path does not exceed the bound";
       }
       return {};
@@ -428,10 +478,10 @@ class Checker {
       if (sum_bounds_.count({sum, bound, act}) == 0) {
         return "sum bound was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_negates(act)) {
         return "clause misses the bound's activation negation";
       }
-      if (clause_weight_in_sum(static_cast<std::size_t>(sum), clause_set) <= bound) {
+      if (clause_weight_in_sum(static_cast<std::size_t>(sum)) <= bound) {
         return "negated guards do not exceed the bound";
       }
       return {};
@@ -447,34 +497,33 @@ class Checker {
       if (sum_lower_bounds_.count({sum, bound, act}) == 0) {
         return "sum floor was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_negates(act)) {
         return "clause misses the floor's activation negation";
       }
       // With every positive clause guard false the sum tops out at
       // total - forfeited; the lemma holds iff that misses the floor.
       const std::size_t s = static_cast<std::size_t>(sum);
-      if (sum_total(s) - clause_weight_forfeited(s, clause_set) >= bound) {
+      if (sum_total(s) - clause_weight_forfeited(s) >= bound) {
         return "remaining weight still reaches the floor";
       }
       return {};
     }
     if (tag == "UF") {
       if (payload.empty()) return "UF payload must list the unfounded set";
-      std::set<std::int64_t> unfounded(payload.begin(), payload.end());
-      bool negated_member = false;
-      for (const std::int64_t u : unfounded) {
-        if (clause_set.count(-u) != 0) {
-          negated_member = true;
-          break;
-        }
+      std::vector<std::int64_t> unfounded(payload);
+      std::sort(unfounded.begin(), unfounded.end());
+      const auto member = [&](std::int64_t a) {
+        return std::binary_search(unfounded.begin(), unfounded.end(), a);
+      };
+      if (std::none_of(unfounded.begin(), unfounded.end(),
+                       [&](std::int64_t u) { return clause_negates(u); })) {
+        return "clause negates no unfounded atom";
       }
-      if (!negated_member) return "clause negates no unfounded atom";
       for (const Rule& r : rules_) {
-        if (unfounded.count(r.head) == 0) continue;
+        if (!member(r.head)) continue;
         const bool external =
-            std::none_of(r.pos_heads.begin(), r.pos_heads.end(),
-                         [&](std::int64_t h) { return unfounded.count(h) != 0; });
-        if (external && clause_set.count(r.body) == 0) {
+            std::none_of(r.pos_heads.begin(), r.pos_heads.end(), member);
+        if (external && !in_clause(r.body)) {
           return "clause misses an external support body";
         }
       }
@@ -495,8 +544,7 @@ class Checker {
           return "objective binding was never declared";
         }
         std::int64_t lb = 0;
-        const std::string why =
-            tree_lower_bound(objectives_[i], G, clause_set, lb);
+        const std::string why = tree_lower_bound(objectives_[i], lb);
         if (!why.empty()) return why;
         if (lb < point[i]) {
           return "negated guards do not reach the dominance threshold";
@@ -516,12 +564,12 @@ class Checker {
       if (comb_bounds_.count({obj, bound, act}) == 0) {
         return "combinator bound was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_negates(act)) {
         return "clause misses the bound's activation negation";
       }
       std::int64_t lb = 0;
-      const std::string why = tree_lower_bound(
-          objectives_[static_cast<std::size_t>(obj)], G, clause_set, lb);
+      const std::string why =
+          tree_lower_bound(objectives_[static_cast<std::size_t>(obj)], lb);
       if (!why.empty()) return why;
       if (lb <= bound) {
         return "negated guards do not exceed the combinator bound";
@@ -533,14 +581,37 @@ class Checker {
 
   // ---- step handlers ------------------------------------------------------
 
-  [[nodiscard]] bool read_lits(Line& line, Lits& out) {
+  /// Read the literals up to the terminating 0, in proof order, as codes.
+  /// Returns nullptr on success, `unterminated` without the 0, and the
+  /// range error when a literal is out of range.
+  [[nodiscard]] const char* read_lits(Line& line, Codes& out,
+                                      const char* unterminated) {
     out.clear();
+    bool all_in_range = true;
+    Code max_var = 0;
     std::int64_t v = 0;
     while (line.integer(v)) {
-      if (v == 0) return true;
-      out.push_back(v);
+      if (v == 0) {
+        if (!all_in_range) return kOutOfRange;
+        if (!out.empty()) ensure_var(max_var);
+        return nullptr;
+      }
+      if (!in_range(v)) {
+        all_in_range = false;
+        continue;
+      }
+      out.push_back(code_of(v));
+      max_var = std::max(max_var, out.back() >> 1);
     }
-    return false;  // missing terminator
+    return unterminated;
+  }
+
+  /// Range-check one declared literal and size the tables for it.
+  [[nodiscard]] bool declared_lit(std::int64_t l, Code& out) {
+    if (!in_range(l)) return false;
+    out = code_of(l);
+    ensure_var(out >> 1);
+    return true;
   }
 
   /// Parse one objective-binding term from an O line.  Grammar:
@@ -593,38 +664,36 @@ class Checker {
     return {};
   }
 
-  /// Record that `lit_or_var`'s variable occurs in an axiom or declaration.
-  /// False iff the variable is a replay guard — axioms must never mention
-  /// guard variables or the guard-purity soundness argument collapses.
-  [[nodiscard]] bool note_axiom_var(std::int64_t lit_or_var) {
-    const std::int64_t v = std::abs(lit_or_var);
-    if (v == 0) return true;
-    if (guard_vars_.count(v) != 0) return false;
-    axiom_vars_.insert(v);
+  // Per-variable bookkeeping bits in var_flags_.
+  static constexpr std::uint8_t kAxiom = 1;       // in an axiom or declaration
+  static constexpr std::uint8_t kGuard = 2;       // consumed as a replay guard
+  static constexpr std::uint8_t kStructural = 4;  // never a pure box activation
+
+  /// Record that the variable of `c` occurs in an axiom or declaration, with
+  /// kStructural when it occurs in an input clause, sum term, edge guard,
+  /// program rule or replay tail.  False iff the variable is a replay guard
+  /// — axioms must never mention guard variables or the guard-purity
+  /// soundness argument collapses.
+  [[nodiscard]] bool note_var(Code c, std::uint8_t flags) {
+    std::uint8_t& f = var_flags_[c >> 1];
+    if ((f & kGuard) != 0) return false;
+    f |= flags;
     return true;
   }
 
-  [[nodiscard]] bool note_axiom_lits(const Lits& lits) {
-    for (const std::int64_t l : lits) {
-      if (!note_axiom_var(l)) return false;
-    }
-    return true;
+  [[nodiscard]] bool note_vars(const Codes& lits, std::uint8_t flags) {
+    return std::all_of(lits.begin(), lits.end(),
+                       [&](Code c) { return note_var(c, flags); });
   }
 
-  /// Like note_axiom_var, but additionally marks the variable *structural*:
-  /// it occurs in an input clause, sum term, edge guard, or program rule, so
-  /// it can never serve as a pure shard-box activation.
-  [[nodiscard]] bool note_structural_var(std::int64_t lit_or_var) {
-    if (!note_axiom_var(lit_or_var)) return false;
-    if (lit_or_var != 0) structural_vars_.insert(std::abs(lit_or_var));
-    return true;
-  }
-
-  [[nodiscard]] bool note_structural_lits(const Lits& lits) {
-    for (const std::int64_t l : lits) {
-      if (!note_structural_var(l)) return false;
-    }
-    return true;
+  /// Range-check and record a bound declaration's activation literal (0:
+  /// none).  Returns the failure message, or nullptr.
+  [[nodiscard]] const char* note_act(std::int64_t act, const char* guard_msg) {
+    if (act == 0) return nullptr;
+    Code c = 0;
+    if (!declared_lit(act, c)) return kOutOfRange;
+    if (!note_var(c, kAxiom)) return guard_msg;
+    return nullptr;
   }
 
   /// Record a bound declaration's activation for shard-box extraction.
@@ -638,12 +707,12 @@ class Checker {
       result_.unsafe_bounds = true;
       return;
     }
-    act_bounds_[act].push_back({kind, id, bound});
+    act_bounds_[code_of(act)].push_back({kind, id, bound});
   }
 
   /// A verified Unsat conclusion: when its assumptions are all pure box
   /// activations on the shard objective's sum, record the proven interval.
-  void maybe_record_shard_box(const Lits& assumptions) {
+  void maybe_record_shard_box(const Codes& assumptions) {
     const auto obj = static_cast<std::size_t>(opts_.shard_objective);
     // The shard objective must be a *linear leaf*: combinator axes have no
     // single sum whose SB/SL activations could carve a sound interval.
@@ -654,10 +723,10 @@ class Checker {
     const std::int64_t shard_sum = objectives_[obj].id;
     std::int64_t lo = std::numeric_limits<std::int64_t>::min();
     std::int64_t hi = std::numeric_limits<std::int64_t>::max();
-    for (const std::int64_t a : assumptions) {
-      if (a <= 0) return;                       // negative phase: not a box act
-      if (structural_vars_.count(a) != 0) return;  // occurs in the system
-      if (guard_vars_.count(a) != 0) return;       // replay guard
+    for (const Code a : assumptions) {
+      if ((a & 1) != 0) return;  // negative phase: not a box act
+      // Occurs in the system, or is a replay guard.
+      if ((var_flags_[a >> 1] & (kStructural | kGuard)) != 0) return;
       const auto it = act_bounds_.find(a);
       if (it == act_bounds_.end()) return;      // activates nothing known
       for (const auto& [kind, id, bound] : it->second) {
@@ -676,19 +745,25 @@ class Checker {
     result_.shard_boxes.push_back({lo, hi});
   }
 
+  static constexpr const char* kOutOfRange = "literal out of range";
+  static constexpr std::size_t kMaxArena = std::size_t{1} << 31;  // words
+  static constexpr const char* kArenaFull = "clause database exceeds 2^31 words";
+
   CheckOptions opts_;
   CheckResult result_;
 
-  std::vector<std::int8_t> assign_;  // var -> -1/0/+1
-  std::vector<std::int64_t> trail_;
+  std::vector<std::int8_t> val_;  // literal code -> -1/0/+1
+  std::vector<Code> trail_;
   std::size_t qhead_ = 0;
-  std::vector<std::vector<std::uint32_t>> watch_;
-  std::vector<Lits> clause_lits_;
-  std::vector<char> active_;
-  std::map<Lits, std::vector<std::uint32_t>> by_lits_;
+  std::vector<std::vector<Watch>> watches_;
+  std::vector<std::uint32_t> arena_;
+  // Deletion index: hash of the canonical literals -> crefs of the active
+  // clauses with that hash, oldest first.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;
   bool root_conflict_ = false;
+  std::vector<std::uint8_t> lit_mark_;  // literal code -> in the current clause
 
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> sums_;
+  std::vector<std::vector<std::pair<Code, std::int64_t>>> sums_;
   std::set<std::array<std::int64_t, 3>> sum_bounds_;
   std::set<std::array<std::int64_t, 3>> sum_lower_bounds_;
   std::int64_t num_nodes_ = 0;
@@ -698,15 +773,13 @@ class Checker {
   std::set<std::array<std::int64_t, 3>> comb_bounds_;
   std::vector<Rule> rules_;
   std::vector<std::vector<std::int64_t>> feasible_;
+  std::vector<std::int64_t> dist_;  // longest_paths output
+  std::vector<const Edge*> live_;   // longest_paths scratch
 
-  // Guard-purity bookkeeping for `G` replay axioms: variables seen in any
-  // axiom/declaration vs. variables consumed as replay guards.
-  std::set<std::int64_t> axiom_vars_;
-  std::set<std::int64_t> guard_vars_;
-  // Shard-box bookkeeping: variables with structural occurrences, and the
-  // bound declarations each activation literal switches on.
-  std::set<std::int64_t> structural_vars_;
-  std::map<std::int64_t, std::vector<std::array<std::int64_t, 3>>> act_bounds_;
+  // Guard-purity and shard-box bookkeeping (kAxiom/kGuard/kStructural), and
+  // the bound declarations each activation literal switches on.
+  std::vector<std::uint8_t> var_flags_;
+  std::map<Code, std::vector<std::array<std::int64_t, 3>>> act_bounds_;
 };
 
 CheckResult Checker::run(std::string_view proof) {
@@ -720,7 +793,7 @@ CheckResult Checker::run(std::string_view proof) {
 
   const char* cursor = proof.data();
   const char* const end = proof.data() + proof.size();
-  Lits lits;
+  Codes lits;
   while (cursor < end) {
     const char* eol = std::find(cursor, end, '\n');
     Line line(cursor, eol);
@@ -741,43 +814,42 @@ CheckResult Checker::run(std::string_view proof) {
     }
 
     if (kind == "I" || kind == "L") {
-      if (!read_lits(line, lits)) return fail("unterminated clause");
+      if (const char* err = read_lits(line, lits, "unterminated clause")) return fail(err);
       canonicalize(lits);
       if (kind == "L") {
         if (!rup(lits)) return fail("learnt clause is not RUP");
         ++result_.learnt_clauses;
       } else {
-        if (!note_structural_lits(lits)) {
+        if (!note_vars(lits, kAxiom | kStructural)) {
           return fail("input clause mentions a replay guard variable");
         }
         ++result_.input_clauses;
       }
-      install(lits);
+      if (!install(lits)) return fail(kArenaFull);
     } else if (kind == "G") {
-      if (!read_lits(line, lits)) return fail("unterminated guarded clause");
+      if (const char* err = read_lits(line, lits, "unterminated guarded clause")) {
+        return fail(err);
+      }
       if (lits.empty()) return fail("guarded clause without a guard literal");
-      const std::int64_t guard = lits.front();
-      if (guard <= 0) return fail("guard literal must be positive");
-      if (axiom_vars_.count(guard) != 0) {
+      const Code guard = lits.front();
+      if ((guard & 1) != 0) return fail("guard literal must be positive");
+      if ((var_flags_[guard >> 1] & kAxiom) != 0) {
         return fail("guard variable is not fresh w.r.t. the axioms");
       }
-      Lits tail(lits.begin() + 1, lits.end());
-      for (const std::int64_t l : tail) {
-        const std::int64_t v = std::abs(l);
-        if (v == guard) {
+      Codes tail(lits.begin() + 1, lits.end());
+      for (const Code c : tail) {
+        if ((c >> 1) == (guard >> 1)) {
           return fail("guard variable occurs in its own clause tail");
         }
-        if (guard_vars_.count(v) != 0) {
+        if (!note_var(c, kAxiom | kStructural)) {
           return fail("guarded clause tail mentions a guard variable");
         }
-        axiom_vars_.insert(v);
-        structural_vars_.insert(v);
       }
-      guard_vars_.insert(guard);
-      tail.push_back(-guard);
+      var_flags_[guard >> 1] |= kGuard;
+      tail.push_back(guard ^ 1);
       canonicalize(tail);
       ++result_.guarded_clauses;
-      install(std::move(tail));
+      if (!install(tail)) return fail(kArenaFull);
     } else if (kind == "T") {
       std::string_view tag;
       if (!line.word(tag)) return fail("theory step without tag");
@@ -797,33 +869,31 @@ CheckResult Checker::run(std::string_view proof) {
         payload.push_back(v);
       }
       if (!separated) return fail("theory step without ';' separator");
-      if (!read_lits(line, lits)) return fail("unterminated clause");
+      if (const char* err = read_lits(line, lits, "unterminated clause")) return fail(err);
       canonicalize(lits);
-      if (!note_axiom_lits(lits)) {
+      if (!note_vars(lits, kAxiom)) {
         return fail("theory lemma mentions a replay guard variable");
       }
-      const std::string why = verify_lemma(tag, payload, lits);
+      for (const Code c : lits) lit_mark_[c] = 1;
+      const std::string why = verify_lemma(tag, payload);
+      for (const Code c : lits) lit_mark_[c] = 0;
       if (!why.empty()) return fail("theory lemma rejected: " + why);
       ++result_.theory_lemmas;
-      install(lits);
+      if (!install(lits)) return fail(kArenaFull);
     } else if (kind == "D") {
-      if (!read_lits(line, lits)) return fail("unterminated deletion");
+      if (const char* err = read_lits(line, lits, "unterminated deletion")) {
+        return fail(err);
+      }
       canonicalize(lits);
       // The solver stores theory clauses root-simplified, so some deletions
       // have no exact match here; keeping those clauses only strengthens
       // propagation over valid clauses, which stays sound.
-      const auto it = by_lits_.find(lits);
-      if (it != by_lits_.end()) {
-        for (const std::uint32_t id : it->second) {
-          if (active_[id]) {
-            active_[id] = 0;
-            break;
-          }
-        }
-      }
+      erase(lits);
       ++result_.deletions;
     } else if (kind == "U") {
-      if (!read_lits(line, lits)) return fail("unterminated conclusion");
+      if (const char* err = read_lits(line, lits, "unterminated conclusion")) {
+        return fail(err);
+      }
       if (!refutes_assumptions(lits)) {
         return fail("Unsat conclusion is not supported by the database");
       }
@@ -863,7 +933,7 @@ CheckResult Checker::run(std::string_view proof) {
           id != static_cast<std::int64_t>(sums_.size())) {
         return fail("malformed sum definition");
       }
-      std::vector<std::pair<std::int64_t, std::int64_t>> terms;
+      std::vector<std::pair<Code, std::int64_t>> terms;
       terms.reserve(static_cast<std::size_t>(n));
       for (std::int64_t i = 0; i < n; ++i) {
         std::int64_t guard = 0;
@@ -872,10 +942,12 @@ CheckResult Checker::run(std::string_view proof) {
             weight < 0) {
           return fail("malformed sum term");
         }
-        if (!note_structural_var(guard)) {
+        Code c = 0;
+        if (!declared_lit(guard, c)) return fail(kOutOfRange);
+        if (!note_var(c, kAxiom | kStructural)) {
           return fail("sum term mentions a replay guard variable");
         }
-        terms.emplace_back(guard, weight);
+        terms.emplace_back(c, weight);
       }
       sums_.push_back(std::move(terms));
     } else if (kind == "SB") {
@@ -886,8 +958,8 @@ CheckResult Checker::run(std::string_view proof) {
           id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
         return fail("malformed sum bound");
       }
-      if (!note_axiom_var(act)) {
-        return fail("sum bound mentions a replay guard variable");
+      if (const char* err = note_act(act, "sum bound mentions a replay guard variable")) {
+        return fail(err);
       }
       sum_bounds_.insert({id, bound, act});
       note_bound_act(0, id, bound, act);
@@ -899,8 +971,8 @@ CheckResult Checker::run(std::string_view proof) {
           id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
         return fail("malformed sum floor");
       }
-      if (!note_axiom_var(act)) {
-        return fail("sum floor mentions a replay guard variable");
+      if (const char* err = note_act(act, "sum floor mentions a replay guard variable")) {
+        return fail(err);
       }
       sum_lower_bounds_.insert({id, bound, act});
       note_bound_act(1, id, bound, act);
@@ -921,9 +993,11 @@ CheckResult Checker::run(std::string_view proof) {
         return fail("malformed edge definition");
       }
       e.guards.resize(static_cast<std::size_t>(n));
-      for (auto& g : e.guards) {
+      for (Code& c : e.guards) {
+        std::int64_t g = 0;
         if (!line.integer(g) || g == 0) return fail("malformed edge guard");
-        if (!note_structural_var(g)) {
+        if (!declared_lit(g, c)) return fail(kOutOfRange);
+        if (!note_var(c, kAxiom | kStructural)) {
           return fail("edge guard mentions a replay guard variable");
         }
       }
@@ -936,8 +1010,8 @@ CheckResult Checker::run(std::string_view proof) {
           id < 0 || id >= num_nodes_) {
         return fail("malformed node bound");
       }
-      if (!note_axiom_var(act)) {
-        return fail("node bound mentions a replay guard variable");
+      if (const char* err = note_act(act, "node bound mentions a replay guard variable")) {
+        return fail(err);
       }
       node_bounds_.insert({id, bound, act});
       note_bound_act(2, id, bound, act);
@@ -967,24 +1041,35 @@ CheckResult Checker::run(std::string_view proof) {
           objectives_[static_cast<std::size_t>(obj)].kind == 0) {
         return fail("combinator bound on an undeclared objective");
       }
-      if (!note_axiom_var(act)) {
-        return fail("combinator bound mentions a replay guard variable");
+      if (const char* err =
+              note_act(act, "combinator bound mentions a replay guard variable")) {
+        return fail(err);
       }
       comb_bounds_.insert({obj, bound, act});
       note_bound_act(3, obj, bound, act);
     } else if (kind == "PR") {
       Rule r;
+      std::int64_t body = 0;
       std::int64_t n = 0;
-      if (!line.integer(r.head) || r.head == 0 || !line.integer(r.body) ||
-          r.body == 0 || !line.integer(n) || n < 0) {
+      if (!line.integer(r.head) || r.head == 0 || !line.integer(body) ||
+          body == 0 || !line.integer(n) || n < 0) {
         return fail("malformed program rule");
       }
       r.pos_heads.resize(static_cast<std::size_t>(n));
       for (auto& h : r.pos_heads) {
         if (!line.integer(h) || h == 0) return fail("malformed program rule");
       }
-      if (!note_structural_var(r.head) || !note_structural_var(r.body) ||
-          !note_structural_lits(r.pos_heads)) {
+      Code head = 0;
+      Codes pos_heads(r.pos_heads.size());
+      if (!declared_lit(r.head, head) || !declared_lit(body, r.body)) {
+        return fail(kOutOfRange);
+      }
+      for (std::size_t i = 0; i < r.pos_heads.size(); ++i) {
+        if (!declared_lit(r.pos_heads[i], pos_heads[i])) return fail(kOutOfRange);
+      }
+      if (!note_var(head, kAxiom | kStructural) ||
+          !note_var(r.body, kAxiom | kStructural) ||
+          !note_vars(pos_heads, kAxiom | kStructural)) {
         return fail("program rule mentions a replay guard variable");
       }
       rules_.push_back(std::move(r));

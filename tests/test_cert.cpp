@@ -4,12 +4,17 @@
 // `certified: yes` meaningless.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "cert/certify.hpp"
 #include "cert/checker.hpp"
 #include "dse/explorer.hpp"
 #include "synth_fixtures.hpp"
+#include "test_util.hpp"
 
 namespace aspmt {
 namespace {
@@ -108,6 +113,274 @@ TEST(ProofChecker, VerifiesDominanceLemma) {
   EXPECT_NE(unjustified.error.find("no certified feasible point"),
             std::string::npos)
       << unjustified.error;
+}
+
+TEST(ProofChecker, RejectsOutOfRangeLiterals) {
+  // asp::proof_int emits 1 <= |l| <= 2^31; anything else is named with its
+  // line instead of sizing (or overflowing) the checker's tables.
+  for (const std::string step :
+       {"I 9223372036854775807 0", "I 4000000000 0", "I -9223372036854775808 0",
+        "S 0 1 4000000000 3", "L 1 -2147483649 0"}) {
+    const auto r = check("p aspmt 1\nI 1 2 0\n" + step + "\n");
+    EXPECT_FALSE(r.ok) << step;
+    EXPECT_EQ(r.error, "line 3: literal out of range") << step;
+  }
+}
+
+// ---- deletions --------------------------------------------------------------
+
+TEST(ProofChecker, DeletionStopsPropagation) {
+  const std::string db = "p aspmt 1\nI 1 2 0\nI 1 -2 0\n";
+  EXPECT_TRUE(check(db + "L 1 0\n").ok);
+  // The reversed literal order checks that matching ignores it.
+  const auto r = check(db + "D -2 1 0\nL 1 0\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "line 5: learnt clause is not RUP");
+  EXPECT_EQ(r.deletions, 1U);
+}
+
+TEST(ProofChecker, DeletingOneOfTwoCopiesKeepsTheOther) {
+  const std::string db = "p aspmt 1\nI 1 2 0\nI 2 1 0\nI 1 -2 0\n";
+  const auto one = check(db + "D 1 2 0\nL 1 0\n");
+  EXPECT_TRUE(one.ok) << one.error;
+  const auto both = check(db + "D 1 2 0\nD 2 1 0\nL 1 0\n");
+  EXPECT_FALSE(both.ok);
+  EXPECT_EQ(both.error, "line 7: learnt clause is not RUP");
+  // The same with a few thousand clauses between the two deletions.
+  std::string filler;
+  for (int v = 3; v < 3003; ++v) {
+    filler += "I " + std::to_string(v) + " " + std::to_string(v + 1) + " 0\n";
+  }
+  const auto apart = check(db + "D 1 2 0\n" + filler + "D 2 1 0\nL 1 0\n");
+  EXPECT_FALSE(apart.ok);
+  EXPECT_EQ(apart.error, "line 3007: learnt clause is not RUP");
+}
+
+TEST(ProofChecker, UnmatchedDeletionIsCountedAndIgnored) {
+  // A clause never added, and a sub- and a superset of one, match nothing.
+  const auto r = check(
+      "p aspmt 1\nI 1 2 0\nI 1 -2 0\nD 3 4 0\nD 1 0\nD 1 2 3 0\nL 1 0\n");
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.deletions, 3U);
+  EXPECT_EQ(r.learnt_clauses, 1U);
+}
+
+TEST(ProofChecker, RootFactsSurviveDeletionOfTheirUnitClause) {
+  // -2 is a root fact, and through {1, 2} so is 1.  Deleting both clauses
+  // keeps both facts.
+  const auto r = check(
+      "p aspmt 1\nI 1 2 0\nI -2 0\nD -2 0\nD 1 2 0\nL 1 0\nL -2 0\nU 2 0\n");
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.learnt_clauses, 2U);
+  EXPECT_EQ(r.deletions, 2U);
+  EXPECT_EQ(r.conclusions, 1U);
+}
+
+/// The checker's clause database, written naively: clauses that are unit or
+/// false under the root facts on arrival only add root facts, root facts
+/// outlive the clauses that produced them, a deletion deactivates the
+/// oldest active clause with the same literal set, and RUP is unit
+/// propagation to a fixpoint over every active clause.
+class NaiveRup {
+ public:
+  using Clause = std::vector<int>;  // sorted, distinct
+
+  explicit NaiveRup(int vars) : root_(static_cast<std::size_t>(vars) + 1, 0) {}
+
+  void add(const Clause& c) {
+    if (conflict_ || tautology(c)) return;
+    Clause open;
+    for (const int l : c) {
+      if (value(root_, l) != -1) open.push_back(l);
+    }
+    if (open.size() >= 2) {
+      active_.push_back(c);
+      alive_.push_back(true);
+    } else if (open.empty()) {
+      conflict_ = true;
+    } else {
+      set(root_, open[0]);
+      conflict_ = !fixpoint(root_);
+    }
+  }
+
+  [[nodiscard]] bool rup(const Clause& c) const {
+    if (conflict_) return true;
+    std::vector<int> a = root_;
+    for (const int l : c) {
+      if (value(a, l) == 1) return true;
+      if (value(a, l) == 0) set(a, -l);
+    }
+    return !fixpoint(a);
+  }
+
+  bool erase(const Clause& c) {
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (alive_[i] && active_[i] == c) {
+        alive_[i] = false;
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  static int value(const std::vector<int>& a, int l) {
+    const int v = a[static_cast<std::size_t>(std::abs(l))];
+    return l > 0 ? v : -v;
+  }
+  static void set(std::vector<int>& a, int l) {
+    a[static_cast<std::size_t>(std::abs(l))] = l > 0 ? 1 : -1;
+  }
+  static bool tautology(const Clause& c) {
+    return std::any_of(c.begin(), c.end(), [&](int l) {
+      return std::binary_search(c.begin(), c.end(), -l);
+    });
+  }
+
+  /// False on a conflict.
+  [[nodiscard]] bool fixpoint(std::vector<int>& a) const {
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t i = 0; i < active_.size(); ++i) {
+        if (!alive_[i]) continue;
+        int open = 0;
+        int unit = 0;
+        bool satisfied = false;
+        for (const int l : active_[i]) {
+          const int v = value(a, l);
+          satisfied = satisfied || v == 1;
+          if (v == 0) {
+            ++open;
+            unit = l;
+          }
+        }
+        if (satisfied) continue;
+        if (open == 0) return false;
+        if (open == 1) {
+          set(a, unit);
+          changed = true;
+        }
+      }
+    }
+    return true;
+  }
+
+  std::vector<int> root_;  // var -> -1/0/+1
+  std::vector<Clause> active_;
+  std::vector<bool> alive_;
+  bool conflict_ = false;
+};
+
+TEST(ProofChecker, RupVerdictsMatchANaiveReference) {
+  std::size_t rejected = 0;
+  std::size_t learnt_total = 0;
+  std::size_t matched_deletions = 0;
+  constexpr std::uint64_t kTrials = 300;
+  for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
+    const std::uint64_t seed = test::fuzz_seed(trial);
+    std::mt19937_64 rng(seed);
+    const int vars = 3 + static_cast<int>(rng() % 10);
+    const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+    const auto random_lit = [&] {
+      const int v = 1 + static_cast<int>(pick(static_cast<std::size_t>(vars)));
+      return rng() % 2 == 0 ? v : -v;
+    };
+    const auto canonical = [](NaiveRup::Clause c) {
+      std::sort(c.begin(), c.end());
+      c.erase(std::unique(c.begin(), c.end()), c.end());
+      return c;
+    };
+
+    std::string proof = "p aspmt 1\n";
+    std::size_t line = 1;
+    const auto emit = [&](char kind, const NaiveRup::Clause& c) {
+      proof += kind;
+      for (const int l : c) proof += " " + std::to_string(l);
+      proof += " 0\n";
+      ++line;
+    };
+
+    NaiveRup ref(vars);
+    std::vector<NaiveRup::Clause> added;  // every I and accepted L, as written
+    std::size_t learnt = 0;
+    std::size_t fail_line = 0;
+    const std::size_t steps = 10 + pick(50);
+    for (std::size_t s = 0; s < steps && fail_line == 0; ++s) {
+      const std::size_t kind = pick(10);
+      NaiveRup::Clause c;
+      if (kind < 3 || added.empty()) {
+        for (std::size_t k = 1 + pick(4); k > 0; --k) c.push_back(random_lit());
+        emit('I', c);
+        ref.add(canonical(c));
+        added.push_back(c);
+        continue;
+      }
+      if (kind < 7) {
+        // A resolvent or a weakening of earlier clauses (RUP unless a
+        // deletion took a premise away), or a random clause.
+        const NaiveRup::Clause& a = added[pick(added.size())];
+        const NaiveRup::Clause& b = added[pick(added.size())];
+        const std::size_t how = pick(20);
+        if (how < 10) {
+          const auto clash = std::find_if(a.begin(), a.end(), [&](int l) {
+            return std::find(b.begin(), b.end(), -l) != b.end();
+          });
+          if (clash != a.end()) {
+            for (const int l : a) {
+              if (l != *clash) c.push_back(l);
+            }
+            for (const int l : b) {
+              if (l != -*clash) c.push_back(l);
+            }
+          }
+        }
+        if (how < 19 && c.empty()) {
+          c = a;
+          c.push_back(random_lit());
+        }
+        if (c.empty()) {
+          for (std::size_t k = 1 + pick(3); k > 0; --k) c.push_back(random_lit());
+        }
+        std::shuffle(c.begin(), c.end(), rng);
+        emit('L', c);
+        if (ref.rup(canonical(c))) {
+          ++learnt;
+          ref.add(canonical(c));
+          added.push_back(c);
+        } else {
+          fail_line = line;
+        }
+        continue;
+      }
+      // A deletion of an earlier clause in another literal order, or of a
+      // random clause that most likely matches nothing.
+      if (pick(4) != 0) {
+        c = added[pick(added.size())];
+      } else {
+        for (std::size_t k = 1 + pick(3); k > 0; --k) c.push_back(random_lit());
+      }
+      std::shuffle(c.begin(), c.end(), rng);
+      emit('D', c);
+      if (ref.erase(canonical(c))) ++matched_deletions;
+    }
+
+    const auto r = check(proof);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ":\n" + proof);
+    EXPECT_EQ(r.ok, fail_line == 0) << r.error;
+    EXPECT_EQ(r.learnt_clauses, learnt);
+    if (fail_line != 0) {
+      EXPECT_EQ(r.error, "line " + std::to_string(fail_line) +
+                             ": learnt clause is not RUP");
+      ++rejected;
+    }
+    learnt_total += learnt;
+  }
+  // The generator exercises both verdicts and deletions that bite.
+  EXPECT_GT(rejected, kTrials / 10);
+  EXPECT_LT(rejected, kTrials - kTrials / 10);
+  EXPECT_GT(learnt_total, kTrials);
+  EXPECT_GT(matched_deletions, kTrials);
 }
 
 // ---- mutations of a real explorer proof -----------------------------------

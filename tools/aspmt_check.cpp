@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -120,6 +121,24 @@ int check_merged(const std::string& text) {
   return 0;
 }
 
+/// The whole stream in one string: sized up front when the file can seek,
+/// read to its end otherwise (a pipe).
+std::string read_all(std::ifstream& in) {
+  std::string text;
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  if (size > 0) {
+    text.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(text.data(), size);
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  } else {
+    in.clear();
+    text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return text;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -140,19 +159,18 @@ int main(int argc, char** argv) {
     std::cerr << "usage: aspmt_check proof.txt [--require-unsat]\n";
     return 2;
   }
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::cerr << "cannot read '" << path << "'\n";
     return 2;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::string text = read_all(in);
 
-  if (buffer.str().rfind(aspmt::cert::kMergedProofHeader, 0) == 0) {
-    return check_merged(buffer.str());
+  if (text.rfind(aspmt::cert::kMergedProofHeader, 0) == 0) {
+    return check_merged(text);
   }
 
-  const aspmt::cert::CheckResult r = aspmt::cert::check_proof(buffer.str(), options);
+  const aspmt::cert::CheckResult r = aspmt::cert::check_proof(text, options);
   std::cout << "steps: " << r.input_clauses << " input, " << r.learnt_clauses
             << " learnt, " << r.theory_lemmas << " theory, " << r.deletions
             << " deleted, " << r.conclusions << " conclusion(s), "
