@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -26,7 +25,6 @@
 #include "dse/warmstart.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
-#include "pareto/concurrent_archive.hpp"
 #include "synth/specio.hpp"
 #include "util/timer.hpp"
 
@@ -61,18 +59,15 @@ std::string_view take_token(std::string_view& rest) {
 }
 
 /// Coordinator-side event emission.  The coordinator owns the sink for the
-/// whole distributed run (shard portfolios run sink-less), so serializing
-/// emissions with one mutex upholds the sink's single-caller contract even
-/// when in-process lanes report concurrently.
+/// whole distributed run (shard workers run sink-less) and emits from its
+/// one thread, which upholds the sink's single-caller contract.
 struct ShardEvents {
   obs::EventSink* sink = nullptr;
   util::Timer epoch;
-  std::mutex mutex;
 
   void emit(obs::EventKind kind, std::int64_t a, std::int64_t b,
             std::int64_t c) {
     if (sink == nullptr) return;
-    const std::lock_guard<std::mutex> lock(mutex);
     obs::Event e;
     e.kind = kind;
     e.t_ns = static_cast<std::uint64_t>(epoch.elapsed_seconds() * 1e9);
@@ -84,41 +79,29 @@ struct ShardEvents {
   }
 };
 
-/// What one shard ultimately delivered (from either backend).
+/// What one shard ultimately delivered: its RESULT payload, whether that
+/// payload arrived intact, and why not when it did not.
 struct ShardOutcome {
+  ShardResultPayload result;
   bool delivered = false;
-  bool complete = false;
-  double seconds = 0.0;
-  std::uint64_t models = 0;
-  std::vector<std::pair<pareto::Vec, synth::Implementation>> discoveries;
-  std::vector<pareto::Vec> front;
-  std::string proof;
   std::string error;
 };
 
-ShardOutcome outcome_from_result(ParallelExploreResult&& r) {
-  ShardOutcome out;
-  out.delivered = true;
-  out.complete = r.base.stats.complete;
-  out.seconds = r.base.stats.seconds;
-  out.models = r.base.stats.models;
-  out.discoveries = std::move(r.discovery_witnesses);
-  out.front = std::move(r.base.front);
-  out.proof = std::move(r.base.proof);
-  if (!r.base.errors.empty()) out.error = r.base.errors.front();
-  return out;
-}
-
-ShardOutcome outcome_from_payload(ShardResultPayload&& p) {
-  ShardOutcome out;
-  out.delivered = true;
-  out.complete = p.complete;
-  out.seconds = p.seconds;
-  out.models = p.models;
-  out.discoveries = std::move(p.discoveries);
-  out.front = std::move(p.front);
-  out.proof = std::move(p.proof);
-  return out;
+/// "" when every discovery and front point of `p` has `axes` entries; the
+/// merge compares points axis by axis and never checks their length.
+std::string check_point_lengths(const ShardResultPayload& p, std::size_t axes) {
+  const auto mismatch = [&](const pareto::Vec& v) {
+    return "point " + pareto::to_string(v) + " has " +
+           std::to_string(v.size()) + " objectives, the specification has " +
+           std::to_string(axes) + " axes";
+  };
+  for (const auto& [point, impl] : p.discoveries) {
+    if (point.size() != axes) return mismatch(point);
+  }
+  for (const pareto::Vec& point : p.front) {
+    if (point.size() != axes) return mismatch(point);
+  }
+  return {};
 }
 
 std::string resolve_worker_path(const std::string& configured) {
@@ -136,7 +119,7 @@ std::string resolve_worker_path(const std::string& configured) {
   return "aspmt_dse";
 }
 
-// ---- process-mode plumbing -------------------------------------------------
+// ---- worker-process plumbing -----------------------------------------------
 
 struct WorkerProc {
   pid_t pid = -1;
@@ -336,6 +319,9 @@ std::string parse_shard_result(std::string_view text, ShardResultPayload& out) {
 
 DistributedResult explore_distributed(const synth::Specification& spec,
                                       const DistributedOptions& options) {
+  // Refused here rather than by every shard worker's encoder, which would
+  // turn one invalid input into a failed shard per band.
+  spec.require_valid();
   // Fail fast on unshardable axes: banding needs a linear *leaf* objective
   // (a non-latency metric), because neither difference logic nor any
   // combinator admits a sound single-sum floor/ceiling decomposition — and
@@ -371,12 +357,12 @@ DistributedResult explore_distributed(const synth::Specification& spec,
   std::vector<std::size_t> attempts(shards.size(), 0);
   std::vector<char> resumed(shards.size(), 0);
 
-  // Shared work queue; both backends pull shard indices from it.
+  // Work queue of shard indices; a requeued shard rejoins it.
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < shards.size(); ++i) queue.push_back(i);
 
-  // Requeue supervision (process mode): per-shard failure ledger plus the
-  // backoff gate a requeued shard must wait out before relaunch.
+  // Requeue supervision: per-shard failure ledger plus the backoff gate a
+  // requeued shard must wait out before relaunch.
   RetrySupervisor requeue_supervisor(options.retry, options.base.seed);
   std::vector<double> ready_at(shards.size(), 0.0);
 
@@ -386,342 +372,289 @@ DistributedResult explore_distributed(const synth::Specification& spec,
               static_cast<std::int64_t>(result.processes),
               static_cast<std::int64_t>(options.base.common.conflict_budget));
 
-  if (options.in_process) {
-    // ---- in-process backend: shards on coordinator threads ----------------
-    std::mutex mutex;
-    auto lane = [&]() {
-      for (;;) {
-        std::size_t idx = 0;
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          if (queue.empty()) return;
-          idx = queue.front();
-          queue.pop_front();
-          attempts[idx] = 1;
-        }
-        const Shard& shard = shards[idx];
-        events.emit(obs::EventKind::ShardSpawn,
-                    static_cast<std::int64_t>(shard.id), shard.lo, shard.hi);
-        ParallelExploreOptions run = options.base;
-        run.common.sink = nullptr;      // coordinator-side reporting only
-        run.common.metrics = nullptr;
-        run.common.checkpoint_path.clear();  // per-shard ckpts are process-mode
-        run.shard.active = true;
-        run.shard.objective = options.shard_objective;
-        run.shard.lo = shard.lo;
-        run.shard.hi = shard.hi;
-        run.common.warm_start.external.insert(
-            run.common.warm_start.external.end(), seeds.begin(), seeds.end());
-        util::Timer t;
-        ShardOutcome out;
-        try {
-          out = outcome_from_result(explore_parallel(spec, run));
-          out.seconds = t.elapsed_seconds();
-        } catch (const std::exception& e) {
-          out.error = e.what();
-        }
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          outcomes[idx] = std::move(out);
-        }
-        events.emit(obs::EventKind::ShardExit,
-                    static_cast<std::int64_t>(shard.id),
-                    outcomes[idx].delivered ? 1 : 0, 1);
-      }
-    };
-    const std::size_t lanes = std::min(processes, shards.size());
-    if (lanes <= 1) {
-      lane();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(lanes);
-      for (std::size_t i = 0; i < lanes; ++i) threads.emplace_back(lane);
-      for (std::thread& t : threads) t.join();
+  // ---- fork/exec shard workers over pipes ---------------------------------
+  namespace fs = std::filesystem;
+  std::string dir = options.work_dir;
+  bool made_dir = false;
+  if (dir.empty()) {
+    std::string tmpl = (fs::temp_directory_path() / "aspmt-dse-XXXXXX").string();
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    if (::mkdtemp(buf.data()) == nullptr) {
+      result.base.errors.push_back("cannot create scratch directory");
+      return result;
     }
-  } else {
-    // ---- process backend: fork/exec shard workers over pipes --------------
-    namespace fs = std::filesystem;
-    std::string dir = options.work_dir;
-    bool made_dir = false;
-    if (dir.empty()) {
-      std::string tmpl = (fs::temp_directory_path() / "aspmt-dse-XXXXXX").string();
-      std::vector<char> buf(tmpl.begin(), tmpl.end());
-      buf.push_back('\0');
-      if (::mkdtemp(buf.data()) == nullptr) {
-        result.base.errors.push_back("cannot create scratch directory");
-        return result;
-      }
-      dir.assign(buf.data());
-      made_dir = true;
+    dir.assign(buf.data());
+    made_dir = true;
+  }
+  const std::string spec_path = dir + "/spec.txt";
+  synth::save_specification(spec, spec_path);
+  // The seed pool travels as a checkpoint (seeds are a sorted antichain),
+  // which the worker reads back with checkpoint_seeds.  No fsync: the
+  // file lives only as long as the scratch directory.
+  std::string seeds_path;
+  if (!seeds.empty()) {
+    Checkpoint pool;
+    pool.spec_fingerprint = spec_fingerprint(spec);
+    pool.has_sections = true;
+    pool.sections = spec_sections(spec);
+    for (const WarmSeedCandidate& seed : seeds) {
+      pool.points.push_back(seed.point);
+      pool.witnesses.push_back(seed.impl);
     }
-    const std::string spec_path = dir + "/spec.txt";
-    synth::save_specification(spec, spec_path);
-    // The seed pool travels as a checkpoint (seeds are a sorted antichain),
-    // which the worker reads back with checkpoint_seeds.  No fsync: the
-    // file lives only as long as the scratch directory.
-    std::string seeds_path;
-    if (!seeds.empty()) {
-      Checkpoint pool;
-      pool.spec_fingerprint = spec_fingerprint(spec);
-      pool.has_sections = true;
-      pool.sections = spec_sections(spec);
-      for (const WarmSeedCandidate& seed : seeds) {
-        pool.points.push_back(seed.point);
-        pool.witnesses.push_back(seed.impl);
-      }
-      seeds_path = dir + "/seeds.ckpt";
-      std::ofstream out(seeds_path);
-      if (!(out << to_text(pool))) seeds_path.clear();
-    }
-    const std::string binary = resolve_worker_path(options.worker_path);
-    const double hb_timeout = std::max(0.5, options.heartbeat_timeout_seconds);
-    const long hb_ms = std::max<long>(
-        50, std::min<long>(1000, static_cast<long>(hb_timeout * 1e3 / 4)));
+    seeds_path = dir + "/seeds.ckpt";
+    std::ofstream out(seeds_path);
+    if (!(out << to_text(pool))) seeds_path.clear();
+  }
+  const std::string binary = resolve_worker_path(options.worker_path);
+  const double hb_timeout = std::max(0.5, options.heartbeat_timeout_seconds);
+  const long hb_ms = std::max<long>(
+      50, std::min<long>(1000, static_cast<long>(hb_timeout * 1e3 / 4)));
 
-    auto ckpt_path = [&](std::size_t idx) {
-      return dir + "/shard" + std::to_string(idx) + ".ckpt";
-    };
+  auto ckpt_path = [&](std::size_t idx) {
+    return dir + "/shard" + std::to_string(idx) + ".ckpt";
+  };
 
-    auto launch = [&](std::size_t idx, std::vector<WorkerProc>& procs) {
-      const Shard& shard = shards[idx];
-      ++attempts[idx];
-      std::vector<std::string> args;
-      args.emplace_back("shard-worker");
-      args.push_back(spec_path);
-      if (shard.lo != kMin) {
-        args.push_back("--shard-lo=" + std::to_string(shard.lo));
-      }
-      if (shard.hi != kMax) {
-        args.push_back("--shard-hi=" + std::to_string(shard.hi));
-      }
-      args.emplace_back("--shard-objective");
-      args.push_back(std::to_string(options.shard_objective));
-      args.emplace_back("--threads");
-      args.push_back(std::to_string(std::max<std::size_t>(1, options.base.threads)));
-      args.emplace_back("--seed");
-      args.push_back(std::to_string(options.base.seed));
-      args.emplace_back("--heartbeat-ms");
-      args.push_back(std::to_string(hb_ms));
-      args.emplace_back("--archive");
-      args.push_back(options.base.common.archive_kind);
-      if (!options.base.common.partial_evaluation) {
-        args.emplace_back("--no-partial-eval");
-      }
-      if (options.base.common.certify) args.emplace_back("--certify");
-      if (options.base.common.time_limit_seconds > 0.0) {
-        args.emplace_back("--time-limit");
-        args.push_back(std::to_string(options.base.common.time_limit_seconds));
-      }
-      args.emplace_back("--checkpoint-out");
+  auto launch = [&](std::size_t idx, std::vector<WorkerProc>& procs) {
+    const Shard& shard = shards[idx];
+    ++attempts[idx];
+    std::vector<std::string> args;
+    args.emplace_back("shard-worker");
+    args.push_back(spec_path);
+    if (shard.lo != kMin) {
+      args.push_back("--shard-lo=" + std::to_string(shard.lo));
+    }
+    if (shard.hi != kMax) {
+      args.push_back("--shard-hi=" + std::to_string(shard.hi));
+    }
+    args.emplace_back("--shard-objective");
+    args.push_back(std::to_string(options.shard_objective));
+    args.emplace_back("--threads");
+    args.push_back(std::to_string(std::max<std::size_t>(1, options.base.threads)));
+    args.emplace_back("--seed");
+    args.push_back(std::to_string(options.base.seed));
+    args.emplace_back("--heartbeat-ms");
+    args.push_back(std::to_string(hb_ms));
+    args.emplace_back("--archive");
+    args.push_back(options.base.common.archive_kind);
+    if (!options.base.common.partial_evaluation) {
+      args.emplace_back("--no-partial-eval");
+    }
+    if (options.base.common.certify) args.emplace_back("--certify");
+    if (options.base.common.time_limit_seconds > 0.0) {
+      args.emplace_back("--time-limit");
+      args.push_back(std::to_string(options.base.common.time_limit_seconds));
+    }
+    args.emplace_back("--checkpoint-out");
+    args.push_back(ckpt_path(idx));
+    args.emplace_back("--checkpoint-interval");
+    args.emplace_back("0");
+    if (!seeds_path.empty()) {
+      args.emplace_back("--warm-seeds");
+      args.push_back(seeds_path);
+    }
+    if (attempts[idx] > 1 && fs::exists(ckpt_path(idx))) {
+      args.emplace_back("--shard-resume");
       args.push_back(ckpt_path(idx));
-      args.emplace_back("--checkpoint-interval");
-      args.emplace_back("0");
-      if (!seeds_path.empty()) {
-        args.emplace_back("--warm-seeds");
-        args.push_back(seeds_path);
-      }
-      if (attempts[idx] > 1 && fs::exists(ckpt_path(idx))) {
-        args.emplace_back("--shard-resume");
-        args.push_back(ckpt_path(idx));
-        resumed[idx] = 1;
-      }
-      if (options.sabotage_shard >= 0 &&
-          static_cast<std::size_t>(options.sabotage_shard) == shard.id &&
-          attempts[idx] == 1) {
-        args.emplace_back("--die-after-points");
-        args.push_back(std::to_string(options.sabotage_after_points));
-      }
-      WorkerProc p;
-      p.slot = idx;
-      p.attempt = attempts[idx];
-      p.last_activity = events.epoch.elapsed_seconds();
-      const std::string err = spawn_worker(binary, args, p);
-      if (!err.empty()) {
-        outcomes[idx].error = err;
-        return;
-      }
-      procs.push_back(std::move(p));
-      events.emit(obs::EventKind::ShardSpawn,
-                  static_cast<std::int64_t>(shard.id), shard.lo, shard.hi);
-    };
+      resumed[idx] = 1;
+    }
+    if (options.sabotage_shard >= 0 &&
+        static_cast<std::size_t>(options.sabotage_shard) == shard.id &&
+        attempts[idx] == 1) {
+      args.emplace_back("--die-after-points");
+      args.push_back(std::to_string(options.sabotage_after_points));
+    }
+    WorkerProc p;
+    p.slot = idx;
+    p.attempt = attempts[idx];
+    p.last_activity = events.epoch.elapsed_seconds();
+    const std::string err = spawn_worker(binary, args, p);
+    if (!err.empty()) {
+      outcomes[idx].error = err;
+      return;
+    }
+    procs.push_back(std::move(p));
+    events.emit(obs::EventKind::ShardSpawn,
+                static_cast<std::int64_t>(shard.id), shard.lo, shard.hi);
+  };
 
-    auto handle_line = [&](WorkerProc& p, std::string_view line) {
-      p.last_activity = events.epoch.elapsed_seconds();
-      std::string_view rest = line;
-      const std::string_view head = take_token(rest);
-      if (head == "HB") {
-        std::int64_t ms = 0;
-        parse_i64(take_token(rest), ms);
-        events.emit(obs::EventKind::ShardHeartbeat,
-                    static_cast<std::int64_t>(shards[p.slot].id), ms,
-                    static_cast<std::int64_t>(p.points));
-      } else if (head == "PT") {
-        std::int64_t a = 0, b = 0, c = 0;
-        parse_i64(take_token(rest), a);
-        parse_i64(take_token(rest), b);
-        parse_i64(take_token(rest), c);
-        ++p.points;
-        events.emit(obs::EventKind::ShardPoint, a, b, c);
-      } else if (head == "RESULT") {
-        std::int64_t n = 0;
-        if (parse_i64(take_token(rest), n) && n >= 0) {
-          p.in_result = true;
-          p.result_need = static_cast<std::size_t>(n);
-          p.result.reserve(p.result_need);
-          if (p.result_need == 0) p.result_done = true;
-        }
+  auto handle_line = [&](WorkerProc& p, std::string_view line) {
+    p.last_activity = events.epoch.elapsed_seconds();
+    std::string_view rest = line;
+    const std::string_view head = take_token(rest);
+    if (head == "HB") {
+      std::int64_t ms = 0;
+      parse_i64(take_token(rest), ms);
+      events.emit(obs::EventKind::ShardHeartbeat,
+                  static_cast<std::int64_t>(shards[p.slot].id), ms,
+                  static_cast<std::int64_t>(p.points));
+    } else if (head == "PT") {
+      std::int64_t a = 0, b = 0, c = 0;
+      parse_i64(take_token(rest), a);
+      parse_i64(take_token(rest), b);
+      parse_i64(take_token(rest), c);
+      ++p.points;
+      events.emit(obs::EventKind::ShardPoint, a, b, c);
+    } else if (head == "RESULT") {
+      std::int64_t n = 0;
+      if (parse_i64(take_token(rest), n) && n >= 0) {
+        p.in_result = true;
+        p.result_need = static_cast<std::size_t>(n);
+        p.result.reserve(p.result_need);
+        if (p.result_need == 0) p.result_done = true;
       }
-      // "ASPMT-SHARD 1" and unknown lines: activity only.
-    };
+    }
+    // "ASPMT-SHARD 1" and unknown lines: activity only.
+  };
 
-    auto consume = [&](WorkerProc& p, const char* data, std::size_t n) {
-      std::size_t off = 0;
-      while (off < n) {
-        if (p.in_result && !p.result_done) {
-          const std::size_t take = std::min(n - off, p.result_need);
-          p.result.append(data + off, take);
-          p.result_need -= take;
-          off += take;
-          p.last_activity = events.epoch.elapsed_seconds();
-          if (p.result_need == 0) p.result_done = true;
-          continue;
-        }
-        const char* nl = static_cast<const char*>(
-            std::memchr(data + off, '\n', n - off));
-        if (nl == nullptr) {
-          p.linebuf.append(data + off, n - off);
-          break;
-        }
-        p.linebuf.append(data + off, static_cast<std::size_t>(nl - (data + off)));
-        off = static_cast<std::size_t>(nl - data) + 1;
-        handle_line(p, p.linebuf);
-        p.linebuf.clear();
-      }
-    };
-
-    std::vector<WorkerProc> procs;
-    while (!queue.empty() || !procs.empty()) {
-      // Launch every ready shard (backoff gate elapsed), skipping ones
-      // still waiting theirs out.
-      const double launch_now = events.epoch.elapsed_seconds();
-      for (std::size_t qi = 0;
-           procs.size() < processes && qi < queue.size();) {
-        const std::size_t idx = queue[qi];
-        if (ready_at[idx] > launch_now) {
-          ++qi;
-          continue;
-        }
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
-        launch(idx, procs);
-      }
-      if (procs.empty()) {
-        if (queue.empty()) break;
-        // Every queued shard is backing off; sleep toward the nearest gate.
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  auto consume = [&](WorkerProc& p, const char* data, std::size_t n) {
+    std::size_t off = 0;
+    while (off < n) {
+      if (p.in_result && !p.result_done) {
+        const std::size_t take = std::min(n - off, p.result_need);
+        p.result.append(data + off, take);
+        p.result_need -= take;
+        off += take;
+        p.last_activity = events.epoch.elapsed_seconds();
+        if (p.result_need == 0) p.result_done = true;
         continue;
       }
-
-      std::vector<pollfd> pfds;
-      pfds.reserve(procs.size());
-      for (const WorkerProc& p : procs) {
-        pfds.push_back(pollfd{p.fd, POLLIN, 0});
+      const char* nl = static_cast<const char*>(
+          std::memchr(data + off, '\n', n - off));
+      if (nl == nullptr) {
+        p.linebuf.append(data + off, n - off);
+        break;
       }
-      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
+      p.linebuf.append(data + off, static_cast<std::size_t>(nl - (data + off)));
+      off = static_cast<std::size_t>(nl - data) + 1;
+      handle_line(p, p.linebuf);
+      p.linebuf.clear();
+    }
+  };
 
-      char buf[65536];
-      for (std::size_t i = 0; i < procs.size(); ++i) {
-        WorkerProc& p = procs[i];
-        if (p.eof ||
-            (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+  std::vector<WorkerProc> procs;
+  while (!queue.empty() || !procs.empty()) {
+    // Launch every ready shard (backoff gate elapsed), skipping ones
+    // still waiting theirs out.
+    const double launch_now = events.epoch.elapsed_seconds();
+    for (std::size_t qi = 0;
+         procs.size() < processes && qi < queue.size();) {
+      const std::size_t idx = queue[qi];
+      if (ready_at[idx] > launch_now) {
+        ++qi;
+        continue;
+      }
+      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
+      launch(idx, procs);
+    }
+    if (procs.empty()) {
+      if (queue.empty()) break;
+      // Every queued shard is backing off; sleep toward the nearest gate.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+
+    std::vector<pollfd> pfds;
+    pfds.reserve(procs.size());
+    for (const WorkerProc& p : procs) {
+      pfds.push_back(pollfd{p.fd, POLLIN, 0});
+    }
+    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
+
+    char buf[65536];
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      WorkerProc& p = procs[i];
+      if (p.eof ||
+          (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+        continue;
+      }
+      for (;;) {
+        const ssize_t n = ::read(p.fd, buf, sizeof(buf));
+        if (n > 0) {
+          consume(p, buf, static_cast<std::size_t>(n));
           continue;
         }
-        for (;;) {
-          const ssize_t n = ::read(p.fd, buf, sizeof(buf));
-          if (n > 0) {
-            consume(p, buf, static_cast<std::size_t>(n));
-            continue;
-          }
-          if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
-            p.eof = true;  // EOF or hard error — the stream is over
-            ::close(p.fd);
-            p.fd = -1;
-          }
-          break;
+        if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+          p.eof = true;  // EOF or hard error — the stream is over
+          ::close(p.fd);
+          p.fd = -1;
         }
-      }
-
-      const double now = events.epoch.elapsed_seconds();
-      for (WorkerProc& p : procs) {
-        if (!p.eof && !p.result_done && now - p.last_activity > hb_timeout) {
-          ::kill(p.pid, SIGKILL);
-          p.last_activity = now;  // one kill per timeout trip
-        }
-        if (!p.reaped) {
-          int status = 0;
-          if (::waitpid(p.pid, &status, WNOHANG) == p.pid) {
-            p.reaped = true;
-            p.status = status;
-          }
-        }
-      }
-
-      // Finalize workers whose pipe drained and whose process was reaped.
-      for (std::size_t i = 0; i < procs.size();) {
-        WorkerProc& p = procs[i];
-        if (!p.eof || !p.reaped) {
-          ++i;
-          continue;
-        }
-        const std::size_t idx = p.slot;
-        bool delivered = false;
-        if (p.result_done) {
-          ShardResultPayload payload;
-          const std::string err = parse_shard_result(p.result, payload);
-          if (err.empty()) {
-            outcomes[idx] = outcome_from_payload(std::move(payload));
-            delivered = true;
-          } else {
-            outcomes[idx].error = "bad shard result: " + err;
-          }
-        } else if (outcomes[idx].error.empty()) {
-          outcomes[idx].error =
-              WIFSIGNALED(p.status)
-                  ? "worker killed by signal " +
-                        std::to_string(WTERMSIG(p.status))
-                  : "worker exited " + std::to_string(WEXITSTATUS(p.status)) +
-                        " without a result";
-        }
-        events.emit(obs::EventKind::ShardExit,
-                    static_cast<std::int64_t>(shards[idx].id),
-                    delivered ? 1 : 0, static_cast<std::int64_t>(p.attempt));
-        if (!delivered) {
-          // Supervised requeue onto the survivors: capped attempts with a
-          // jittered backoff gate, resuming from the dead worker's
-          // checkpoint when one was written.  Past the cap the circuit
-          // opens and the shard stays failed (its error is already in
-          // outcomes[idx]) rather than churning the pool.
-          const auto decision =
-              requeue_supervisor.on_failure(shards[idx].id);
-          if (decision.retry) {
-            const bool have_ckpt = fs::exists(ckpt_path(idx));
-            events.emit(obs::EventKind::ShardRequeue,
-                        static_cast<std::int64_t>(shards[idx].id),
-                        static_cast<std::int64_t>(attempts[idx] + 1),
-                        have_ckpt ? 1 : 0);
-            outcomes[idx] = ShardOutcome{};
-            ready_at[idx] =
-                events.epoch.elapsed_seconds() + decision.delay_seconds;
-            queue.push_back(idx);
-          }
-        }
-        procs.erase(procs.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
       }
     }
 
-    if (made_dir) {
-      std::error_code ec;
-      fs::remove_all(dir, ec);  // best-effort scratch cleanup
+    const double now = events.epoch.elapsed_seconds();
+    for (WorkerProc& p : procs) {
+      if (!p.eof && !p.result_done && now - p.last_activity > hb_timeout) {
+        ::kill(p.pid, SIGKILL);
+        p.last_activity = now;  // one kill per timeout trip
+      }
+      if (!p.reaped) {
+        int status = 0;
+        if (::waitpid(p.pid, &status, WNOHANG) == p.pid) {
+          p.reaped = true;
+          p.status = status;
+        }
+      }
     }
+
+    // Finalize workers whose pipe drained and whose process was reaped.
+    for (std::size_t i = 0; i < procs.size();) {
+      WorkerProc& p = procs[i];
+      if (!p.eof || !p.reaped) {
+        ++i;
+        continue;
+      }
+      const std::size_t idx = p.slot;
+      ShardOutcome& out = outcomes[idx];
+      if (p.result_done) {
+        ShardResultPayload payload;
+        std::string err = parse_shard_result(p.result, payload);
+        if (err.empty()) err = check_point_lengths(payload, spec.axis_count());
+        if (err.empty()) {
+          out.result = std::move(payload);
+          out.delivered = true;
+        } else {
+          out.error = "bad shard result: " + err;
+        }
+      } else if (out.error.empty()) {
+        out.error =
+            WIFSIGNALED(p.status)
+                ? "worker killed by signal " +
+                      std::to_string(WTERMSIG(p.status))
+                : "worker exited " + std::to_string(WEXITSTATUS(p.status)) +
+                      " without a result";
+      }
+      events.emit(obs::EventKind::ShardExit,
+                  static_cast<std::int64_t>(shards[idx].id),
+                  out.delivered ? 1 : 0, static_cast<std::int64_t>(p.attempt));
+      if (!out.delivered) {
+        // Supervised requeue onto the survivors: capped attempts with a
+        // jittered backoff gate, resuming from the dead worker's
+        // checkpoint when one was written.  Past the cap the circuit
+        // opens and the shard stays failed (its error is already in
+        // `out`) rather than churning the pool.
+        const auto decision =
+            requeue_supervisor.on_failure(shards[idx].id);
+        if (decision.retry) {
+          const bool have_ckpt = fs::exists(ckpt_path(idx));
+          events.emit(obs::EventKind::ShardRequeue,
+                      static_cast<std::int64_t>(shards[idx].id),
+                      static_cast<std::int64_t>(attempts[idx] + 1),
+                      have_ckpt ? 1 : 0);
+          out = ShardOutcome{};
+          ready_at[idx] =
+              events.epoch.elapsed_seconds() + decision.delay_seconds;
+          queue.push_back(idx);
+        }
+      }
+      procs.erase(procs.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+
+  if (made_dir) {
+    std::error_code ec;
+    fs::remove_all(dir, ec);  // best-effort scratch cleanup
   }
 
   // ---- merge ---------------------------------------------------------------
@@ -729,24 +662,24 @@ DistributedResult explore_distributed(const synth::Specification& spec,
   bool any_failed = false;
   std::map<pareto::Vec, synth::Implementation> witness_by_point;
   std::vector<std::pair<pareto::Vec, synth::Implementation>> union_discoveries;
-  pareto::ConcurrentArchive merged(options.base.common.archive_kind,
-                                   spec.axis_count());
+  std::vector<pareto::Vec> union_front;
   std::uint64_t total_models = 0;
 
   result.shards.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Shard& shard = shards[i];
     const ShardOutcome& out = outcomes[i];
+    const ShardResultPayload& r = out.result;
     ShardReport report;
     report.shard = shard.id;
     report.lo = shard.lo;
     report.hi = shard.hi;
     report.attempts = attempts[i];
     report.resumed = resumed[i] != 0;
-    report.completed = out.delivered && out.complete;
-    report.seconds = out.seconds;
-    report.models = out.models;
-    report.points = out.discoveries.size();
+    report.completed = out.delivered && r.complete;
+    report.seconds = r.seconds;
+    report.models = r.models;
+    report.points = r.discoveries.size();
     report.error = out.error;
     result.shards.push_back(report);
 
@@ -758,17 +691,17 @@ DistributedResult explore_distributed(const synth::Specification& spec,
           (out.error.empty() ? "no result" : out.error));
       continue;
     }
-    if (!out.complete) all_complete = false;
-    total_models += out.models;
-    for (const pareto::Vec& p : out.front) merged.insert(p);
-    for (const auto& [point, impl] : out.discoveries) {
+    if (!r.complete) all_complete = false;
+    total_models += r.models;
+    union_front.insert(union_front.end(), r.front.begin(), r.front.end());
+    for (const auto& [point, impl] : r.discoveries) {
       if (witness_by_point.emplace(point, impl).second) {
         union_discoveries.emplace_back(point, impl);
       }
     }
   }
 
-  result.base.front = merged.points();
+  result.base.front = pareto::non_dominated_filter(std::move(union_front));
   result.base.witnesses.reserve(result.base.front.size());
   for (const pareto::Vec& p : result.base.front) {
     const auto it = witness_by_point.find(p);
@@ -793,12 +726,12 @@ DistributedResult explore_distributed(const synth::Specification& spec,
     proofs.reserve(shards.size());
     bool have_proofs = all_complete;
     for (std::size_t i = 0; i < shards.size(); ++i) {
-      if (outcomes[i].proof.empty()) {
+      if (outcomes[i].result.proof.empty()) {
         have_proofs = false;
         break;
       }
       proofs.push_back(cert::ShardProof{shards[i].lo, shards[i].hi,
-                                        outcomes[i].proof});
+                                        outcomes[i].result.proof});
     }
     if (have_proofs) {
       result.base.proof =
@@ -835,7 +768,7 @@ DistributedResult explore_distributed(const synth::Specification& spec,
       launches += attempts[i];
       reg->gauge("distributed.shard" + std::to_string(shards[i].id) +
                  ".seconds")
-          .set(outcomes[i].seconds);
+          .set(outcomes[i].result.seconds);
     }
     reg->counter("distributed.requeues").set(requeues);
     // Total launches including first attempts — requeues tells how often

@@ -13,25 +13,22 @@
 // coverage argument into one machine-checked exactness claim for the merged
 // front (the bands tile the whole objective line; see cert/certify.hpp).
 //
-// Two execution backends share every other layer:
-//
-//  * process mode (the default): each shard is farmed to a forked worker —
-//    `aspmt_dse shard-worker` — over a plain pipe.  The worker streams a
-//    line protocol on stdout (handshake, heartbeats, per-point `PT` lines,
-//    then one length-prefixed `RESULT` payload) that the coordinator turns
-//    into ShardPoint/ShardHeartbeat observability events.  A worker that
-//    exits without a result or goes silent past the heartbeat timeout is
-//    SIGKILLed and its shard is requeued under the shared supervision
-//    policy (dse/supervise.hpp): capped retries with exponential backoff +
-//    deterministic jitter, then circuit-breaker quarantine so one poisoned
-//    shard cannot churn the pool forever.  Because shard workers checkpoint
-//    independently, each retry resumes from the dead worker's last snapshot
-//    through the *certifiable* warm-start gate (seeds re-validate and emit
-//    F proof steps), so no progress and no certifiability is lost.
-//
-//  * in-process mode: shards run on coordinator threads calling
-//    explore_parallel directly — the deterministic backend the equivalence
-//    test matrix ({threads} x {processes}) runs on.
+// Each shard is farmed to a forked worker — `aspmt_dse shard-worker` — over
+// a plain pipe; the coordinator is one thread that launches workers, reads
+// their pipes and merges what they return.  The worker streams a line
+// protocol on stdout (handshake, heartbeats, per-point `PT` lines, then one
+// length-prefixed `RESULT` payload) that the coordinator turns into
+// ShardPoint/ShardHeartbeat observability events.  A worker that exits
+// without a result, goes silent past the heartbeat timeout, or returns a
+// payload that does not parse or whose points do not have the
+// specification's axis count is a failed shard: its worker is SIGKILLed
+// (when still running) and the shard is requeued under the shared
+// supervision policy (dse/supervise.hpp): capped retries with exponential
+// backoff + deterministic jitter, then circuit-breaker quarantine so one
+// poisoned shard cannot churn the pool forever.  Because shard workers
+// checkpoint independently, each retry resumes from the dead worker's last
+// snapshot through the *certifiable* warm-start gate (seeds re-validate and
+// emit F proof steps), so no progress and no certifiability is lost.
 //
 // Exactness: band bounds only restrict *where* each portfolio searches;
 // the union of bands is the whole objective line, every band's front is
@@ -75,9 +72,8 @@ struct Shard {
 /// shard when the sample collapses entirely.
 ///
 /// When `seeds_out` is non-null it receives the validated sample points.
-/// The coordinator forwards them to *every* shard as warm-start seeds (in
-/// process mode as an `aspmt-ckpt` file the worker reads with
-/// checkpoint_seeds): a feasible point outside a shard's band still
+/// The coordinator forwards them to *every* shard as warm-start seeds (as
+/// an `aspmt-ckpt` file the worker reads with checkpoint_seeds): a feasible point outside a shard's band still
 /// dominates (and thereby prunes) candidates inside it, and without that
 /// cross-band knowledge each shard would redo the global dominance work
 /// banding was meant to split — on one core the distributed run would be
@@ -97,7 +93,7 @@ struct DistributedOptions {
   /// endpoints to itself (shard events are reported coordinator-side);
   /// band bounds are installed per shard.
   ParallelExploreOptions base;
-  /// Concurrent worker processes (or in-process lanes).
+  /// Concurrent worker processes.
   std::size_t processes = 2;
   /// Shard count; 0 = one shard per process.  More shards than processes
   /// gives the coordinator a work queue to rebalance onto survivors.
@@ -106,7 +102,7 @@ struct DistributedOptions {
   /// in the standard encoding); latency's difference logic has no sound
   /// floor bound.
   std::size_t shard_objective = 1;
-  /// Worker binary for process mode.  "" = $ASPMT_DSE_BIN, then
+  /// Worker binary.  "" = $ASPMT_DSE_BIN, then
   /// /proc/self/exe (correct when the coordinator is aspmt_dse itself).
   std::string worker_path;
   /// Scratch directory for the spec file and per-shard checkpoints; "" = a
@@ -124,16 +120,14 @@ struct DistributedOptions {
   /// the seed antichain is dense; the uniform sampler is the cheaper,
   /// lower-quality fallback.
   WarmStartMethod split_method = WarmStartMethod::Nsga2;
-  /// Run shards on coordinator threads instead of forked workers.
-  bool in_process = false;
-  /// Fault-injection hook (process mode): this shard's first attempt is
-  /// launched with --die-after-points, so its worker kills itself after
-  /// streaming `sabotage_after_points` points.  -1 = off.
+  /// Fault-injection hook: this shard's first attempt is launched with
+  /// --die-after-points, so its worker kills itself after streaming
+  /// `sabotage_after_points` points.  -1 = off.
   std::int64_t sabotage_shard = -1;
   std::uint64_t sabotage_after_points = 1;
-  /// Requeue supervision (process mode): a failed shard is relaunched after
-  /// a capped, jittered exponential backoff until `retry.max_attempts`
-  /// total launches, then quarantined with its failure recorded.
+  /// Requeue supervision: a failed shard is relaunched after a capped,
+  /// jittered exponential backoff until `retry.max_attempts` total
+  /// launches, then quarantined with its failure recorded.
   RetryPolicy retry;
 };
 
@@ -165,11 +159,13 @@ struct DistributedResult {
   cert::MergedCertifyResult merged;
 };
 
-/// Explore `spec` distributed over `options.processes` workers.
+/// Explore `spec` distributed over `options.processes` workers.  Throws
+/// std::invalid_argument, before any worker starts, when the specification
+/// is invalid or the shard objective is not a linear leaf axis.
 [[nodiscard]] DistributedResult explore_distributed(
     const synth::Specification& spec, const DistributedOptions& options = {});
 
-// ---- shard-worker wire format (process mode) -------------------------------
+// ---- shard-worker wire format ----------------------------------------------
 //
 // Worker stdout, line-framed until the result:
 //   ASPMT-SHARD 1              handshake

@@ -443,6 +443,9 @@ namespace detail {
 ParallelExploreResult run_portfolio(const synth::Specification& spec,
                                     const ParallelExploreOptions& options,
                                     const pareto::Vec& epsilon) {
+  // Before any worker starts: workers encode on their own threads, and a
+  // throw there would surface as per-worker failures, not as this call's.
+  spec.require_valid();
   const CommonOptions& common = options.common;
   if (!epsilon.empty() && epsilon.size() != spec.axis_count()) {
     throw std::invalid_argument(

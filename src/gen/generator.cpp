@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -88,6 +90,24 @@ BuiltArchitecture build_architecture(const GeneratorConfig& config,
   return arch;
 }
 
+/// The runtime check on a caller's config: throws std::invalid_argument
+/// naming the first field out of range.
+void check_config(const GeneratorConfig& c) {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("generator config: ") + what);
+  };
+  require(c.tasks >= 1, "tasks must be at least 1");
+  require(c.applications >= 1, "applications must be at least 1");
+  require(c.layers >= 1, "layers must be at least 1");
+  require(c.options_per_task >= 1, "options_per_task must be at least 1");
+  require(c.architecture != Architecture::SharedBus || c.bus_processors >= 1,
+          "bus_processors must be at least 1");
+  require(c.payload_min >= 0 && c.payload_min <= c.payload_max,
+          "payload_min..payload_max must be a non-negative range");
+  require(c.work_min >= 1 && c.work_min <= c.work_max,
+          "work_min..work_max must be a positive range");
+}
+
 }  // namespace
 
 std::uint32_t processor_count(const GeneratorConfig& config) {
@@ -103,7 +123,7 @@ std::uint32_t processor_count(const GeneratorConfig& config) {
 }
 
 synth::Specification generate(const GeneratorConfig& config) {
-  assert(config.tasks >= 1 && config.layers >= 1);
+  check_config(config);
   util::Rng rng(config.seed);
   Specification spec;
 
@@ -112,7 +132,7 @@ synth::Specification generate(const GeneratorConfig& config) {
 
   // One layered DAG per application, all sharing the platform.  Tasks are
   // split round-robin-contiguously across applications.
-  const std::uint32_t apps = std::max(1U, std::min(config.applications, config.tasks));
+  const std::uint32_t apps = std::min(config.applications, config.tasks);
   std::vector<TaskId> tasks;
   std::vector<std::uint32_t> layer_of;
   std::vector<std::uint32_t> app_of;
@@ -125,7 +145,7 @@ synth::Specification generate(const GeneratorConfig& config) {
   for (std::uint32_t app = 0; app < apps; ++app) {
     const std::uint32_t count =
         config.tasks / apps + (app < config.tasks % apps ? 1 : 0);
-    const std::uint32_t layers = std::max(1U, std::min(config.layers, count));
+    const std::uint32_t layers = std::min(config.layers, count);
     const std::uint32_t base = created;
     for (std::uint32_t i = 0; i < count; ++i) {
       tasks.push_back(spec.add_task("a" + std::to_string(app) + "t" +
@@ -174,7 +194,7 @@ synth::Specification generate(const GeneratorConfig& config) {
     }
   }
 
-  assert(spec.validate().empty());
+  assert(spec.validate().empty());  // follows from check_config
   return spec;
 }
 

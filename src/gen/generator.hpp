@@ -39,7 +39,9 @@ struct GeneratorConfig {
 [[nodiscard]] std::uint32_t processor_count(const GeneratorConfig& config);
 
 /// Generate a specification; the result always satisfies
-/// Specification::validate().
+/// Specification::validate().  An out-of-range config (no tasks, layers,
+/// applications, options or bus processors; an empty or negative payload
+/// or work range) throws std::invalid_argument naming the field.
 [[nodiscard]] synth::Specification generate(const GeneratorConfig& config);
 
 /// Human-readable one-line summary ("T=6 M=5 arch=mesh2x2 |R|=8 ...").

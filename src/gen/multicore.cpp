@@ -74,10 +74,20 @@ std::uint32_t core_variant_count(const MulticoreConfig& config) {
 }
 
 synth::Specification generate_multicore(const MulticoreConfig& config) {
-  assert(config.tasks >= 1 && config.layers >= 1);
-  assert(config.pipeline_depths >= 1 && config.cache_levels >= 1);
-  assert(config.big_cores + config.little_cores >= 1);
-  assert(config.throttle_factor >= 1);
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("multicore config: ") + what);
+  };
+  require(config.tasks >= 1, "tasks must be at least 1");
+  require(config.layers >= 1, "layers must be at least 1");
+  require(config.big_cores + config.little_cores >= 1,
+          "big_cores + little_cores must be at least 1");
+  require(config.pipeline_depths >= 1, "pipeline_depths must be at least 1");
+  require(config.cache_levels >= 1, "cache_levels must be at least 1");
+  require(config.throttle_factor >= 1, "throttle_factor must be at least 1");
+  require(config.payload_min >= 0 && config.payload_min <= config.payload_max,
+          "payload_min..payload_max must be a non-negative range");
+  require(config.work_min >= 1 && config.work_min <= config.work_max,
+          "work_min..work_max must be a positive range");
   util::Rng rng(config.seed);
   Specification spec;
 
@@ -99,7 +109,7 @@ synth::Specification generate_multicore(const MulticoreConfig& config) {
   // layer, plus random forward cross edges.
   std::vector<TaskId> tasks;
   std::vector<std::uint32_t> layer_of;
-  const std::uint32_t layers = std::max(1U, std::min(config.layers, config.tasks));
+  const std::uint32_t layers = std::min(config.layers, config.tasks);
   std::uint32_t msg_count = 0;
   auto add_msg = [&](TaskId a, TaskId b) {
     spec.add_message("m" + std::to_string(msg_count++), a, b,

@@ -57,7 +57,9 @@ struct MulticoreConfig {
 
 /// Generate a multicore PPA specification.  The result always satisfies
 /// Specification::validate(); a malformed or non-validating axis expression
-/// throws std::invalid_argument naming the offending axis.
+/// throws std::invalid_argument naming the offending axis, and an
+/// out-of-range config field (a count or factor below 1, an empty or
+/// negative payload or work range) one naming the field.
 [[nodiscard]] synth::Specification generate_multicore(const MulticoreConfig& config);
 
 }  // namespace aspmt::gen

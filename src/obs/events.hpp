@@ -73,8 +73,8 @@ enum class EventKind : std::uint8_t {
   /// the reused front.
   RespecReuse,
   /// Distributed exploration (dse/distributed.hpp): a shard was handed to a
-  /// worker process (or in-process lane).  a = shard id, b = band lower
-  /// bound (clamped to int64), c = band upper bound.
+  /// worker process.  a = shard id, b = band lower bound (clamped to
+  /// int64), c = band upper bound.
   ShardSpawn,
   /// A shard's worker finished.  a = shard id, b = 1 iff it delivered a
   /// result (0 = died or timed out), c = attempt number (1-based).

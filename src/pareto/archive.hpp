@@ -31,8 +31,7 @@ class Archive {
 
   /// Evict every archived point weakly dominated by `p`, except a point
   /// equal to `p` itself.  Returns the number of evicted points.  This is
-  /// exactly the eviction half of insert(); the concurrent sharded archive
-  /// uses it to clear foreign shards before inserting into the home shard.
+  /// exactly the eviction half of insert().
   virtual std::size_t erase_dominated_by(const Vec& p) = 0;
 
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
@@ -48,9 +47,9 @@ class Archive {
   }
 
  protected:
-  // Atomic because the concurrent sharded archive runs const queries under a
-  // shared lock, so concurrent readers bump this counter in parallel; the
-  // count is a statistic, relaxed ordering suffices.
+  // Atomic because the concurrent archive runs const queries under a shared
+  // lock, so concurrent readers bump this counter in parallel; the count is
+  // a statistic, relaxed ordering suffices.
   mutable std::atomic<std::uint64_t> comparisons_{0};
 
   void count_comparison() const noexcept {

@@ -1,12 +1,11 @@
 // Thread-safe shared Pareto archive for the parallel portfolio explorer.
 //
-// Points live in one of K shards (chosen by a content hash), each shard an
-// independent single-threaded Archive behind its own shared_mutex.  The
-// global invariant is the same as for a single archive — the union of all
-// shards is mutually non-dominated — and is maintained by insert(), which
-// first tries a cheap optimistic rejection (shared lock per shard, one at a
-// time) and only escalates to the exclusive all-shard lock when the point
-// survives every shard's dominance check.
+// One single-threaded Archive behind one shared_mutex, which also guards the
+// insertion log.  insert() first runs a rejection pass under the shared lock
+// (most candidates lose against the current front, and concurrent rejection
+// passes do not serialize) and takes the exclusive lock only for a point
+// that survives it; under that lock the archive's own insert re-checks
+// dominance, evicts what the point dominates, and the point joins the log.
 //
 // Every successful insertion is appended to an append-only log and bumps a
 // lock-free generation counter.  Workers poll the counter with one relaxed
@@ -32,22 +31,17 @@ namespace aspmt::pareto {
 
 class ConcurrentArchive {
  public:
-  /// `kind` as in make_archive ("linear" or "quadtree"); `shards` >= 1.
-  ConcurrentArchive(const std::string& kind, std::size_t dimensions,
-                    std::size_t shards = 8);
+  /// `kind` as in make_archive ("linear" or "quadtree").
+  ConcurrentArchive(const std::string& kind, std::size_t dimensions);
 
   ConcurrentArchive(const ConcurrentArchive&) = delete;
   ConcurrentArchive& operator=(const ConcurrentArchive&) = delete;
 
   /// Thread-safe insert with single-archive semantics: rejected iff some
-  /// archived point weakly dominates `p`; evicts points dominated by `p`
-  /// across all shards.  Returns true iff `p` entered the archive.  Throws
+  /// archived point weakly dominates `p`; evicts points dominated by `p`.
+  /// Returns true iff `p` entered the archive.  Throws
   /// std::invalid_argument when `p` does not have dimensions() entries.
-  /// `cancel`, when given, is honoured at the one point between the
-  /// optimistic shared-lock pass and the exclusive escalation: a tripped
-  /// token abandons the insert with zero mutation (returns false), so the
-  /// archive is dominance-consistent at every cancellation instant.
-  bool insert(const Vec& p, const std::atomic<bool>* cancel = nullptr);
+  bool insert(const Vec& p);
 
   /// Number of successful insertions so far — a lock-free monotone counter.
   /// Readers compare it against their last-synced value to detect front
@@ -63,28 +57,20 @@ class ConcurrentArchive {
   std::uint64_t fetch_updates(std::uint64_t since, std::vector<Vec>& out) const;
 
   /// Consistent snapshot of the current non-dominated set, sorted
-  /// lexicographically (all shards locked shared simultaneously).
+  /// lexicographically.
   [[nodiscard]] std::vector<Vec> points() const;
 
   [[nodiscard]] std::size_t size() const;
 
-  /// Total dominance comparisons across all shards.
+  /// Total dominance comparisons.
   [[nodiscard]] std::uint64_t comparisons() const;
 
-  [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
   [[nodiscard]] std::size_t dimensions() const noexcept { return dims_; }
 
  private:
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unique_ptr<Archive> archive;
-  };
-
-  [[nodiscard]] std::size_t shard_of(const Vec& p) const noexcept;
-
   std::size_t dims_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::shared_mutex log_mutex_;
+  mutable std::shared_mutex mutex_;  // guards archive_ and log_
+  std::unique_ptr<Archive> archive_;
   std::vector<Vec> log_;
   std::atomic<std::uint64_t> generation_{0};
 };

@@ -121,9 +121,10 @@ std::vector<std::string> Server::start() {
 
 SubmitOutcome Server::submit(JobRequest request) {
   SubmitOutcome out;
-  // Validate outside the lock — a malformed spec must never cost the pool.
+  // Validate outside the lock — a malformed or unsound spec must never cost
+  // the pool.
   try {
-    (void)synth::parse_specification(request.spec_text);
+    synth::parse_specification(request.spec_text).require_valid();
   } catch (const std::exception& e) {
     out.reject_reason = "invalid-spec";
     out.detail = e.what();

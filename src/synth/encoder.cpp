@@ -36,7 +36,7 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
                 theory::LinearSumPropagator& linear,
                 theory::DifferencePropagator& dl,
                 const EncodeOptions& options) {
-  assert(spec.validate().empty() && "specification must be sound");
+  spec.require_valid();
   Encoding enc;
   const auto& tasks = spec.tasks();
   const auto& msgs = spec.messages();

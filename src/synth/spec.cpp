@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <stdexcept>
 
 namespace aspmt::synth {
 
@@ -177,6 +178,13 @@ std::string Specification::validate() const {
     if (!err.empty()) return "objective " + to_string(expr) + ": " + err;
   }
   return {};
+}
+
+void Specification::require_valid() const {
+  const std::string err = validate();
+  if (!err.empty()) {
+    throw std::invalid_argument("invalid specification: " + err);
+  }
 }
 
 }  // namespace aspmt::synth

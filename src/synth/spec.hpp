@@ -148,6 +148,10 @@ class Specification {
   /// candidate binding pair.  Also validates scenario declarations and
   /// objective expressions.  Returns an empty string when sound.
   [[nodiscard]] std::string validate() const;
+  /// Throws std::invalid_argument carrying validate()'s diagnostic unless
+  /// the specification is sound: the runtime check the encoder and the
+  /// explorers make before any work.
+  void require_valid() const;
 
  private:
   std::vector<Task> tasks_;

@@ -1,9 +1,50 @@
-// Shared miniature specifications for the synthesis / DSE tests.
+// Shared miniature specifications for the synthesis / DSE tests, and the
+// shape postcondition every explorer result must meet.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "dse/explorer.hpp"
+#include "pareto/point.hpp"
 #include "synth/spec.hpp"
+#include "synth/validator.hpp"
 
 namespace aspmt::test {
+
+/// The postcondition on an explorer result, whichever path produced it: the
+/// front is strictly sorted (so duplicate-free), every point has one entry
+/// per Pareto axis, no point weakly dominates another, and every witness
+/// validates and recomputes to its point.
+inline void expect_front_shape(const synth::Specification& spec,
+                               const dse::ExploreResult& r) {
+  const std::vector<pareto::Vec>& front = r.front;
+  for (std::size_t i = 0; i + 1 < front.size(); ++i) {
+    EXPECT_LT(front[i], front[i + 1]) << "front not strictly sorted at " << i;
+  }
+  for (const pareto::Vec& p : front) {
+    // The dominance check below compares axis by axis without a length check.
+    ASSERT_EQ(p.size(), spec.axis_count()) << pareto::to_string(p);
+  }
+  for (const pareto::Vec& p : front) {
+    for (const pareto::Vec& q : front) {
+      if (&p != &q) {
+        EXPECT_FALSE(pareto::weakly_dominates(q, p))
+            << pareto::to_string(q) << " dominates " << pareto::to_string(p);
+      }
+    }
+  }
+  ASSERT_EQ(r.witnesses.size(), front.size());
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    EXPECT_EQ(synth::validate_implementation(spec, r.witnesses[i]), "")
+        << pareto::to_string(front[i]);
+    EXPECT_EQ(synth::recompute_objectives(spec, r.witnesses[i]), front[i]);
+  }
+}
 
 /// Two heterogeneous processors on one bus, producer -> consumer.
 /// Small enough for exhaustive reasoning in tests.
@@ -89,6 +130,23 @@ inline synth::Specification singleton() {
   const TaskId a = s.add_task("a");
   s.add_mapping(a, p0, 4, 2);
   return s;
+}
+
+/// examples/specs/bus_small.txt with one mapping's energy made negative:
+/// the text parses, and Specification::validate() rejects it.
+inline std::string negative_energy_spec_text() {
+  std::ifstream in(std::string(ASPMT_TEST_DATA_DIR) +
+                   "/examples/specs/bus_small.txt");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  std::string text = buf.str();
+  const std::string line = "map a0t0 p2 wcet=6 energy=9";
+  const std::size_t at = text.find(line);
+  EXPECT_NE(at, std::string::npos) << "bus_small.txt changed";
+  if (at != std::string::npos) {
+    text.replace(at, line.size(), "map a0t0 p2 wcet=6 energy=-40");
+  }
+  return text;
 }
 
 }  // namespace aspmt::test

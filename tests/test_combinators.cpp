@@ -217,18 +217,19 @@ TEST(MulticoreFamily, DistributedShardsOnTheLinearAreaAxis) {
   ASSERT_TRUE(seq.stats.complete);
 
   dse::DistributedOptions opts;
-  opts.in_process = true;
+  opts.worker_path = ASPMT_DSE_BIN;
   opts.processes = 2;
   opts.shard_objective = 1;  // "cost": a linear leaf — the only sound band
   const dse::DistributedResult r = dse::explore_distributed(spec, opts);
   ASSERT_TRUE(r.base.stats.complete);
+  test::expect_front_shape(spec, r.base);
   EXPECT_EQ(sorted(r.base.front), sorted(seq.front));
 }
 
 TEST(MulticoreFamily, CombinatorShardAxisIsRejectedNotMiscomputed) {
   const synth::Specification spec = gen::generate_multicore(small_multicore());
   dse::DistributedOptions opts;
-  opts.in_process = true;
+  opts.worker_path = ASPMT_DSE_BIN;
   opts.processes = 2;
   opts.shard_objective = 0;  // lex(latency,energy): banding would be unsound
   EXPECT_THROW(dse::explore_distributed(spec, opts), std::invalid_argument);

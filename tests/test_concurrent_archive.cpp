@@ -1,4 +1,4 @@
-// Multi-threaded stress and property tests for the sharded concurrent
+// Multi-threaded stress and property tests for the shared concurrent
 // Pareto archive: whatever the interleaving, the final archive must equal a
 // sequential insert of the same point multiset, no archived point may
 // dominate another, and the generation counter / update log must let a
@@ -161,69 +161,8 @@ TEST(ConcurrentArchive, InsertRejectsAPointOfTheWrongDimension) {
   }
 }
 
-TEST(ConcurrentArchive, TrippedCancelTokenAbandonsInsertWithoutMutation) {
-  ConcurrentArchive shared("quadtree", 3);
-  ASSERT_TRUE(shared.insert(Vec{3, 3, 3}));
-  std::atomic<bool> cancel{true};
-  // The would-be insert dominates the archived point (it would evict it);
-  // the tripped token must abandon it before any mutation.
-  EXPECT_FALSE(shared.insert(Vec{1, 1, 1}, &cancel));
-  EXPECT_EQ(shared.points(), (std::vector<Vec>{{3, 3, 3}}));
-  EXPECT_EQ(shared.generation(), 1U);
-  cancel.store(false);
-  EXPECT_TRUE(shared.insert(Vec{1, 1, 1}, &cancel));
-  EXPECT_EQ(shared.points(), (std::vector<Vec>{{1, 1, 1}}));
-}
-
-TEST(ConcurrentArchive, MidInsertCancellationKeepsFrontDominanceConsistent) {
-  // Writers race full batches against a token tripped mid-flight: however
-  // many inserts the cancellation cuts off, the surviving archive must be
-  // mutually non-dominated, contain only inserted points, and agree with
-  // the generation counter — i.e. cancellation between the optimistic
-  // shared-lock pass and the exclusive escalation never tears an insert.
-  const auto batches = random_batches(0xCA11, 40);
-  ConcurrentArchive shared("quadtree", 3);
-  std::atomic<bool> cancel{false};
-  std::atomic<std::uint64_t> successful{0};
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (std::size_t w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      std::uint64_t mine = 0;
-      for (std::size_t i = 0; i < batches[w].size(); ++i) {
-        if (w == 0 && i == batches[w].size() / 2) {
-          cancel.store(true, std::memory_order_release);  // trip mid-run
-        }
-        if (shared.insert(batches[w][i], &cancel)) ++mine;
-      }
-      successful.fetch_add(mine);
-    });
-  }
-  for (std::thread& t : writers) t.join();
-
-  const std::vector<Vec> front = shared.points();
-  for (std::size_t i = 0; i < front.size(); ++i) {
-    for (std::size_t j = 0; j < front.size(); ++j) {
-      if (i != j) {
-        EXPECT_FALSE(weakly_dominates(front[j], front[i]))
-            << to_string(front[j]) << " vs " << to_string(front[i]);
-      }
-    }
-  }
-  EXPECT_EQ(shared.generation(), successful.load());
-  EXPECT_LE(shared.size(), successful.load());
-  // Every archived point is one the writers actually offered.
-  for (const Vec& p : front) {
-    bool known = false;
-    for (const auto& batch : batches) {
-      for (const Vec& q : batch) known = known || q == p;
-    }
-    EXPECT_TRUE(known) << to_string(p);
-  }
-}
-
 TEST(ConcurrentArchive, FetchUpdatesReturnsEvictedEntriesToo) {
-  ConcurrentArchive shared("linear", 3, 2);
+  ConcurrentArchive shared("linear", 3);
   ASSERT_TRUE(shared.insert(Vec{5, 5, 5}));
   ASSERT_TRUE(shared.insert(Vec{2, 2, 2}));  // evicts (5,5,5)
   std::vector<Vec> log;
@@ -236,8 +175,8 @@ TEST(ConcurrentArchive, FetchUpdatesReturnsEvictedEntriesToo) {
   EXPECT_EQ(replay.points(), shared.points());
 }
 
-// The eviction half of insert(), exposed for the sharded archive, must
-// behave identically on both archive kinds.
+// The eviction half of insert() must behave identically on both archive
+// kinds.
 template <typename A>
 void check_erase_dominated_by(A&& archive) {
   archive.insert(Vec{2, 2, 2});

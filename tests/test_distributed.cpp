@@ -2,10 +2,12 @@
 // split, the merged front must be point-for-point identical to the
 // single-process explorer's and the merged certificate must verify.  These
 // tests enforce that over the full {threads} x {processes} matrix on every
-// synth fixture, exercise both execution backends (in-process lanes and
-// forked shard workers), and drive the certified merge with adversarial
-// shard results — forged witnesses, truncated proofs, overlapping and
-// missing bands — that must all be rejected.
+// synth fixture with forked shard workers (ASPMT_DSE_BIN, the real CLI, so
+// the fork/exec + pipe + RESULT path runs end to end), feed the
+// coordinator a worker whose result has points of the wrong length, and
+// drive the certified merge with adversarial shard results — forged
+// witnesses, truncated proofs, overlapping and missing bands — that must
+// all be rejected.
 #include "dse/distributed.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -30,6 +33,10 @@
 #include "synth/specio.hpp"
 #include "synth/validator.hpp"
 #include "synth_fixtures.hpp"
+
+#ifndef ASPMT_DSE_BIN
+#error "tests/CMakeLists.txt must define ASPMT_DSE_BIN"
+#endif
 
 namespace aspmt::dse {
 namespace {
@@ -151,12 +158,13 @@ TEST(Distributed, SeedPoolSurvivesTheCheckpointHandoff) {
 // ---- RESULT payload --------------------------------------------------------
 
 TEST(Distributed, ShardResultPayloadRoundTrips) {
+  const synth::Specification spec = test::chain3_bus();
   ParallelExploreOptions opts;
   opts.threads = 2;
   opts.common.certify = true;
-  const ParallelExploreResult r =
-      explore_parallel(test::chain3_bus(), opts);
+  const ParallelExploreResult r = explore_parallel(spec, opts);
   ASSERT_TRUE(r.base.stats.complete);
+  test::expect_front_shape(spec, r.base);
   ASSERT_FALSE(r.discovery_witnesses.empty());
   ASSERT_FALSE(r.base.proof.empty());
 
@@ -176,10 +184,12 @@ TEST(Distributed, ShardResultPayloadRoundTrips) {
 }
 
 TEST(Distributed, TruncatedShardResultIsRejected) {
+  const synth::Specification spec = test::two_proc_bus();
   ParallelExploreOptions opts;
   opts.common.certify = true;
-  const ParallelExploreResult r = explore_parallel(test::two_proc_bus(), opts);
+  const ParallelExploreResult r = explore_parallel(spec, opts);
   ASSERT_TRUE(r.base.stats.complete);
+  test::expect_front_shape(spec, r.base);
   const std::string text = shard_result_to_text(r);
   ShardResultPayload p;
   // Every prefix that cuts into the proof bytes or the trailer must fail:
@@ -195,16 +205,18 @@ TEST(Distributed, FrontMatchesSingleProcessAcrossThreadByProcessMatrix) {
   for (const Fixture& f : fixtures()) {
     const ExploreResult seq = explore(f.spec);
     ASSERT_TRUE(seq.stats.complete) << f.name;
+    test::expect_front_shape(f.spec, seq);
     for (const std::size_t threads : {1U, 2U, 4U}) {
       for (const std::size_t processes : {1U, 2U, 4U}) {
         DistributedOptions opts;
-        opts.in_process = true;  // deterministic backend for the matrix
+        opts.worker_path = ASPMT_DSE_BIN;
         opts.processes = processes;
         opts.base.threads = threads;
         opts.base.common.certify = true;
         const DistributedResult r = explore_distributed(f.spec, opts);
         ASSERT_TRUE(r.base.stats.complete)
             << f.name << " t" << threads << " p" << processes;
+        test::expect_front_shape(f.spec, r.base);
         EXPECT_EQ(r.base.front, seq.front)
             << f.name << " t" << threads << " p" << processes;
         EXPECT_TRUE(r.base.certified)
@@ -222,11 +234,12 @@ TEST(Distributed, FrontMatchesSingleProcessAcrossThreadByProcessMatrix) {
 TEST(Distributed, MergedWitnessesValidateAndMatchTheFront) {
   const synth::Specification spec = test::chain3_bus();
   DistributedOptions opts;
-  opts.in_process = true;
+  opts.worker_path = ASPMT_DSE_BIN;
   opts.processes = 2;
   opts.base.common.certify = true;
   const DistributedResult r = explore_distributed(spec, opts);
   ASSERT_TRUE(r.base.certified) << r.base.certificate_error;
+  test::expect_front_shape(spec, r.base);
   ASSERT_EQ(r.base.witnesses.size(), r.base.front.size());
   for (std::size_t i = 0; i < r.base.front.size(); ++i) {
     EXPECT_EQ(synth::validate_implementation(spec, r.base.witnesses[i]), "");
@@ -237,11 +250,12 @@ TEST(Distributed, MergedWitnessesValidateAndMatchTheFront) {
 TEST(Distributed, MergedProofContainerRoundTripsAndReCertifies) {
   const synth::Specification spec = test::chain3_bus();
   DistributedOptions opts;
-  opts.in_process = true;
+  opts.worker_path = ASPMT_DSE_BIN;
   opts.processes = 2;
   opts.base.common.certify = true;
   const DistributedResult r = explore_distributed(spec, opts);
   ASSERT_TRUE(r.base.certified) << r.base.certificate_error;
+  test::expect_front_shape(spec, r.base);
   ASSERT_FALSE(r.base.proof.empty());
   EXPECT_EQ(r.base.proof.compare(0, cert::kMergedProofHeader.size(),
                                  cert::kMergedProofHeader),
@@ -261,12 +275,14 @@ TEST(Distributed, CoordinatorEmitsShardLifecycleEvents) {
     void flush() override { flushed = true; }
   } capture;
 
+  const synth::Specification spec = test::chain3_bus();
   DistributedOptions opts;
-  opts.in_process = true;
+  opts.worker_path = ASPMT_DSE_BIN;
   opts.processes = 2;
   opts.base.common.sink = &capture;
-  const DistributedResult r = explore_distributed(test::chain3_bus(), opts);
+  const DistributedResult r = explore_distributed(spec, opts);
   ASSERT_TRUE(r.base.stats.complete);
+  test::expect_front_shape(spec, r.base);
   EXPECT_TRUE(capture.flushed);
 
   std::size_t spawns = 0;
@@ -318,6 +334,7 @@ TwoShardRun real_two_shard_run() {
     opts.shard.hi = band.hi;
     const ParallelExploreResult r = explore_parallel(run.spec, opts);
     EXPECT_TRUE(r.base.stats.complete);
+    test::expect_front_shape(run.spec, r.base);
     for (const auto& [point, impl] : r.discovery_witnesses) {
       bool seen = false;
       for (const auto& [p, unused] : run.discoveries) seen = seen || p == point;
@@ -418,16 +435,13 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
   }
 }
 
-// ---- process mode ----------------------------------------------------------
-//
-// ASPMT_DSE_BIN points at the real aspmt_dse binary (set by the test build),
-// so these run the genuine fork/exec + pipe + RESULT path end to end.
-#ifdef ASPMT_DSE_BIN
+// ---- worker processes ------------------------------------------------------
 
 TEST(Distributed, ProcessModeMatchesSingleProcessAndCertifies) {
   const synth::Specification spec = test::chain3_bus();
   const ExploreResult seq = explore(spec);
   ASSERT_TRUE(seq.stats.complete);
+  test::expect_front_shape(spec, seq);
 
   DistributedOptions opts;
   opts.processes = 2;
@@ -436,6 +450,7 @@ TEST(Distributed, ProcessModeMatchesSingleProcessAndCertifies) {
   opts.worker_path = ASPMT_DSE_BIN;
   const DistributedResult r = explore_distributed(spec, opts);
   ASSERT_TRUE(r.base.stats.complete);
+  test::expect_front_shape(spec, r.base);
   EXPECT_EQ(r.base.front, seq.front);
   EXPECT_TRUE(r.base.certified) << r.base.certificate_error;
   for (const ShardReport& s : r.shards) {
@@ -449,6 +464,7 @@ TEST(Distributed, KilledWorkerIsRequeuedAndConvergesToTheSameFront) {
   const synth::Specification spec = test::chain3_bus();
   const ExploreResult seq = explore(spec);
   ASSERT_TRUE(seq.stats.complete);
+  test::expect_front_shape(spec, seq);
 
   obs::MetricsRegistry metrics;
   DistributedOptions opts;
@@ -462,6 +478,7 @@ TEST(Distributed, KilledWorkerIsRequeuedAndConvergesToTheSameFront) {
   const DistributedResult r = explore_distributed(spec, opts);
   ASSERT_TRUE(r.base.stats.complete)
       << (r.base.errors.empty() ? "" : r.base.errors.front());
+  test::expect_front_shape(spec, r.base);
   EXPECT_EQ(r.base.front, seq.front);
   EXPECT_TRUE(r.base.certified) << r.base.certificate_error;
   ASSERT_FALSE(r.shards.empty());
@@ -471,6 +488,47 @@ TEST(Distributed, KilledWorkerIsRequeuedAndConvergesToTheSameFront) {
   // Total launches across both shards: the sabotaged one twice, the other
   // once (supervised retry bookkeeping, shared with the service layer).
   EXPECT_EQ(metrics.counter("distributed.requeue_attempts").value(), 3U);
+}
+
+// A worker whose RESULT parses but carries a point with fewer entries than
+// the specification has axes fails its shard (requeued, then quarantined)
+// instead of reaching the merge, which compares points axis by axis.
+TEST(Distributed, ShortPointInAWorkerResultFailsItsShard) {
+  const synth::Specification spec = test::chain3_bus();
+  ASSERT_EQ(spec.axis_count(), 3U);
+  const std::string payload_path = temp_path("short_point.result");
+  const std::string script_path = temp_path("short_point_worker.sh");
+  const std::string payload =
+      "complete 1\nmodels 1\nseconds 0\ndiscoveries 0\n"
+      "front 1\nf 4544 10\nproof 0\nend\n";
+  ShardResultPayload parsed;
+  ASSERT_EQ(parse_shard_result(payload, parsed), "") << "payload must parse";
+  std::ofstream(payload_path) << payload;
+  std::ofstream(script_path) << "#!/bin/sh\n"
+                             << "echo 'ASPMT-SHARD 1'\n"
+                             << "echo 'RESULT " << payload.size() << "'\n"
+                             << "cat '" << payload_path << "'\n";
+  std::filesystem::permissions(script_path,
+                               std::filesystem::perms::owner_all);
+
+  DistributedOptions opts;
+  opts.worker_path = script_path;
+  opts.processes = 2;
+  DistributedResult r;
+  ASSERT_NO_THROW(r = explore_distributed(spec, opts));
+  EXPECT_FALSE(r.base.stats.complete);
+  EXPECT_EQ(r.base.stats.reason, StopReason::WorkerFailure);
+  EXPECT_TRUE(r.base.front.empty());
+  ASSERT_FALSE(r.shards.empty());
+  for (const ShardReport& s : r.shards) {
+    EXPECT_FALSE(s.completed) << "shard " << s.shard;
+    EXPECT_EQ(s.attempts, opts.retry.max_attempts) << "shard " << s.shard;
+    EXPECT_NE(s.error.find("bad shard result"), std::string::npos) << s.error;
+    EXPECT_NE(s.error.find("has 2 objectives"), std::string::npos) << s.error;
+    EXPECT_NE(s.error.find("3 axes"), std::string::npos) << s.error;
+  }
+  std::remove(payload_path.c_str());
+  std::remove(script_path.c_str());
 }
 
 TEST(Distributed, RemovedCliAliasesAreHardErrors) {
@@ -490,6 +548,18 @@ TEST(Distributed, RemovedCliAliasesAreHardErrors) {
   EXPECT_NE(std::system(cmd2.c_str()), 0);
   const std::string err2 = slurp(err_path);
   EXPECT_NE(err2.find("--checkpoint-out"), std::string::npos) << err2;
+  std::remove(err_path.c_str());
+
+  // The in-process shard backend is gone; its flag names itself.
+  const std::string cmd3 = std::string(ASPMT_DSE_BIN) +
+                           " explore missing.txt --shard-workers 2"
+                           " --shards-in-process 2>" + err_path;
+  const int status3 = std::system(cmd3.c_str());
+  ASSERT_TRUE(WIFEXITED(status3));
+  EXPECT_EQ(WEXITSTATUS(status3), 2);
+  const std::string err3 = slurp(err_path);
+  EXPECT_NE(err3.find("--shards-in-process was removed"), std::string::npos)
+      << err3;
   std::remove(err_path.c_str());
 }
 
@@ -563,8 +633,6 @@ TEST(Cli, ResumeCertifiesAndKeepsEpsilonAtOneThread) {
     std::remove(path.c_str());
   }
 }
-
-#endif  // ASPMT_DSE_BIN
 
 }  // namespace
 }  // namespace aspmt::dse

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "dse/baselines.hpp"
+#include "dse/distributed.hpp"
+#include "dse/parallel_explorer.hpp"
+#include "synth/specio.hpp"
 #include "synth_fixtures.hpp"
 #include "synth/validator.hpp"
 
@@ -153,6 +157,36 @@ TEST(Explorer, EpsilonOfTheWrongLengthThrows) {
     EXPECT_THROW((void)explore(spec, opts), std::invalid_argument)
         << pareto::to_string(eps);
   }
+}
+
+// An invalid specification is refused before any worker starts, at every
+// thread count and in the distributed coordinator, with validate()'s
+// diagnostic — never explored into a front that means nothing.
+TEST(Explorer, InvalidSpecificationIsRejected) {
+  const synth::Specification spec =
+      synth::parse_specification(test::negative_energy_spec_text());
+  ASSERT_NE(spec.validate(), "");
+  const auto expect_rejected = [](const auto& run, const std::string& what) {
+    try {
+      run();
+      ADD_FAILURE() << what << ": explored an invalid specification";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("negative energy"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_rejected([&] { (void)explore(spec); }, "explore");
+  for (const std::size_t threads : {1U, 4U}) {
+    ParallelExploreOptions opts;
+    opts.threads = threads;
+    expect_rejected([&] { (void)explore_parallel(spec, opts); },
+                    "threads " + std::to_string(threads));
+  }
+  DistributedOptions dist;
+  dist.worker_path = ASPMT_DSE_BIN;
+  expect_rejected([&] { (void)explore_distributed(spec, dist); },
+                  "distributed");
 }
 
 TEST(Explorer, HugeEpsilonReturnsSinglePoint) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "gen/multicore.hpp"
+
 namespace aspmt::gen {
 namespace {
 
@@ -62,6 +67,64 @@ INSTANTIATE_TEST_SUITE_P(Archs, EveryArchitecture,
                          ::testing::Values(Architecture::SharedBus,
                                            Architecture::Mesh2x2,
                                            Architecture::Mesh3x3));
+
+// An out-of-range config throws, naming the field, instead of yielding a
+// specification validate() rejects or a degenerate one without tasks.
+TEST(Generator, RejectsOutOfRangeConfigs) {
+  const auto expect_rejected = [](const auto& run, const std::string& field) {
+    try {
+      (void)run();
+      ADD_FAILURE() << field << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const struct {
+    const char* field;
+    void (*mutate)(GeneratorConfig&);
+  } layered[] = {
+      {"tasks", [](GeneratorConfig& c) { c.tasks = 0; }},
+      {"applications", [](GeneratorConfig& c) { c.applications = 0; }},
+      {"layers", [](GeneratorConfig& c) { c.layers = 0; }},
+      {"options_per_task", [](GeneratorConfig& c) { c.options_per_task = 0; }},
+      {"bus_processors", [](GeneratorConfig& c) { c.bus_processors = 0; }},
+      {"payload_min", [](GeneratorConfig& c) { c.payload_min = -1; }},
+      {"payload_min", [](GeneratorConfig& c) { c.payload_max = 0; }},
+      {"work_min", [](GeneratorConfig& c) { c.work_min = 0; }},
+      {"work_min", [](GeneratorConfig& c) { c.work_max = 1; }},
+  };
+  for (const auto& k : layered) {
+    GeneratorConfig c;
+    k.mutate(c);
+    expect_rejected([&] { return generate(c); }, k.field);
+  }
+  // Only the shared bus has a processor count to get wrong.
+  GeneratorConfig mesh;
+  mesh.architecture = Architecture::Mesh2x2;
+  mesh.bus_processors = 0;
+  EXPECT_EQ(generate(mesh).validate(), "");
+
+  const struct {
+    const char* field;
+    void (*mutate)(MulticoreConfig&);
+  } multicore[] = {
+      {"tasks", [](MulticoreConfig& c) { c.tasks = 0; }},
+      {"layers", [](MulticoreConfig& c) { c.layers = 0; }},
+      {"big_cores + little_cores",
+       [](MulticoreConfig& c) { c.big_cores = c.little_cores = 0; }},
+      {"pipeline_depths", [](MulticoreConfig& c) { c.pipeline_depths = 0; }},
+      {"cache_levels", [](MulticoreConfig& c) { c.cache_levels = 0; }},
+      {"throttle_factor", [](MulticoreConfig& c) { c.throttle_factor = 0; }},
+      {"payload_min", [](MulticoreConfig& c) { c.payload_min = 4; }},
+      {"work_min", [](MulticoreConfig& c) { c.work_min = -2; }},
+  };
+  for (const auto& k : multicore) {
+    MulticoreConfig c;
+    k.mutate(c);
+    expect_rejected([&] { return generate_multicore(c); }, k.field);
+  }
+}
 
 TEST(Generator, ProcessorCounts) {
   GeneratorConfig c;

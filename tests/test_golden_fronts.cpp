@@ -121,6 +121,7 @@ TEST_P(GoldenFronts, SequentialCertifiedFrontMatchesGolden) {
   const dse::ExploreResult r = dse::explore(spec, opts);
   ASSERT_TRUE(r.stats.complete) << c.name;
   EXPECT_TRUE(r.certified) << c.name << ": " << r.certificate_error;
+  test::expect_front_shape(spec, r);
   if (regenerating()) {
     std::ofstream out(golden_path(c));
     ASSERT_TRUE(out.is_open()) << "cannot write " << golden_path(c);
@@ -141,6 +142,7 @@ TEST_P(GoldenFronts, PortfolioFrontMatchesGoldenAtOneTwoFourThreads) {
     opts.common.certify = true;
     const dse::ParallelExploreResult r = dse::explore_parallel(spec, opts);
     ASSERT_TRUE(r.base.stats.complete) << c.name << " threads " << threads;
+    test::expect_front_shape(spec, r.base);
     EXPECT_TRUE(r.base.certified) << c.name << " threads " << threads << ": "
                                   << r.base.certificate_error;
     EXPECT_EQ(r.base.front, golden) << c.name << " threads " << threads;
@@ -173,6 +175,7 @@ TEST_P(GoldenRespecPairs, IncrementalFrontMatchesEditedGoldenAtAllThreads) {
   prev_opts.common.checkpoint_path = ckpt_path;
   const dse::ExploreResult prev_run = dse::explore(base, prev_opts);
   ASSERT_TRUE(prev_run.stats.complete) << pair.base;
+  test::expect_front_shape(base, prev_run);
   dse::Checkpoint prev;
   ASSERT_EQ(dse::load_checkpoint(ckpt_path, prev), "") << pair.base;
   std::remove(ckpt_path.c_str());
@@ -183,6 +186,7 @@ TEST_P(GoldenRespecPairs, IncrementalFrontMatchesEditedGoldenAtAllThreads) {
     ro.base.common.certify = true;
     const dse::ReexploreResult r = dse::reexplore(prev, edited, ro);
     ASSERT_TRUE(r.base.stats.complete) << pair.edited << " threads " << threads;
+    test::expect_front_shape(edited, r.base);
     EXPECT_EQ(r.base.front, golden) << pair.edited << " threads " << threads;
     EXPECT_TRUE(r.base.certified)
         << pair.edited << " threads " << threads << ": "

@@ -32,11 +32,13 @@ TEST(ParallelExplorer, FrontMatchesSequentialAtEveryThreadCount) {
   for (const Fixture& f : fixtures()) {
     const ExploreResult seq = explore(f.spec);
     ASSERT_TRUE(seq.stats.complete) << f.name;
+    test::expect_front_shape(f.spec, seq);
     for (const std::size_t threads : {1U, 2U, 4U}) {
       ParallelExploreOptions opts;
       opts.threads = threads;
       const ParallelExploreResult par = explore_parallel(f.spec, opts);
       ASSERT_TRUE(par.base.stats.complete) << f.name << " @" << threads;
+      test::expect_front_shape(f.spec, par.base);
       EXPECT_EQ(par.base.front, seq.front) << f.name << " @" << threads;
     }
   }
@@ -48,6 +50,7 @@ TEST(ParallelExplorer, WitnessesValidateAndMatchTheFront) {
     opts.threads = 4;
     const ParallelExploreResult r = explore_parallel(f.spec, opts);
     ASSERT_TRUE(r.base.stats.complete) << f.name;
+    test::expect_front_shape(f.spec, r.base);
     ASSERT_EQ(r.base.witnesses.size(), r.base.front.size()) << f.name;
     for (std::size_t i = 0; i < r.base.front.size(); ++i) {
       EXPECT_EQ(synth::validate_implementation(f.spec, r.base.witnesses[i]), "")
@@ -64,6 +67,7 @@ TEST(ParallelExplorer, StatsAreInternallyConsistent) {
       opts.threads = threads;
       const ParallelExploreResult r = explore_parallel(f.spec, opts);
       ASSERT_TRUE(r.base.stats.complete) << f.name << " @" << threads;
+      test::expect_front_shape(f.spec, r.base);
       ASSERT_EQ(r.workers.size(), threads) << f.name;
 
       std::uint64_t models = 0;
@@ -99,6 +103,8 @@ TEST(ParallelExplorer, RepeatedRunsReturnTheSameFront) {
   const ParallelExploreResult a = explore_parallel(spec, opts);
   const ParallelExploreResult b = explore_parallel(spec, opts);
   ASSERT_TRUE(a.base.stats.complete && b.base.stats.complete);
+  test::expect_front_shape(spec, a.base);
+  test::expect_front_shape(spec, b.base);
   EXPECT_EQ(a.base.front, b.base.front);
 }
 
@@ -113,6 +119,8 @@ TEST(ParallelExplorer, SeedChangesTrajectoryNotTheFront) {
   const ParallelExploreResult ra = explore_parallel(spec, a);
   const ParallelExploreResult rb = explore_parallel(spec, b);
   ASSERT_TRUE(ra.base.stats.complete && rb.base.stats.complete);
+  test::expect_front_shape(spec, ra.base);
+  test::expect_front_shape(spec, rb.base);
   EXPECT_EQ(ra.base.front, rb.base.front);
 }
 
@@ -123,6 +131,7 @@ TEST(ParallelExplorer, TimeoutReportsIncomplete) {
   opts.common.time_limit_seconds = 1e-9;
   const ParallelExploreResult r = explore_parallel(spec, opts);
   EXPECT_FALSE(r.base.stats.complete);
+  test::expect_front_shape(spec, r.base);
 }
 
 TEST(ParallelExplorer, LinearArchiveKindAgrees) {
@@ -133,6 +142,8 @@ TEST(ParallelExplorer, LinearArchiveKindAgrees) {
   const ParallelExploreResult a = explore_parallel(spec, lin);
   const ExploreResult seq = explore(spec);
   ASSERT_TRUE(a.base.stats.complete && seq.stats.complete);
+  test::expect_front_shape(spec, a.base);
+  test::expect_front_shape(spec, seq);
   EXPECT_EQ(a.base.front, seq.front);
 }
 
@@ -144,6 +155,7 @@ TEST(ParallelExplorer, InfeasibleSpecYieldsEmptyCompleteFront) {
   const ParallelExploreResult r = explore_parallel(spec, opts);
   EXPECT_TRUE(r.base.stats.complete);
   EXPECT_TRUE(r.base.front.empty());
+  test::expect_front_shape(spec, r.base);
 }
 
 }  // namespace

@@ -361,13 +361,18 @@ TEST(ServeServer, CompletedJobMatchesSequentialExplore) {
 TEST(ServeServer, InvalidSpecIsRejectedStructurally) {
   Server server(small_server(""));
   ASSERT_TRUE(server.start().empty());
-  JobRequest req;
-  req.spec_text = "this is not a specification";
-  const SubmitOutcome out = server.submit(std::move(req));
-  EXPECT_FALSE(out.accepted);
-  EXPECT_EQ(out.reject_reason, "invalid-spec");
-  EXPECT_FALSE(out.detail.empty());
-  EXPECT_EQ(server.stats().rejected, 1U);
+  // One text that does not parse, one that parses but fails validation.
+  const std::string inputs[] = {"this is not a specification",
+                                test::negative_energy_spec_text()};
+  for (const std::string& text : inputs) {
+    JobRequest req;
+    req.spec_text = text;
+    const SubmitOutcome out = server.submit(std::move(req));
+    EXPECT_FALSE(out.accepted);
+    EXPECT_EQ(out.reject_reason, "invalid-spec");
+    EXPECT_FALSE(out.detail.empty());
+  }
+  EXPECT_EQ(server.stats().rejected, 2U);
   server.drain();
 }
 

@@ -127,17 +127,18 @@ Args parse_args(int argc, char** argv) {
       args.positional.push_back(std::move(a));
     }
   }
-  // Output-file flags follow the --<thing>-out convention.  The
-  // pre-redesign spellings were deprecated aliases for several releases and
-  // are now hard errors naming their replacement.
+  // Removed flags are hard errors that name themselves and what replaced
+  // them: the pre-redesign output-file spellings (now --<thing>-out) and the
+  // in-process shard backend (shards run in worker processes only).
   static const std::pair<const char*, const char*> kRemoved[] = {
-      {"proof", "proof-out"},
-      {"checkpoint", "checkpoint-out"},
+      {"proof", "use --proof-out"},
+      {"checkpoint", "use --checkpoint-out"},
+      {"shards-in-process", "shards always run in worker processes"},
   };
-  for (const auto& [old_name, new_name] : kRemoved) {
+  for (const auto& [old_name, replacement] : kRemoved) {
     if (args.named.count(old_name) == 0) continue;
-    args.removed_flag_error = std::string("--") + old_name +
-                              " was removed; use --" + new_name;
+    args.removed_flag_error =
+        std::string("--") + old_name + " was removed; " + replacement;
     break;
   }
   return args;
@@ -607,7 +608,6 @@ int explore_sharded(const synth::Specification& spec, const Args& args) {
   opts.shard_objective =
       static_cast<std::size_t>(args.num("shard-objective", 1));
   opts.heartbeat_timeout_seconds = args.num("heartbeat-timeout", 10.0);
-  opts.in_process = args.flag("shards-in-process");
   {
     // Mirrors the explore_distributed pre-flight: banding is only sound on
     // a linear leaf axis (an energy or cost metric).
@@ -675,7 +675,7 @@ int cmd_explore(const Args& args) {
     return explore_sharded(spec, args);
   }
   if (const int rc = reject_flags(
-          args, {"shard-objective", "heartbeat-timeout", "shards-in-process"},
+          args, {"shard-objective", "heartbeat-timeout"},
           "needs --shard-workers or --shards")) {
     return rc;
   }
