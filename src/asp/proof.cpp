@@ -71,22 +71,6 @@ void ProofLog::def_node_bound(std::uint32_t node, std::int64_t bound,
   buf_ += '\n';
 }
 
-void ProofLog::def_objective_linear(std::size_t objective, std::uint32_t sum) {
-  buf_ += 'O';
-  append_int(static_cast<std::int64_t>(objective));
-  buf_ += " L";
-  append_int(sum);
-  buf_ += '\n';
-}
-
-void ProofLog::def_objective_diff(std::size_t objective, std::uint32_t node) {
-  buf_ += 'O';
-  append_int(static_cast<std::int64_t>(objective));
-  buf_ += " D";
-  append_int(node);
-  buf_ += '\n';
-}
-
 void ProofLog::def_objective_term(std::size_t objective,
                                   std::string_view tree_tokens) {
   buf_ += 'O';

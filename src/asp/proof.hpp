@@ -27,7 +27,6 @@
 //                                    | X <k> <cap>{k} <term>{k}   lex packing
 //                                    | M <k> <term>{k}            min-max
 //                                    | W <k> <w>{k} <term>{k}     weighted
-//                                    | V <k> <term>{k}            scenario worst
 //                                    (leaf-only bindings are the legacy form)
 //   OB <obj> <bound> <act>           combinator-axis bound declaration:
 //                                    objective <obj> <= bound while act holds
@@ -95,10 +94,8 @@ class ProofLog {
   void def_edge(std::uint32_t edge, std::uint32_t from, std::uint32_t to,
                 std::int64_t weight, std::span<const Lit> guards);
   void def_node_bound(std::uint32_t node, std::int64_t bound, Lit activation);
-  void def_objective_linear(std::size_t objective, std::uint32_t sum);
-  void def_objective_diff(std::size_t objective, std::uint32_t node);
-  /// Tree objective binding: `O <obj> <tree_tokens>`.  A leaf-only token
-  /// string degenerates to the legacy linear/diff binding line.
+  /// Objective binding: `O <obj> <tree_tokens>`.  A leaf axis binds with
+  /// the one-token tree `L <sum>` or `D <node>`.
   void def_objective_term(std::size_t objective, std::string_view tree_tokens);
   /// Combinator-axis bound declaration: `OB <obj> <bound> <act>`.
   void def_objective_bound(std::size_t objective, std::int64_t bound,

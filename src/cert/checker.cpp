@@ -616,7 +616,7 @@ class Checker {
 
   /// Parse one objective-binding term from an O line.  Grammar:
   ///   term := L <sum> | D <node> | X <k> <cap>{k} <term>{k}
-  ///         | M <k> <term>{k} | W <k> <weight>{k} <term>{k} | V <k> <term>{k}
+  ///         | M <k> <term>{k} | W <k> <weight>{k} <term>{k}
   /// Structural limits mirror the spec validator (depth <= 8, <= 64 nodes);
   /// lex cap products are checked overflow-free so packing arithmetic in
   /// tree_lower_bound cannot wrap.  Returns an empty string on success.

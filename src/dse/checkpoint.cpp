@@ -15,18 +15,17 @@
 namespace aspmt::dse {
 namespace {
 
-// Version 2 adds the `warm` line (were heuristic seeds injected into the
-// segment's archive history?).  Version 3 adds the per-section spec digests
+// Version 2 adds the `warm` line, version 3 the per-section spec digests
 // (`sections`) and the reusable learnt-clause dump (`clauses` + `c` lines)
-// for incremental re-exploration.  Version 4 adds the `slices` line (the
-// slice scheduler's objective-0 ceilings) so re-exploration reseeds the
-// identical work partition.  Version 5 appends a fifth section digest — the
-// objective-tree digest (scenarios + combinator axes) — and gates the
-// witness-objectives-equal-point invariant on it: with a non-default tree
-// the points are tree-valued while witnesses record the base triple.  Older
-// files are still accepted and load with the new fields defaulted; a
-// newer-version line inside an older file is rejected as an unknown line
-// kind, exactly like any other foreign line.
+// for incremental re-exploration, version 4 the `slices` line.  Version 5
+// appends a fifth section digest — the objective-tree digest (scenarios +
+// combinator axes) — and gates the witness-objectives-equal-point invariant
+// on it: with a non-default tree the points are tree-valued while witnesses
+// record the base triple.  Older files are still accepted and load with the
+// new fields defaulted; a newer-version line inside an older file is
+// rejected as an unknown line kind, exactly like any other foreign line.
+// The writer no longer emits `seed`, `elapsed-ms`, `warm` or `slices`: no
+// restart reads them, so the parser skips them where their version allows.
 constexpr std::string_view kHeaderV1 = "aspmt-ckpt 1";
 constexpr std::string_view kHeaderV2 = "aspmt-ckpt 2";
 constexpr std::string_view kHeaderV3 = "aspmt-ckpt 3";
@@ -157,9 +156,6 @@ std::string to_text(const Checkpoint& ckpt) {
   std::ostringstream out;
   out << kHeader << '\n';
   out << "spec " << ckpt.spec_fingerprint << '\n';
-  out << "seed " << ckpt.seed << '\n';
-  out << "elapsed-ms " << ckpt.elapsed_ms << '\n';
-  out << "warm " << (ckpt.warm_started ? 1 : 0) << '\n';
   if (ckpt.has_sections) {
     out << "sections " << ckpt.sections.tasks << ' ' << ckpt.sections.resources
         << ' ' << ckpt.sections.mappings << ' ' << ckpt.sections.objectives
@@ -173,11 +169,6 @@ std::string to_text(const Checkpoint& ckpt) {
       for (const std::int32_t l : clause) out << ' ' << l;
       out << '\n';
     }
-  }
-  if (!ckpt.slice_bounds.empty()) {
-    out << "slices " << ckpt.slice_bounds.size();
-    for (const std::int64_t b : ckpt.slice_bounds) out << ' ' << b;
-    out << '\n';
   }
   out << "points " << ckpt.points.size() << '\n';
   for (const pareto::Vec& p : ckpt.points) {
@@ -258,20 +249,12 @@ std::string parse_checkpoint(std::string_view text, Checkpoint& out) {
       if (!sc.integer(out.spec_fingerprint) || !sc.done()) {
         return "checkpoint: malformed spec fingerprint";
       }
-    } else if (kind == "seed") {
-      if (!sc.integer(out.seed) || !sc.done()) {
-        return "checkpoint: malformed seed";
-      }
-    } else if (kind == "elapsed-ms") {
-      if (!sc.integer(out.elapsed_ms) || !sc.done()) {
-        return "checkpoint: malformed elapsed time";
-      }
-    } else if (kind == "warm" && version >= 2) {
-      int flag = 0;
-      if (!sc.integer(flag) || !sc.done() || (flag != 0 && flag != 1)) {
-        return "checkpoint: malformed warm-start flag";
-      }
-      out.warm_started = flag != 0;
+    } else if (kind == "seed" || kind == "elapsed-ms" ||
+               (kind == "warm" && version >= 2) ||
+               (kind == "slices" && version >= 4)) {
+      // Retired lines (the writing run's seed, wall time, warm-start flag
+      // and slice partition): no restart reads them, so their contents are
+      // ignored.
     } else if (kind == "sections" && version >= 3) {
       if (!sc.integer(out.sections.tasks) ||
           !sc.integer(out.sections.resources) ||
@@ -314,16 +297,6 @@ std::string parse_checkpoint(std::string_view text, Checkpoint& out) {
       }
       if (!sc.done()) return "checkpoint: malformed clause";
       out.clauses.push_back(std::move(clause));
-    } else if (kind == "slices" && version >= 4) {
-      std::size_t n = 0;
-      if (!sc.integer(n) || n == 0 || n > 4096) {
-        return "checkpoint: malformed slice bounds";
-      }
-      out.slice_bounds.resize(n);
-      for (auto& b : out.slice_bounds) {
-        if (!sc.integer(b)) return "checkpoint: malformed slice bound";
-      }
-      if (!sc.done()) return "checkpoint: malformed slice bounds";
     } else if (kind == "points") {
       if (!sc.integer(declared_points) || !sc.done()) {
         return "checkpoint: malformed point count";

@@ -1,14 +1,14 @@
 // Archive checkpointing for long exploration runs.
 //
-// A checkpoint is a versioned, checksummed text snapshot of the best-known
-// front: the non-dominated points, one witness implementation per point
-// (when collected), the spec fingerprint that produced them, the base seed
-// and the elapsed wall time.  Snapshots are written atomically (tmp file +
-// rename) so a crash mid-write never leaves a torn file, and the loader
-// verifies the FNV-1a checksum plus the structural invariants (sorted,
-// mutually non-dominated, witness objectives matching their points) before
-// accepting anything — a corrupted checkpoint degrades to a cold start, it
-// never poisons a resumed run.
+// A checkpoint is a versioned, checksummed text snapshot of what a restart
+// reads: the spec fingerprint and per-section digests that classify it, the
+// learnt-clause dump, and the best-known front — the non-dominated points
+// with one witness implementation per point (when collected).  Snapshots
+// are written atomically (tmp file + rename) so a crash mid-write never
+// leaves a torn file, and the loader verifies the FNV-1a checksum plus the
+// structural invariants (sorted, mutually non-dominated, witness objectives
+// matching their points) before accepting anything — a corrupted checkpoint
+// degrades to a cold start, it never poisons a resumed run.
 //
 // Restarting from a checkpoint (reuse_checkpoint, respec.hpp — the one
 // restart path) classifies it against the spec, turns its witnesses into
@@ -38,12 +38,6 @@ namespace aspmt::dse {
 
 struct Checkpoint {
   std::uint64_t spec_fingerprint = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t elapsed_ms = 0;  ///< the writing run's own wall time
-  /// Format v2: true when some seed entered the writing run's archive
-  /// through the warm-start gate (heuristic seeds or a restarted
-  /// checkpoint's points).  v1 files load with false.
-  bool warm_started = false;
   /// Format v3: per-section spec digests (dse/respec.hpp) enabling
   /// incremental re-exploration to classify spec deltas; false on v1/v2
   /// files, where only the combined fingerprint is available.
@@ -54,13 +48,6 @@ struct Checkpoint {
   /// [1, clause_base_vars].  Empty when no dump was taken.
   std::uint32_t clause_base_vars = 0;
   std::vector<std::vector<std::int32_t>> clauses;
-  /// Format v4: the slice scheduler's objective-0 ceilings at snapshot time
-  /// (id order).  A restart (reuse_checkpoint) reseeds the scheduler from
-  /// these exact bounds instead of re-deriving a partition from the reused
-  /// front, so a resumed session works the identical regions.  Empty when
-  /// the scheduler was never seeded (single-threaded or degenerate range);
-  /// v1–v3 files load with it empty.
-  std::vector<std::int64_t> slice_bounds;
   /// Mutually non-dominated, sorted lexicographically.
   std::vector<pareto::Vec> points;
   /// Parallel to `points`; an implementation with empty option_of_task
@@ -73,7 +60,9 @@ struct Checkpoint {
 [[nodiscard]] std::uint64_t spec_fingerprint(const synth::Specification& spec);
 
 /// Serialize to the `aspmt-ckpt 5` text format (checksum trailer included).
-/// The loader accepts v5 plus legacy v4/v3/v2/v1 files.
+/// The loader accepts v5 plus legacy v4/v3/v2/v1 files; it skips the lines
+/// older writers emitted and no restart reads (`seed`, `elapsed-ms`, `warm`,
+/// `slices`).
 [[nodiscard]] std::string to_text(const Checkpoint& ckpt);
 
 /// Serialize one witness implementation as the payload of a checkpoint `w`

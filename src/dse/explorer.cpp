@@ -44,9 +44,6 @@ ExploreResult explore(const synth::Specification& spec,
   ParallelExploreOptions one;
   one.common = options.common;
   one.threads = 1;
-  // The checkpoint's base seed; a lone worker keeps the caller's solver
-  // configuration unchanged, so the portfolio seed has no other use here.
-  one.seed = options.common.solver_options.seed;
   ParallelExploreResult run = detail::run_portfolio(spec, one, options.epsilon);
   ExploreResult result = std::move(run.base);
   // A contained exception ends the lone worker's run; report it ahead of the

@@ -63,21 +63,4 @@ ObjectiveManager::Source ObjectiveManager::source(std::size_t i) const noexcept 
   }
 }
 
-std::vector<std::int64_t> ObjectiveManager::epsilon_splits(std::int64_t lo,
-                                                           std::int64_t hi,
-                                                           std::size_t parts) {
-  std::vector<std::int64_t> splits;
-  if (parts < 2 || hi <= lo) return splits;
-  const std::int64_t span = hi - lo;
-  for (std::size_t i = 1; i < parts; ++i) {
-    const std::int64_t b =
-        lo + span * static_cast<std::int64_t>(i) /
-                 static_cast<std::int64_t>(parts);
-    if (b <= lo || b >= hi) continue;
-    if (!splits.empty() && splits.back() == b) continue;
-    splits.push_back(b);
-  }
-  return splits;
-}
-
 }  // namespace aspmt::dse

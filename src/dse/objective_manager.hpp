@@ -95,17 +95,6 @@ class ObjectiveManager {
   };
   [[nodiscard]] Source source(std::size_t i) const noexcept;
 
-  /// Epsilon-constraint work partitioning for the parallel portfolio: split
-  /// the observed objective range [lo, hi] into `parts` regions and return
-  /// the ascending interior upper bounds (at most parts-1, deduplicated,
-  /// strictly inside (lo, hi)).  Worker w then explores under
-  /// `objective <= splits[w-1]` before falling back to the full problem, so
-  /// the portfolio seeds the archive from `parts` different slices of the
-  /// front.  Purely a work-partitioning heuristic — completeness never
-  /// depends on it.
-  [[nodiscard]] static std::vector<std::int64_t> epsilon_splits(
-      std::int64_t lo, std::int64_t hi, std::size_t parts);
-
  private:
   std::vector<ObjectiveTerm> axes_;
   CombinatorBoundPropagator* residual_ = nullptr;

@@ -50,7 +50,6 @@ struct SharedState {
   Budget* budget;
   std::atomic<bool> complete{false};
   util::Timer timer;
-  bool warm_started = false;  ///< some seed entered through the warm gate
 
   std::mutex mutex;  // guards witnesses, discoveries, errors
   std::map<pareto::Vec, synth::Implementation> witnesses;
@@ -66,7 +65,6 @@ struct SharedState {
   CheckpointWriter* checkpoint = nullptr;
   const FaultPlan* fault = nullptr;
   FaultState fstate;
-  std::uint64_t checkpoint_seed = 0;
   std::uint64_t fingerprint = 0;
   // v3 checkpoint payload: per-section digests (set once at setup) and
   // worker 0's learnt-clause dump, published at its exit under `mutex`, so
@@ -100,12 +98,8 @@ struct SharedState {
   Checkpoint snapshot() {
     Checkpoint c;
     c.spec_fingerprint = fingerprint;
-    c.seed = checkpoint_seed;
-    c.elapsed_ms = static_cast<std::uint64_t>(timer.elapsed_ms());
-    c.warm_started = warm_started;
     c.has_sections = true;
     c.sections = sections;
-    c.slice_bounds = scheduler.bounds();
     c.points = archive.points();
     std::lock_guard lock(mutex);
     if (!clauses.empty()) {
@@ -297,8 +291,9 @@ void run_worker(std::size_t index, std::size_t total,
 
   /// Claim the next slice from the gap-guided scheduler (workers > 0 only).
   /// The scheduler is seeded lazily from the first front snapshot that
-  /// spans a range — with a warm start that is before the first solve call,
-  /// so slices (and their hypervolume-gap ranking) exist from t ~ 0.
+  /// spans a range — with a warm start or a restart (whose reused front is
+  /// that snapshot) it is before the first solve call, so slices (and their
+  /// hypervolume-gap ranking) exist from t ~ 0.
   const auto try_activate_slice = [&]() {
     if (active_slice != kNoSlice || index == 0 || total < 2) return;
     if (!shared.scheduler.seeded() &&
@@ -475,7 +470,6 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
   SharedState shared(common.archive_kind, spec.axis_count(), budget, threads);
   shared.fault = fault;
   shared.epsilon = epsilon;
-  shared.checkpoint_seed = options.seed;
   shared.fingerprint = spec_fingerprint(spec);
   shared.sections = spec_sections(spec);
   if (common.metrics != nullptr) {
@@ -518,7 +512,6 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
     ExploreStats& stats = result.base.stats;
     stats.warm_rejected = ws.rejected_invalid + ws.rejected_dominated;
     stats.warm_seeds = ws.seeds.size();
-    shared.warm_started = !ws.seeds.empty();
     for (WarmSeedCandidate& seed : ws.seeds) {
       shared.archive.insert(seed.point);
       shared.discoveries.emplace_back(shared.timer.elapsed_seconds(),
@@ -529,13 +522,6 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
       }
       shared.witnesses[seed.point] = std::move(seed.impl);
     }
-  }
-
-  // Checkpoint-v4 slice persistence: rebuild the slice partition from
-  // explicit bounds so a restarted session works the same regions (gap
-  // scores refresh against whatever front is already seeded).
-  if (!options.slice_bounds.empty() && threads > 1) {
-    shared.scheduler.seed_bounds(options.slice_bounds, shared.archive.points());
   }
 
   std::unique_ptr<CheckpointWriter> ckpt_writer;

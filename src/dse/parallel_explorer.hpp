@@ -13,7 +13,8 @@
 // activation-guarded bounds f <= v.
 //
 // Work partitioning: as soon as the shared front spans a range in the first
-// objective (immediately, under a warm start), it is carved into roughly
+// objective (immediately, under a warm start or a restart, whose reused
+// front is the first snapshot), it is carved into roughly
 // 2*(threads-1) epsilon-constraint slices `latency <= split_i`, each scored
 // by its remaining-hypervolume gap (pareto::slice_hypervolume_gaps).  A
 // shared SliceScheduler (warmstart.hpp) hands the highest-gap pending slice
@@ -76,12 +77,6 @@ struct ParallelExploreOptions {
     std::int64_t hi = std::numeric_limits<std::int64_t>::max();
   };
   ShardBand shard;
-
-  /// Pre-seeded slice bounds (a v4 checkpoint's, set by reuse_checkpoint):
-  /// when non-empty the SliceScheduler is built from these objective-0
-  /// ceilings before any worker spawns instead of waiting for a front
-  /// snapshot that spans a range.
-  std::vector<std::int64_t> slice_bounds;
 };
 
 /// Per-worker accounting for the CLI report and the consistency tests.

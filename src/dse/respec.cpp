@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <thread>
 
 #include "dse/checkpoint.hpp"
 #include "dse/warmstart.hpp"
@@ -320,26 +319,6 @@ ReuseStats reuse_checkpoint(const Checkpoint& ckpt,
     }
   }
 
-  std::size_t threads =
-      run.threads != 0 ? run.threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-
-  // Slice resumption.  A v4 checkpoint persists the previous session's
-  // slice bounds, so the scheduler reseeds the *identical* partition (slice
-  // bounds are pure work-partitioning heuristics — safe under every delta
-  // class that reuses anything).  Without them the scheduler derives a
-  // fresh partition from the reused front.
-  if (threads > 1 && cls != DeltaClass::Unsafe && !ckpt.slice_bounds.empty()) {
-    run.slice_bounds = ckpt.slice_bounds;
-    reuse.slices_resumed = ckpt.slice_bounds.size();
-  } else if (threads > 1 && seeds.size() >= 2) {
-    std::vector<pareto::Vec> pts;
-    pts.reserve(seeds.size());
-    for (const WarmSeedCandidate& c : seeds) pts.push_back(c.point);
-    SliceScheduler probe;
-    if (probe.seed(pts, 2 * (threads - 1))) reuse.slices_resumed = probe.pending();
-  }
-
   reuse.cold_start = seeds.empty() && reuse.clauses_replayed == 0;
   common.warm_start.external.insert(common.warm_start.external.end(),
                                     std::make_move_iterator(seeds.begin()),
@@ -357,7 +336,7 @@ ReuseStats reuse_checkpoint(const Checkpoint& ckpt,
     e.kind = obs::EventKind::RespecReuse;
     e.a = static_cast<std::int64_t>(reuse.archive_reused);
     e.b = static_cast<std::int64_t>(reuse.clauses_replayed);
-    e.c = static_cast<std::int64_t>(reuse.slices_resumed);
+    e.c = 0;
     common.sink->on_event(e);
   }
   if (common.metrics != nullptr) {
@@ -366,7 +345,6 @@ ReuseStats reuse_checkpoint(const Checkpoint& ckpt,
     m.counter("respec.archive_reused").set(reuse.archive_reused);
     m.counter("respec.clause_candidates").set(reuse.clause_candidates);
     m.counter("respec.clauses_replayed").set(reuse.clauses_replayed);
-    m.counter("respec.slices_resumed").set(reuse.slices_resumed);
     m.gauge("respec.delta_class").set(static_cast<double>(cls));
     m.gauge("respec.reuse_rate").set(reuse.reuse_rate());
     m.gauge("respec.cold_start").set(reuse.cold_start ? 1.0 : 0.0);

@@ -13,9 +13,11 @@
 //     (re-validate, never trust);
 //   * learnt clauses — replayed behind a fresh assumption guard
 //     (asp::Solver::add_guarded_clauses), so a stale or hostile dump can
-//     prune nothing from the final answer;
-//   * epsilon slices — the portfolio's SliceScheduler is seeded from the
-//     reused front instead of waiting for first discoveries.
+//     prune nothing from the final answer.
+//
+// Nothing else carries over.  The portfolio's SliceScheduler cuts its
+// epsilon slices from the first front snapshot that spans a range, as in a
+// cold run; for a restart that snapshot is the reused front.
 //
 // The exactness bar is unconditional: an incremental run returns the same
 // front a cold run would, certified, at any thread count — reuse only ever
@@ -66,9 +68,9 @@ struct SectionDigests {
 
 /// How much of a previous session survives the spec edit.
 enum class DeltaClass : std::uint8_t {
-  Identical,    ///< everything reuses: archive, clauses, slices
+  Identical,    ///< everything reuses: archive and clauses
   ClauseSafe,   ///< only coefficients changed: variable layout is intact,
-                ///< so archive + guarded clause replay + slices all reuse
+                ///< so archive + guarded clause replay both reuse
   ArchiveSafe,  ///< structure changed but tasks survive: witnesses re-decode
                 ///< against the new spec; the clause dump is meaningless
   Unsafe,       ///< tasks changed (or v1/v2 checkpoint + different spec):
@@ -127,8 +129,7 @@ struct ReuseStats {
   /// still drops the whole hand-off if its base_vars does not match the
   /// encoding; actually-installed counts are ExploreStats::replayed_clauses.
   std::size_t clauses_replayed = 0;
-  std::size_t slices_resumed = 0;      ///< epsilon slices seedable from reuse
-  bool cold_start = false;             ///< nothing was reusable
+  bool cold_start = false;  ///< nothing was reusable
   /// Fraction of reuse candidates that actually got reused (0 when none
   /// were offered).
   [[nodiscard]] double reuse_rate() const noexcept {
@@ -161,9 +162,8 @@ struct ReexploreResult {
 /// whatever the delta marks safe to reuse — checkpoint_seeds appended to
 /// `run.common.warm_start.external`; for Identical/ClauseSafe deltas the
 /// clause dump (invalid clauses dropped, at most 4096) as
-/// `run.common.clause_replay`; and at > 1 thread the v4 slice bounds as
-/// `run.slice_bounds`.  Emits the respec-delta/respec-reuse events to
-/// `run.common.sink` and sets the `respec.*` metrics.  A default-constructed
+/// `run.common.clause_replay`.  Emits the respec-delta/respec-reuse events
+/// to `run.common.sink` and sets the `respec.*` metrics.  A default-constructed
 /// checkpoint (what a failed load leaves) is an Unsafe delta: a cold start.
 ReuseStats reuse_checkpoint(const Checkpoint& ckpt,
                             const synth::Specification& spec,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "dse/objective_manager.hpp"
 #include "ea/nsga2.hpp"
 #include "pareto/archive.hpp"
 #include "pareto/indicators.hpp"
@@ -132,6 +131,30 @@ WarmStartResult generate_warm_seeds(const synth::Specification& spec,
   return result;
 }
 
+namespace {
+
+/// Epsilon-constraint work partitioning: split the observed objective-0
+/// range [lo, hi] into `parts` regions and return the ascending interior
+/// upper bounds (at most parts-1, deduplicated, strictly inside (lo, hi)).
+/// Purely a work-partitioning heuristic — completeness never depends on it.
+std::vector<std::int64_t> epsilon_splits(std::int64_t lo, std::int64_t hi,
+                                         std::size_t parts) {
+  std::vector<std::int64_t> splits;
+  if (parts < 2 || hi <= lo) return splits;
+  const std::int64_t span = hi - lo;
+  for (std::size_t i = 1; i < parts; ++i) {
+    const std::int64_t b =
+        lo + span * static_cast<std::int64_t>(i) /
+                 static_cast<std::int64_t>(parts);
+    if (b <= lo || b >= hi) continue;
+    if (!splits.empty() && splits.back() == b) continue;
+    splits.push_back(b);
+  }
+  return splits;
+}
+
+}  // namespace
+
 bool SliceScheduler::seed(const std::vector<pareto::Vec>& front,
                           std::size_t parts) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -143,43 +166,13 @@ bool SliceScheduler::seed(const std::vector<pareto::Vec>& front,
     lo = std::min(lo, p[0]);
     hi = std::max(hi, p[0]);
   }
-  const std::vector<std::int64_t> splits =
-      ObjectiveManager::epsilon_splits(lo, hi, parts);
+  const std::vector<std::int64_t> splits = epsilon_splits(lo, hi, parts);
   if (splits.empty()) return false;
   const std::vector<double> gaps = pareto::slice_hypervolume_gaps(front, splits);
-  install(splits, gaps);
-  return true;
-}
-
-bool SliceScheduler::seed_bounds(const std::vector<std::int64_t>& bounds,
-                                 const std::vector<pareto::Vec>& front) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (seeded_) return true;
-  if (bounds.empty()) return false;
-  std::vector<std::int64_t> splits = bounds;
-  std::sort(splits.begin(), splits.end());
-  splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
-  const std::vector<double> gaps =
-      front.size() >= 2 ? pareto::slice_hypervolume_gaps(front, splits)
-                        : std::vector<double>();
-  install(splits, gaps);
-  return true;
-}
-
-std::vector<std::int64_t> SliceScheduler::bounds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::int64_t> out;
-  out.reserve(slices_.size());
-  for (const Slice& s : slices_) out.push_back(s.bound);
-  return out;
-}
-
-void SliceScheduler::install(const std::vector<std::int64_t>& splits,
-                             const std::vector<double>& gaps) {
   slices_.resize(splits.size());
   requeued_.assign(splits.size(), 0);
   for (std::size_t i = 0; i < splits.size(); ++i) {
-    slices_[i] = Slice{i, splits[i], i < gaps.size() ? gaps[i] : 0.0};
+    slices_[i] = Slice{i, splits[i], gaps[i]};
   }
   // Pending queue ordered so the *back* is the next claim: ascending gap,
   // ties broken towards lower slice id (tighter objective-0 bound) first.
@@ -193,6 +186,7 @@ void SliceScheduler::install(const std::vector<std::int64_t>& splits,
                      return slices_[a].id > slices_[b].id;
                    });
   seeded_ = true;
+  return true;
 }
 
 std::optional<SliceScheduler::Slice> SliceScheduler::claim() {

@@ -20,9 +20,9 @@
 //     epsilon slices.  Instead of statically assigning slice i to worker i,
 //     a SliceScheduler scores every slice by its remaining-hypervolume gap
 //     (pareto::slice_hypervolume_gaps) against the incumbent front —
-//     warm-start seeds make that front available immediately — and workers
-//     claim the highest-gap slice next, so search effort goes where the
-//     most unexplained volume is.
+//     warm-start seeds and a restart's reused points make that front
+//     available immediately — and workers claim the highest-gap slice next,
+//     so search effort goes where the most unexplained volume is.
 #pragma once
 
 #include <cstdint>
@@ -110,20 +110,8 @@ class SliceScheduler {
   /// Build the slice table from a front snapshot: `parts` epsilon splits on
   /// objective 0, scored by pareto::slice_hypervolume_gaps.  Only the first
   /// call with a front of >= 2 points takes effect; returns true when the
-  /// table was (already) built.
+  /// table was (already) built.  This is the one way to build it.
   bool seed(const std::vector<pareto::Vec>& front, std::size_t parts);
-
-  /// Build the slice table from explicit objective-0 ceilings (checkpoint v4
-  /// slice persistence, distributed shard resume) instead of deriving splits
-  /// from a front snapshot.  Gaps are scored against `front` when it has the
-  /// two points slice_hypervolume_gaps needs, else they default to zero.
-  /// Same first-call-wins contract as seed().
-  bool seed_bounds(const std::vector<std::int64_t>& bounds,
-                   const std::vector<pareto::Vec>& front);
-
-  /// All slice bounds in id order (empty before seeding) — what checkpoint
-  /// v4 persists so a later session reseeds the identical partition.
-  [[nodiscard]] std::vector<std::int64_t> bounds() const;
 
   /// Claim the pending slice with the largest gap; nullopt when none left.
   std::optional<Slice> claim();
@@ -136,11 +124,6 @@ class SliceScheduler {
   [[nodiscard]] std::size_t pending() const;
 
  private:
-  /// Shared tail of seed()/seed_bounds(): fill the slice table and order the
-  /// pending queue.  Caller holds `mutex_`.
-  void install(const std::vector<std::int64_t>& splits,
-               const std::vector<double>& gaps);
-
   mutable std::mutex mutex_;
   bool seeded_ = false;
   std::vector<Slice> slices_;        // immutable after seeding

@@ -69,8 +69,8 @@ enum class EventKind : std::uint8_t {
   /// mappings=4, objectives=8), c = 1 iff the run degraded to a cold start.
   RespecDelta,
   /// Incremental re-exploration reuse summary.  a = archive witnesses
-  /// reused, b = learnt clauses replayed, c = epsilon slices resumable from
-  /// the reused front.
+  /// reused, b = learnt clauses replayed, c = 0 (the slices a restarted run
+  /// cuts from the reused front show up as SliceScheduled events).
   RespecReuse,
   /// Distributed exploration (dse/distributed.hpp): a shard was handed to a
   /// worker process.  a = shard id, b = band lower bound (clamped to

@@ -21,13 +21,6 @@ bool LinearArchive::insert(const Vec& p) {
   return true;
 }
 
-std::size_t LinearArchive::erase_dominated_by(const Vec& p) {
-  return std::erase_if(points_, [&](const Vec& q) {
-    count_comparison();
-    return q != p && weakly_dominates(p, q);
-  });
-}
-
 const Vec* LinearArchive::find_weak_dominator(const Vec& q) const {
   for (const Vec& p : points_) {
     count_comparison();

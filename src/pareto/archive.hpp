@@ -29,11 +29,6 @@ class Archive {
   /// is invalidated by the next insert.
   [[nodiscard]] virtual const Vec* find_weak_dominator(const Vec& q) const = 0;
 
-  /// Evict every archived point weakly dominated by `p`, except a point
-  /// equal to `p` itself.  Returns the number of evicted points.  This is
-  /// exactly the eviction half of insert().
-  virtual std::size_t erase_dominated_by(const Vec& p) = 0;
-
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
 
   /// Snapshot of all points (sorted lexicographically for reproducibility).
@@ -62,7 +57,6 @@ class LinearArchive final : public Archive {
  public:
   bool insert(const Vec& p) override;
   [[nodiscard]] const Vec* find_weak_dominator(const Vec& q) const override;
-  std::size_t erase_dominated_by(const Vec& p) override;
   [[nodiscard]] std::size_t size() const noexcept override { return points_.size(); }
   [[nodiscard]] std::vector<Vec> points() const override;
   void clear() override { points_.clear(); }

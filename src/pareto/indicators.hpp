@@ -27,8 +27,8 @@ namespace aspmt::pareto {
 
 /// Remaining-hypervolume estimate per epsilon slice of objective 0.
 ///
-/// `splits` are the ascending interior bounds produced by
-/// `ObjectiveManager::epsilon_splits`; slice i is the objective-0 band
+/// `splits` are the ascending interior bounds the portfolio's slice
+/// scheduler cuts (dse::SliceScheduler::seed); slice i is the objective-0 band
 /// (splits[i-1], splits[i]] (the first band starts at the front's
 /// objective-0 minimum).  The score of a band is the volume of its
 /// bounding box — spanned by the band on objective 0 and by the front's

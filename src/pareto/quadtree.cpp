@@ -130,26 +130,22 @@ void QuadTreeArchive::hang(std::int32_t node) {
 bool QuadTreeArchive::insert(const Vec& p) {
   check_dimensions(p, dims_);
   if (dominator_in(root_, p) != nullptr) return false;
-  erase_dominated_by(p);
+  evict_dominated_by(p);
   hang(alloc(p));
   ++size_;
   return true;
 }
 
-std::size_t QuadTreeArchive::erase_dominated_by(const Vec& p) {
-  check_dimensions(p, dims_);
+void QuadTreeArchive::evict_dominated_by(const Vec& p) {
   std::vector<std::int32_t> doomed_list;
   collect_dominated(root_, p, doomed_list);
-  std::erase_if(doomed_list,
-                [&](std::int32_t n) { return pool_[n].point == p; });
-  if (doomed_list.empty()) return 0;
+  if (doomed_list.empty()) return;
   std::vector<char> doomed(pool_.size(), 0);
   for (const std::int32_t n : doomed_list) doomed[n] = 1;
   std::vector<std::int32_t> survivors;
   detach_doomed(root_, doomed, survivors);
   size_ -= doomed_list.size();
   for (const std::int32_t n : survivors) hang(n);
-  return doomed_list.size();
 }
 
 const Vec* QuadTreeArchive::find_weak_dominator(const Vec& q) const {

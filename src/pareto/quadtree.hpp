@@ -23,12 +23,11 @@ class QuadTreeArchive final : public Archive {
   /// std::invalid_argument otherwise.
   explicit QuadTreeArchive(std::size_t dimensions);
 
-  /// insert() and erase_dominated_by() throw std::invalid_argument on a
-  /// point of the wrong dimension; find_weak_dominator(), the per-fixpoint
-  /// query, does not check.
+  /// insert() throws std::invalid_argument on a point of the wrong
+  /// dimension; find_weak_dominator(), the per-fixpoint query, does not
+  /// check.
   bool insert(const Vec& p) override;
   [[nodiscard]] const Vec* find_weak_dominator(const Vec& q) const override;
-  std::size_t erase_dominated_by(const Vec& p) override;
   [[nodiscard]] std::size_t size() const noexcept override { return size_; }
   [[nodiscard]] std::vector<Vec> points() const override;
   void clear() override;
@@ -46,6 +45,10 @@ class QuadTreeArchive final : public Archive {
   [[nodiscard]] const Vec* dominator_in(std::int32_t node, const Vec& q) const;
   void collect_dominated(std::int32_t node, const Vec& q,
                          std::vector<std::int32_t>& out) const;
+  /// The eviction half of insert(): drop every node `p` weakly dominates
+  /// (none equals `p`, which no archive point weakly dominates) and re-hang
+  /// the survivors of their subtrees.
+  void evict_dominated_by(const Vec& p);
   /// Detach doomed subtree roots below `slot`, gathering survivors.
   void detach_doomed(std::int32_t& slot, const std::vector<char>& doomed,
                      std::vector<std::int32_t>& survivors);

@@ -1,11 +1,25 @@
 #include "synth/spec.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <stdexcept>
+#include <string>
 
 namespace aspmt::synth {
+namespace {
+
+/// The builders' runtime argument check: an id must name an element that
+/// already exists.  Self-messages, self-links and non-positive WCETs are
+/// well-formed calls that validate() rejects.
+void require_id(std::size_t id, std::size_t count, const char* what) {
+  if (id >= count) {
+    throw std::invalid_argument(std::string("unknown ") + what + " id " +
+                                std::to_string(id) + " (have " +
+                                std::to_string(count) + ")");
+  }
+}
+
+}  // namespace
 
 TaskId Specification::add_task(std::string name) {
   const TaskId id = static_cast<TaskId>(tasks_.size());
@@ -16,7 +30,8 @@ TaskId Specification::add_task(std::string name) {
 
 MessageId Specification::add_message(std::string name, TaskId src, TaskId dst,
                                      std::int64_t payload) {
-  assert(src < tasks_.size() && dst < tasks_.size() && src != dst);
+  require_id(src, tasks_.size(), "task");
+  require_id(dst, tasks_.size(), "task");
   const MessageId id = static_cast<MessageId>(messages_.size());
   messages_.push_back(Message{std::move(name), src, dst, payload});
   return id;
@@ -32,7 +47,8 @@ ResourceId Specification::add_resource(std::string name, ResourceKind kind,
 
 LinkId Specification::add_link(ResourceId from, ResourceId to,
                                std::int64_t hop_delay, std::int64_t hop_energy) {
-  assert(from < resources_.size() && to < resources_.size() && from != to);
+  require_id(from, resources_.size(), "resource");
+  require_id(to, resources_.size(), "resource");
   const LinkId id = static_cast<LinkId>(links_.size());
   links_.push_back(Link{from, to, hop_delay, hop_energy});
   links_from_[from].push_back(id);
@@ -41,8 +57,8 @@ LinkId Specification::add_link(ResourceId from, ResourceId to,
 
 std::size_t Specification::add_mapping(TaskId task, ResourceId resource,
                                        std::int64_t wcet, std::int64_t energy) {
-  assert(task < tasks_.size() && resource < resources_.size());
-  assert(wcet >= 1);
+  require_id(task, tasks_.size(), "task");
+  require_id(resource, resources_.size(), "resource");
   const std::size_t idx = mappings_.size();
   mappings_.push_back(MappingOption{task, resource, wcet, energy});
   mappings_by_task_[task].push_back(idx);
@@ -94,7 +110,8 @@ std::size_t Specification::add_scenario(std::string name) {
 
 void Specification::set_scenario_factor(std::size_t s, ResourceId r,
                                         std::int64_t factor) {
-  assert(s < scenarios_.size());
+  require_id(s, scenarios_.size(), "scenario");
+  require_id(r, resources_.size(), "resource");
   auto& f = scenarios_[s].factor;
   if (f.size() <= r) f.resize(r + 1, 1);
   f[r] = factor;
@@ -131,6 +148,9 @@ std::string Specification::validate() const {
     if (m.src >= tasks_.size() || m.dst >= tasks_.size()) {
       return "message '" + m.name + "' references an unknown task";
     }
+    if (m.src == m.dst) {
+      return "message '" + m.name + "' goes from a task to itself";
+    }
     if (m.payload < 0) return "message '" + m.name + "' has negative payload";
     bool routable = false;
     for (const std::size_t so : mappings_by_task_[m.src]) {
@@ -156,6 +176,9 @@ std::string Specification::validate() const {
     if (r.cost < 0) return "resource '" + r.name + "' has negative cost";
   }
   for (const Link& l : links_) {
+    if (l.from == l.to) {
+      return "link from resource '" + resources_[l.from].name + "' to itself";
+    }
     if (l.hop_delay < 0 || l.hop_energy < 0) return "link with negative weights";
   }
   for (std::size_t s = 0; s < scenarios_.size(); ++s) {

@@ -69,6 +69,10 @@ struct MappingOption {
 
 class Specification {
  public:
+  // The builders throw std::invalid_argument on an id that names no task,
+  // resource or scenario added so far.  Everything else about their
+  // arguments — self-messages, self-links, non-positive WCETs, negative
+  // weights — is validate()'s to reject.
   TaskId add_task(std::string name);
   MessageId add_message(std::string name, TaskId src, TaskId dst,
                         std::int64_t payload = 1);
@@ -143,9 +147,9 @@ class Specification {
     return objectives_.empty() ? 3 : objectives_.size();
   }
 
-  /// Structural sanity: every task has a mapping, every message joins
-  /// existing tasks, and every message admits at least one routable
-  /// candidate binding pair.  Also validates scenario declarations and
+  /// Structural sanity: every task has a mapping, every message joins two
+  /// distinct existing tasks, every link two distinct resources, and every
+  /// message admits at least one routable candidate binding pair.  Also validates scenario declarations and
   /// objective expressions.  Returns an empty string when sound.
   [[nodiscard]] std::string validate() const;
   /// Throws std::invalid_argument carrying validate()'s diagnostic unless

@@ -132,21 +132,33 @@ inline synth::Specification singleton() {
   return s;
 }
 
-/// examples/specs/bus_small.txt with one mapping's energy made negative:
-/// the text parses, and Specification::validate() rejects it.
-inline std::string negative_energy_spec_text() {
+/// examples/specs/bus_small.txt with the line `line` replaced by
+/// `replacement`.
+inline std::string edited_bus_small_text(const std::string& line,
+                                         const std::string& replacement) {
   std::ifstream in(std::string(ASPMT_TEST_DATA_DIR) +
                    "/examples/specs/bus_small.txt");
   std::ostringstream buf;
   buf << in.rdbuf();
   std::string text = buf.str();
-  const std::string line = "map a0t0 p2 wcet=6 energy=9";
   const std::size_t at = text.find(line);
   EXPECT_NE(at, std::string::npos) << "bus_small.txt changed";
-  if (at != std::string::npos) {
-    text.replace(at, line.size(), "map a0t0 p2 wcet=6 energy=-40");
-  }
+  if (at != std::string::npos) text.replace(at, line.size(), replacement);
   return text;
+}
+
+/// bus_small with one mapping's energy made negative: the text parses, and
+/// Specification::validate() rejects it.
+inline std::string negative_energy_spec_text() {
+  return edited_bus_small_text("map a0t0 p2 wcet=6 energy=9",
+                               "map a0t0 p2 wcet=6 energy=-40");
+}
+
+/// bus_small with a message from a task to itself: the text parses, and
+/// Specification::validate() rejects it.
+inline std::string self_message_spec_text() {
+  return edited_bus_small_text("message m0 a0t1 a0t2",
+                               "message m0 a0t1 a0t1");
 }
 
 }  // namespace aspmt::test

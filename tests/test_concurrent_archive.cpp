@@ -175,29 +175,5 @@ TEST(ConcurrentArchive, FetchUpdatesReturnsEvictedEntriesToo) {
   EXPECT_EQ(replay.points(), shared.points());
 }
 
-// The eviction half of insert() must behave identically on both archive
-// kinds.
-template <typename A>
-void check_erase_dominated_by(A&& archive) {
-  archive.insert(Vec{2, 2, 2});
-  archive.insert(Vec{1, 5, 1});
-  archive.insert(Vec{5, 1, 1});
-  EXPECT_EQ(archive.erase_dominated_by(Vec{1, 1, 1}), 3U);
-  EXPECT_EQ(archive.size(), 0U);
-  archive.insert(Vec{2, 2, 2});
-  // A point equal to p must survive erase_dominated_by(p).
-  EXPECT_EQ(archive.erase_dominated_by(Vec{2, 2, 2}), 0U);
-  EXPECT_EQ(archive.size(), 1U);
-  // Incomparable points survive.
-  EXPECT_EQ(archive.erase_dominated_by(Vec{1, 9, 9}), 0U);
-  EXPECT_EQ(archive.size(), 1U);
-}
-
-TEST(EraseDominatedBy, LinearArchive) { check_erase_dominated_by(LinearArchive{}); }
-
-TEST(EraseDominatedBy, QuadTreeArchive) {
-  check_erase_dominated_by(QuadTreeArchive{3});
-}
-
 }  // namespace
 }  // namespace aspmt::pareto

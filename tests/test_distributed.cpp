@@ -563,15 +563,17 @@ TEST(Distributed, RemovedCliAliasesAreHardErrors) {
   std::remove(err_path.c_str());
 }
 
-/// Run the CLI with `args`, stdout and stderr captured into `out`; returns
-/// the exit status.  The capture file is per test: ctest runs tests in
+/// Run the CLI with `args` (behind `prefix`, e.g. a `timeout`), stdout and
+/// stderr captured into `out`; returns the exit status.  The capture file is per test: ctest runs tests in
 /// parallel processes.
-int run_cli(const std::string& args, std::string& out) {
+int run_cli(const std::string& args, std::string& out,
+            const std::string& prefix = "") {
   const std::string log =
       ::testing::TempDir() + "aspmt_cli_" +
       ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".log";
-  const int status = std::system(
-      (std::string(ASPMT_DSE_BIN) + " " + args + " >" + log + " 2>&1").c_str());
+  const int status = std::system((prefix + ASPMT_DSE_BIN + " " + args + " >" +
+                                  log + " 2>&1")
+                                     .c_str());
   out = slurp(log);
   std::remove(log.c_str());
   return status == -1 || !WIFEXITED(status) ? -1 : WEXITSTATUS(status);
@@ -593,12 +595,29 @@ TEST(Cli, EveryModeNamesTheFlagsItCannotHonour) {
       {"--shard-workers 2 --mem-limit-mb 100", "--mem-limit-mb"},
       {"--shards 2 --checkpoint-out x", "--checkpoint-out"},
       {"--shards 2 --resume x", "--resume"},
+      // A malformed value names the flag and the value before any work
+      // starts: no fraction truncated, no negative count wrapped around.
+      {"--threads 2.5", "--threads '2.5'"},
+      {"--threads abc", "--threads 'abc'"},
+      {"--shard-workers=-2", "--shard-workers '-2'"},
+      {"--time-limit 1s", "--time-limit '1s'"},
+      {"--epsilon 1,x,1", "--epsilon '1,x,1'"},
   };
   for (const auto& c : cases) {
     std::string out;
-    EXPECT_EQ(run_cli("explore " + spec + " " + c.args, out), 2) << c.args;
+    // `timeout` turns a hang into a failure instead of a stuck test.
+    EXPECT_EQ(run_cli("explore " + spec + " " + c.args, out, "timeout 20 "), 2)
+        << c.args << ": " << out;
     EXPECT_NE(out.find(c.flag), std::string::npos) << c.args << ": " << out;
   }
+  // The service CLI shares the flag parser.
+  const int status = std::system(
+      ("timeout 20 " + std::string(ASPMT_SERVED_BIN) + " serve --socket " +
+       temp_path("cli_flags.sock") + " --journal " +
+       temp_path("cli_flags_journal") + " --workers 2.5 >/dev/null 2>&1")
+          .c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
   std::remove(spec.c_str());
 }
 

@@ -161,32 +161,47 @@ TEST(Explorer, EpsilonOfTheWrongLengthThrows) {
 
 // An invalid specification is refused before any worker starts, at every
 // thread count and in the distributed coordinator, with validate()'s
-// diagnostic — never explored into a front that means nothing.
+// diagnostic — never explored into a front that means nothing.  Each edit
+// of bus_small parses; the builders check only ids, so a Debug and a
+// Release build give the same verdict.
 TEST(Explorer, InvalidSpecificationIsRejected) {
-  const synth::Specification spec =
-      synth::parse_specification(test::negative_energy_spec_text());
-  ASSERT_NE(spec.validate(), "");
-  const auto expect_rejected = [](const auto& run, const std::string& what) {
-    try {
-      run();
-      ADD_FAILURE() << what << ": explored an invalid specification";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("negative energy"),
-                std::string::npos)
-          << what << ": " << e.what();
-    }
+  const struct {
+    std::string text;
+    const char* why;
+  } cases[] = {
+      {test::negative_energy_spec_text(), "negative energy"},
+      {test::edited_bus_small_text("map a0t0 p2 wcet=6 energy=9",
+                                   "map a0t0 p2 wcet=0 energy=9"),
+       "non-positive WCET"},
+      {test::edited_bus_small_text("link p0 bus", "link p0 p0"),
+       "link from resource 'p0' to itself"},
+      {test::self_message_spec_text(), "message 'm0' goes from a task to itself"},
   };
-  expect_rejected([&] { (void)explore(spec); }, "explore");
-  for (const std::size_t threads : {1U, 4U}) {
-    ParallelExploreOptions opts;
-    opts.threads = threads;
-    expect_rejected([&] { (void)explore_parallel(spec, opts); },
-                    "threads " + std::to_string(threads));
+  for (const auto& c : cases) {
+    const synth::Specification spec = synth::parse_specification(c.text);
+    EXPECT_NE(spec.validate().find(c.why), std::string::npos)
+        << c.why << ": " << spec.validate();
+    const auto expect_rejected = [&](const auto& run, const std::string& what) {
+      try {
+        run();
+        ADD_FAILURE() << what << ": explored an invalid specification";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.why), std::string::npos)
+            << what << ": " << e.what();
+      }
+    };
+    expect_rejected([&] { (void)explore(spec); }, "explore");
+    for (const std::size_t threads : {1U, 4U}) {
+      ParallelExploreOptions opts;
+      opts.threads = threads;
+      expect_rejected([&] { (void)explore_parallel(spec, opts); },
+                      "threads " + std::to_string(threads));
+    }
+    DistributedOptions dist;
+    dist.worker_path = ASPMT_DSE_BIN;
+    expect_rejected([&] { (void)explore_distributed(spec, dist); },
+                    "distributed");
   }
-  DistributedOptions dist;
-  dist.worker_path = ASPMT_DSE_BIN;
-  expect_rejected([&] { (void)explore_distributed(spec, dist); },
-                  "distributed");
 }
 
 TEST(Explorer, HugeEpsilonReturnsSinglePoint) {

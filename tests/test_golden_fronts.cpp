@@ -201,5 +201,45 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.base);
     });
 
+// tests/golden/bus_wide.parent.ckpt was written by a 4-thread run, stopped
+// by its conflict budget, of a writer that still emitted the retired `seed`,
+// `elapsed-ms`, `warm` and `slices` lines.  It keeps loading, and a restart
+// from it reaches the golden front: certified at one thread, and at four.
+TEST(GoldenCheckpoint, RetiredLinesFixtureResumesToTheGoldenFront) {
+  if (regenerating()) GTEST_SKIP() << "regeneration uses the sequential run";
+  const std::string path = data_path("tests/golden/bus_wide.parent.ckpt");
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  for (const char* retired :
+       {"\nseed ", "\nelapsed-ms ", "\nwarm ", "\nslices "}) {
+    EXPECT_NE(text.str().find(retired), std::string::npos) << retired;
+  }
+  dse::Checkpoint ckpt;
+  ASSERT_EQ(dse::parse_checkpoint(text.str(), ckpt), "");
+  ASSERT_FALSE(ckpt.points.empty());
+  ASSERT_FALSE(ckpt.clauses.empty());
+
+  const GoldenCase bus_wide{"bus_wide", nullptr};
+  const synth::Specification spec = load_case(bus_wide);
+  const std::vector<pareto::Vec> golden = load_golden(bus_wide);
+  for (const std::size_t threads : {1U, 4U}) {
+    dse::ReexploreOptions ro;
+    ro.base.threads = threads;
+    ro.base.common.certify = threads == 1;
+    const dse::ReexploreResult r = dse::reexplore(ckpt, spec, ro);
+    ASSERT_TRUE(r.base.stats.complete) << "threads " << threads;
+    EXPECT_EQ(r.reuse.delta.cls, dse::DeltaClass::Identical);
+    EXPECT_EQ(r.reuse.clauses_replayed, ckpt.clauses.size());
+    EXPECT_EQ(r.base.stats.warm_seeds, ckpt.points.size())
+        << "threads " << threads;
+    test::expect_front_shape(spec, r.base);
+    EXPECT_EQ(r.base.front, golden) << "threads " << threads;
+    if (ro.base.common.certify) {
+      EXPECT_TRUE(r.base.certified) << r.base.certificate_error;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aspmt

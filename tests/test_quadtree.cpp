@@ -71,14 +71,6 @@ TEST(QuadTree, InsertRejectsAPointOfTheWrongDimension) {
   EXPECT_EQ(a.points(), (std::vector<Vec>{{1, 2, 3}}));
 }
 
-TEST(QuadTree, EraseDominatedByRejectsAPointOfTheWrongDimension) {
-  QuadTreeArchive a(3);
-  ASSERT_TRUE(a.insert({1, 2, 3}));
-  EXPECT_THROW(a.erase_dominated_by({0, 0, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(a.erase_dominated_by({0, 0}), std::invalid_argument);
-  EXPECT_EQ(a.size(), 1U);
-}
-
 TEST(QuadTree, ClearResets) {
   QuadTreeArchive a(3);
   a.insert({1, 2, 3});

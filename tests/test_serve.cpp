@@ -361,9 +361,10 @@ TEST(ServeServer, CompletedJobMatchesSequentialExplore) {
 TEST(ServeServer, InvalidSpecIsRejectedStructurally) {
   Server server(small_server(""));
   ASSERT_TRUE(server.start().empty());
-  // One text that does not parse, one that parses but fails validation.
+  // One text that does not parse, two that parse but fail validation.
   const std::string inputs[] = {"this is not a specification",
-                                test::negative_energy_spec_text()};
+                                test::negative_energy_spec_text(),
+                                test::self_message_spec_text()};
   for (const std::string& text : inputs) {
     JobRequest req;
     req.spec_text = text;
@@ -372,7 +373,7 @@ TEST(ServeServer, InvalidSpecIsRejectedStructurally) {
     EXPECT_EQ(out.reject_reason, "invalid-spec");
     EXPECT_FALSE(out.detail.empty());
   }
-  EXPECT_EQ(server.stats().rejected, 2U);
+  EXPECT_EQ(server.stats().rejected, 3U);
   server.drain();
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace aspmt::synth {
 namespace {
 
@@ -98,6 +100,26 @@ TEST(Spec, ValidateAcceptsCoLocatedOnlyMessage) {
   s.add_mapping(b, p0, 1, 1);
   EXPECT_EQ(s.validate(), "");
   EXPECT_EQ(s.effective_max_hops(), 0U);
+}
+
+// The builders check ids at runtime (no assert that NDEBUG removes): an
+// unknown id throws and leaves the specification as it was.
+TEST(Spec, BuildersRejectUnknownIds) {
+  Specification s = tiny_spec();
+  const Specification before = s;
+  EXPECT_THROW(s.add_message("m", 0, 2), std::invalid_argument);
+  EXPECT_THROW(s.add_message("m", 7, 0), std::invalid_argument);
+  EXPECT_THROW(s.add_link(0, 3), std::invalid_argument);
+  EXPECT_THROW(s.add_link(99, 0), std::invalid_argument);
+  EXPECT_THROW(s.add_mapping(2, 0, 1, 1), std::invalid_argument);
+  EXPECT_THROW(s.add_mapping(0, 3, 1, 1), std::invalid_argument);
+  EXPECT_THROW(s.set_scenario_factor(0, 0, 2), std::invalid_argument);
+  const std::size_t hot = s.add_scenario("hot");
+  EXPECT_THROW(s.set_scenario_factor(hot, 3, 2), std::invalid_argument);
+  EXPECT_EQ(s.messages().size(), before.messages().size());
+  EXPECT_EQ(s.links().size(), before.links().size());
+  EXPECT_EQ(s.mappings().size(), before.mappings().size());
+  EXPECT_TRUE(s.scenarios().front().factor.empty());
 }
 
 }  // namespace

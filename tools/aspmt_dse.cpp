@@ -16,7 +16,6 @@
 #include <iostream>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -52,29 +51,13 @@
 #include "synth/validator.hpp"
 #include "util/table.hpp"
 
+#include "args.hpp"
+
 namespace {
 
 using namespace aspmt;
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> named;
-  /// Non-empty when a removed flag was used; main() reports it and exits 2.
-  std::string removed_flag_error;
-  bool flag(const std::string& name) const { return named.count(name) != 0; }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : it->second;
-  }
-  double num(const std::string& name, double fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : std::stod(it->second);
-  }
-  std::int64_t i64(const std::string& name, std::int64_t fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : std::stoll(it->second);
-  }
-};
+using cli::Args;
 
 /// The budget of the currently running exploration, visible to the signal
 /// handlers.  Budget::interrupt() is async-signal-safe (atomics only).
@@ -104,44 +87,22 @@ struct SignalGuard {
   SignalGuard& operator=(const SignalGuard&) = delete;
 };
 
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      // Both spellings work: `--key value` and `--key=value`.
-      const std::size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        args.named[a.substr(2, eq - 2)] = a.substr(eq + 1);
-        continue;
-      }
-      const std::string key = a.substr(2);
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        args.named[key] = argv[++i];
-      } else {
-        args.named[key] = "";
-      }
-    } else if (a == "-o" && i + 1 < argc) {
-      args.named["out"] = argv[++i];
-    } else {
-      args.positional.push_back(std::move(a));
-    }
-  }
-  // Removed flags are hard errors that name themselves and what replaced
-  // them: the pre-redesign output-file spellings (now --<thing>-out) and the
-  // in-process shard backend (shards run in worker processes only).
+/// Removed flags are hard errors that name themselves and what replaced
+/// them: the pre-redesign output-file spellings (now --<thing>-out) and the
+/// in-process shard backend (shards run in worker processes only).  Returns
+/// "" when none was given.
+std::string removed_flag_error(const Args& args) {
   static const std::pair<const char*, const char*> kRemoved[] = {
       {"proof", "use --proof-out"},
       {"checkpoint", "use --checkpoint-out"},
       {"shards-in-process", "shards always run in worker processes"},
   };
   for (const auto& [old_name, replacement] : kRemoved) {
-    if (args.named.count(old_name) == 0) continue;
-    args.removed_flag_error =
-        std::string("--") + old_name + " was removed; " + replacement;
-    break;
+    if (args.flag(old_name)) {
+      return std::string("--") + old_name + " was removed; " + replacement;
+    }
   }
-  return args;
+  return "";
 }
 
 int usage() {
@@ -164,7 +125,7 @@ int usage() {
       "            [--checkpoint-out FILE] [--checkpoint-interval SEC]\n"
       "            [--resume FILE | --reexplore-from FILE]  restart from a\n"
       "                                  checkpoint, after a stop or a spec edit\n"
-      "                                  (archive + clauses + slices; exact and\n"
+      "                                  (archive + clauses; exact and\n"
       "                                  certifiable)\n"
       "            [--warm-start nsga2|sampler|off] [--warm-start-budget N]\n"
       "            [--warm-start-seed S]  (heuristic seeds; still exact+certifiable)\n"
@@ -205,15 +166,15 @@ void write_generated(const Args& args, const synth::Specification& spec) {
 
 int cmd_generate_multicore(const Args& args) {
   gen::MulticoreConfig c;
-  c.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  c.tasks = static_cast<std::uint32_t>(args.num("tasks", 6));
-  c.layers = static_cast<std::uint32_t>(args.num("layers", 3));
-  c.big_cores = static_cast<std::uint32_t>(args.num("big", 1));
-  c.little_cores = static_cast<std::uint32_t>(args.num("little", 2));
-  c.pipeline_depths = static_cast<std::uint32_t>(args.num("depths", 2));
-  c.cache_levels = static_cast<std::uint32_t>(args.num("caches", 2));
-  c.options_per_task = static_cast<std::uint32_t>(args.num("options", 0));
-  c.throttle_factor = args.num("throttle-factor", 3);
+  c.seed = args.integer<std::uint64_t>("seed", 1);
+  c.tasks = args.integer<std::uint32_t>("tasks", 6);
+  c.layers = args.integer<std::uint32_t>("layers", 3);
+  c.big_cores = args.integer<std::uint32_t>("big", 1);
+  c.little_cores = args.integer<std::uint32_t>("little", 2);
+  c.pipeline_depths = args.integer<std::uint32_t>("depths", 2);
+  c.cache_levels = args.integer<std::uint32_t>("caches", 2);
+  c.options_per_task = args.integer<std::uint32_t>("options", 0);
+  c.throttle_factor = args.integer<std::int64_t>("throttle-factor", 3);
   const std::string axes = args.get("axes", "");
   for (std::size_t begin = 0; begin < axes.size();) {
     std::size_t end = axes.find(';', begin);
@@ -234,11 +195,11 @@ int cmd_generate(const Args& args) {
     return 2;
   }
   gen::GeneratorConfig c;
-  c.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  c.tasks = static_cast<std::uint32_t>(args.num("tasks", 6));
-  c.options_per_task = static_cast<std::uint32_t>(args.num("options", 2));
-  c.bus_processors = static_cast<std::uint32_t>(args.num("bus-procs", 3));
-  c.layers = static_cast<std::uint32_t>(args.num("layers", 3));
+  c.seed = args.integer<std::uint64_t>("seed", 1);
+  c.tasks = args.integer<std::uint32_t>("tasks", 6);
+  c.options_per_task = args.integer<std::uint32_t>("options", 2);
+  c.bus_processors = args.integer<std::uint32_t>("bus-procs", 3);
+  c.layers = args.integer<std::uint32_t>("layers", 3);
   const std::string arch = args.get("arch", "bus");
   if (arch == "bus") c.architecture = gen::Architecture::SharedBus;
   else if (arch == "mesh2x2") c.architecture = gen::Architecture::Mesh2x2;
@@ -251,13 +212,22 @@ int cmd_generate(const Args& args) {
   return 0;
 }
 
-std::optional<pareto::Vec> parse_epsilon(const std::string& text) {
+/// A comma-separated integer vector flag (--epsilon, --point); nullopt when
+/// the flag is absent or empty.
+std::optional<pareto::Vec> parse_vector(const Args& args,
+                                        const std::string& name) {
+  const std::string text = args.get(name, "");
   if (text.empty()) return std::nullopt;
-  pareto::Vec eps;
+  pareto::Vec out;
   std::istringstream iss(text);
   std::string part;
-  while (std::getline(iss, part, ',')) eps.push_back(std::stoll(part));
-  return eps;
+  while (std::getline(iss, part, ',')) {
+    if (!cli::parse_whole(part, out.emplace_back())) {
+      throw cli::BadFlagValue("--" + name + " '" + text +
+                              "': expected comma-separated integers");
+    }
+  }
+  return out;
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -331,10 +301,9 @@ bool apply_warm_start(const Args& args, dse::WarmStartOptions& warm) {
     return false;
   }
   warm.method = *parsed;
-  warm.budget = static_cast<std::uint64_t>(
-      args.num("warm-start-budget", static_cast<double>(warm.budget)));
-  warm.seed = static_cast<std::uint64_t>(
-      args.num("warm-start-seed", args.num("seed", 1)));
+  warm.budget = args.integer<std::uint64_t>("warm-start-budget", warm.budget);
+  warm.seed = args.integer<std::uint64_t>(
+      "warm-start-seed", args.integer<std::uint64_t>("seed", 1));
   return true;
 }
 
@@ -342,13 +311,12 @@ bool apply_warm_start(const Args& args, dse::WarmStartOptions& warm) {
 /// explore mode and the shard worker.  Returns false (after a stderr
 /// message) on an unknown --warm-start method.
 bool explore_options(const Args& args, dse::ParallelExploreOptions& opts) {
-  opts.threads = static_cast<std::size_t>(args.num("threads", 1));
-  opts.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  opts.threads = args.integer<std::size_t>("threads", 1);
+  opts.seed = args.integer<std::uint64_t>("seed", 1);
   dse::CommonOptions& common = opts.common;
   common.time_limit_seconds = args.num("time-limit", 0.0);
-  common.conflict_budget =
-      static_cast<std::uint64_t>(args.num("conflict-budget", 0));
-  common.mem_limit_mb = static_cast<std::size_t>(args.num("mem-limit-mb", 0));
+  common.conflict_budget = args.integer<std::uint64_t>("conflict-budget", 0);
+  common.mem_limit_mb = args.integer<std::size_t>("mem-limit-mb", 0);
   common.archive_kind = args.get("archive", "quadtree");
   common.partial_evaluation = !args.flag("no-partial-eval");
   common.certify = args.flag("certify");
@@ -477,7 +445,7 @@ void apply_restart(const Args& args, const synth::Specification& spec,
             << " (archive " << reuse.archive_reused << "/"
             << reuse.archive_candidates << ", clauses "
             << reuse.clauses_replayed << "/" << reuse.clause_candidates
-            << ", slices " << reuse.slices_resumed << ", reuse rate "
+            << ", reuse rate "
             << util::fmt(reuse.reuse_rate(), 2)
             << (reuse.cold_start ? ", cold start" : "") << ")\n";
 }
@@ -536,9 +504,11 @@ int cmd_shard_worker(const Args& args) {
   dse::ParallelExploreOptions opts;
   if (!explore_options(args, opts)) return 2;
   opts.shard.active = true;
-  opts.shard.objective = static_cast<std::size_t>(args.num("shard-objective", 1));
-  opts.shard.lo = args.i64("shard-lo", std::numeric_limits<std::int64_t>::min());
-  opts.shard.hi = args.i64("shard-hi", std::numeric_limits<std::int64_t>::max());
+  opts.shard.objective = args.integer<std::size_t>("shard-objective", 1);
+  opts.shard.lo = args.integer<std::int64_t>(
+      "shard-lo", std::numeric_limits<std::int64_t>::min());
+  opts.shard.hi = args.integer<std::int64_t>(
+      "shard-hi", std::numeric_limits<std::int64_t>::max());
 
   // The shared seed pool (the coordinator's split sample, so cross-band
   // dominance pruning survives the partition) and, on a requeue, the dead
@@ -562,12 +532,11 @@ int cmd_shard_worker(const Args& args) {
         std::make_move_iterator(seeds.end()));
   }
 
-  ShardPipeSink sink(
-      static_cast<std::uint64_t>(args.num("die-after-points", 0)));
+  ShardPipeSink sink(args.integer<std::uint64_t>("die-after-points", 0));
   opts.common.sink = &sink;
 
   shard_write("ASPMT-SHARD 1\n");
-  const long hb_ms = static_cast<long>(args.num("heartbeat-ms", 200));
+  const auto hb_ms = args.integer<std::uint64_t>("heartbeat-ms", 200);
   std::atomic<bool> stop{false};
   util::Timer up;
   std::thread heartbeat([&]() {
@@ -576,7 +545,7 @@ int cmd_shard_worker(const Args& args) {
       line << "HB " << static_cast<long long>(up.elapsed_ms()) << '\n';
       shard_write(line.str());
       // Sleep in short slices so join() after a fast explore is immediate.
-      for (long slept = 0; slept < hb_ms; slept += 10) {
+      for (std::uint64_t slept = 0; slept < hb_ms; slept += 10) {
         if (stop.load(std::memory_order_relaxed)) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
@@ -603,10 +572,9 @@ int explore_sharded(const synth::Specification& spec, const Args& args) {
   }
   dse::DistributedOptions opts;
   if (!explore_options(args, opts.base)) return 2;
-  opts.processes = static_cast<std::size_t>(args.num("shard-workers", 2));
-  opts.shards = static_cast<std::size_t>(args.num("shards", 0));
-  opts.shard_objective =
-      static_cast<std::size_t>(args.num("shard-objective", 1));
+  opts.processes = args.integer<std::size_t>("shard-workers", 2);
+  opts.shards = args.integer<std::size_t>("shards", 0);
+  opts.shard_objective = args.integer<std::size_t>("shard-objective", 1);
   opts.heartbeat_timeout_seconds = args.num("heartbeat-timeout", 10.0);
   {
     // Mirrors the explore_distributed pre-flight: banding is only sound on
@@ -681,8 +649,7 @@ int cmd_explore(const Args& args) {
   }
   dse::ParallelExploreOptions opts;
   if (!explore_options(args, opts)) return 2;
-  const std::optional<pareto::Vec> epsilon =
-      parse_epsilon(args.get("epsilon", ""));
+  const std::optional<pareto::Vec> epsilon = parse_vector(args, "epsilon");
   if (epsilon && opts.threads != 1) {
     std::cerr << "error: --epsilon runs one worker and cannot be honoured "
                  "with --threads "
@@ -814,9 +781,9 @@ int cmd_baseline(const Args& args) {
 int cmd_nsga2(const Args& args) {
   const synth::Specification spec = load(args);
   ea::Nsga2Options opts;
-  opts.population = static_cast<std::size_t>(args.num("pop", 40));
-  opts.generations = static_cast<std::size_t>(args.num("gens", 60));
-  opts.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  opts.population = args.integer<std::size_t>("pop", 40);
+  opts.generations = args.integer<std::size_t>("gens", 60);
+  opts.seed = args.integer<std::uint64_t>("seed", 1);
   const ea::Nsga2Result r = ea::nsga2(spec, opts);
   std::cout << "nsga2: " << r.front.size() << " points (" << r.evaluations
             << " evaluations, " << util::fmt(r.seconds, 3) << "s)\n";
@@ -826,13 +793,12 @@ int cmd_nsga2(const Args& args) {
 
 int cmd_witnesses(const Args& args) {
   const synth::Specification spec = load(args);
-  const std::string point_text = args.get("point", "");
-  if (point_text.empty()) {
+  const std::optional<pareto::Vec> point = parse_vector(args, "point");
+  if (!point) {
     std::cerr << "missing --point L,E,C\n";
     return 2;
   }
-  const auto point = parse_epsilon(point_text);  // same comma-list format
-  const auto limit = static_cast<std::size_t>(args.num("limit", 50));
+  const auto limit = args.integer<std::size_t>("limit", 50);
   const dse::WitnessEnumeration w =
       dse::enumerate_witnesses(spec, *point, limit, args.num("time-limit", 0.0));
   std::cout << w.implementations.size() << " implementation(s) at "
@@ -867,7 +833,7 @@ int cmd_asp(const Args& args) {
   asp::UnfoundedSetChecker checker(compiled);
   solver.add_propagator(&checker);
 
-  const auto max_models = static_cast<std::uint64_t>(args.num("models", 10));
+  const auto max_models = args.integer<std::uint64_t>("models", 10);
   std::uint64_t count = 0;
   while (count < max_models && solver.solve() == asp::Solver::Result::Sat) {
     ++count;
@@ -906,9 +872,9 @@ int cmd_validate(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Args args = parse_args(argc, argv);
-  if (!args.removed_flag_error.empty()) {
-    std::cerr << "error: " << args.removed_flag_error << "\n";
+  const Args args = cli::parse_args(argc, argv);
+  if (const std::string removed = removed_flag_error(args); !removed.empty()) {
+    std::cerr << "error: " << removed << "\n";
     return 2;
   }
   try {
@@ -921,6 +887,9 @@ int main(int argc, char** argv) {
     if (command == "asp") return cmd_asp(args);
     if (command == "witnesses") return cmd_witnesses(args);
     if (command == "shard-worker") return cmd_shard_worker(args);
+  } catch (const cli::BadFlagValue& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

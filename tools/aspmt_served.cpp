@@ -21,12 +21,12 @@
 // Exit codes (submit/result): 0 job completed with a complete front,
 // 3 terminal but partial (deadline/cancel/shed/quarantine), 5 rejected at
 // admission ("rejected: overload" and friends — structured, never a hang).
+// Every command exits 2 on a usage error, such as a malformed flag value.
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -39,50 +39,13 @@
 #include "serve/endpoint.hpp"
 #include "serve/server.hpp"
 
+#include "args.hpp"
+
 namespace {
 
 using namespace aspmt;
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> named;
-  bool flag(const std::string& name) const { return named.count(name) != 0; }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : it->second;
-  }
-  double num(const std::string& name, double fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : std::stod(it->second);
-  }
-  std::int64_t i64(const std::string& name, std::int64_t fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : std::stoll(it->second);
-  }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        args.named[a.substr(2, eq - 2)] = a.substr(eq + 1);
-        continue;
-      }
-      const std::string key = a.substr(2);
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        args.named[key] = argv[++i];
-      } else {
-        args.named[key] = "";
-      }
-    } else {
-      args.positional.push_back(std::move(a));
-    }
-  }
-  return args;
-}
+using cli::Args;
 
 int usage() {
   std::cerr <<
@@ -134,20 +97,16 @@ int cmd_serve(const Args& args) {
 
   serve::ServerOptions opts;
   opts.journal_dir = journal_dir;
-  opts.workers = static_cast<std::size_t>(args.i64("workers", 2));
-  opts.max_queue_depth =
-      static_cast<std::size_t>(args.i64("queue-depth", 64));
-  opts.shed_watermark =
-      static_cast<std::size_t>(args.i64("shed-watermark", 48));
-  opts.rss_watermark_mb =
-      static_cast<std::size_t>(args.i64("rss-watermark-mb", 0));
-  opts.tenant_quota = static_cast<std::size_t>(args.i64("tenant-quota", 8));
-  opts.max_job_threads =
-      static_cast<std::size_t>(args.i64("max-job-threads", 4));
+  opts.workers = args.integer<std::size_t>("workers", 2);
+  opts.max_queue_depth = args.integer<std::size_t>("queue-depth", 64);
+  opts.shed_watermark = args.integer<std::size_t>("shed-watermark", 48);
+  opts.rss_watermark_mb = args.integer<std::size_t>("rss-watermark-mb", 0);
+  opts.tenant_quota = args.integer<std::size_t>("tenant-quota", 8);
+  opts.max_job_threads = args.integer<std::size_t>("max-job-threads", 4);
   opts.checkpoint_interval_seconds = args.num("checkpoint-interval", 0.5);
   opts.default_time_limit_seconds = args.num("default-time-limit", 0.0);
   opts.drain_grace_seconds = args.num("drain-grace", 5.0);
-  opts.seed = static_cast<std::uint64_t>(args.i64("seed", 1));
+  opts.seed = args.integer<std::uint64_t>("seed", 1);
   opts.sink = events.get();
   opts.metrics = &metrics;
 
@@ -256,11 +215,11 @@ int cmd_submit(const Args& args) {
   req.set("op", "submit");
   req.set("spec", spec.str());
   if (args.flag("tenant")) req.set("tenant", args.get("tenant", ""));
-  req.set("priority", args.i64("priority", 0));
-  req.set("threads", args.i64("threads", 1));
+  req.set("priority", args.integer<std::int64_t>("priority", 0));
+  req.set("threads", args.integer<std::size_t>("threads", 1));
   req.set("time_limit", args.num("time-limit", 0.0));
-  req.set("conflicts", args.i64("conflict-budget", 0));
-  req.set("mem_mb", args.i64("mem-limit-mb", 0));
+  req.set("conflicts", args.integer<std::size_t>("conflict-budget", 0));
+  req.set("mem_mb", args.integer<std::size_t>("mem-limit-mb", 0));
   req.set("certify", args.flag("certify"));
   req.set("stream", stream);
 
@@ -360,7 +319,7 @@ int cmd_simple(const Args& args, const std::string& op) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Args args = parse_args(argc, argv);
+  const Args args = cli::parse_args(argc, argv);
   try {
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "submit") return cmd_submit(args);
@@ -369,6 +328,9 @@ int main(int argc, char** argv) {
     if (cmd == "cancel") return cmd_simple(args, "cancel");
     if (cmd == "stats") return cmd_simple(args, "stats");
     if (cmd == "drain") return cmd_simple(args, "drain");
+  } catch (const cli::BadFlagValue& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
