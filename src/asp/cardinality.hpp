@@ -2,8 +2,8 @@
 //
 // The synthesis encoder uses these for "exactly one binding per task" and
 // hop-uniqueness constraints after the program has been compiled; they are
-// plain clauses, so they interact with learning and the unfounded-set
-// checker like any completion clause.
+// plain clauses, so they interact with learning like any completion
+// clause.
 #pragma once
 
 #include <span>

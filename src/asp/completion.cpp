@@ -1,95 +1,55 @@
 #include "asp/completion.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace aspmt::asp {
 namespace {
 
-/// Tarjan SCC (iterative) over the positive dependency graph.
-class SccFinder {
- public:
-  SccFinder(std::uint32_t n, const std::vector<std::vector<Atom>>& succ)
-      : succ_(succ),
-        index_(n, kUnvisited),
-        lowlink_(n, 0),
-        on_stack_(n, 0),
-        scc_of_(n, 0) {}
-
-  void run() {
-    for (Atom a = 0; a < index_.size(); ++a) {
-      if (index_[a] == kUnvisited) visit(a);
+/// Throw unless the positive dependency graph (an edge from each rule head
+/// to each positive body atom) is acyclic.  Kahn's algorithm: an atom is
+/// ordered once every rule head that depends on it is; on a cycle, and
+/// below one, that never happens.  A self-loop is a cycle.
+void require_tight(const Program& program) {
+  const std::uint32_t n = program.num_atoms();
+  std::vector<std::vector<Atom>> succ(n);
+  std::vector<std::uint32_t> in_degree(n, 0);
+  for (const Rule& r : program.rules()) {
+    for (const BodyLit& bl : r.body) {
+      if (!bl.positive) continue;
+      succ[r.head].push_back(bl.atom);
+      ++in_degree[bl.atom];
     }
   }
-
-  [[nodiscard]] std::vector<std::uint32_t> take_scc_of() { return std::move(scc_of_); }
-  [[nodiscard]] const std::vector<std::uint32_t>& scc_size() const { return scc_size_; }
-
- private:
-  static constexpr std::uint32_t kUnvisited = 0xffffffffU;
-
-  void visit(Atom root) {
-    struct Frame {
-      Atom atom;
-      std::size_t next_edge;
-    };
-    std::vector<Frame> call_stack{{root, 0}};
-    while (!call_stack.empty()) {
-      Frame& f = call_stack.back();
-      const Atom a = f.atom;
-      if (f.next_edge == 0) {
-        index_[a] = lowlink_[a] = counter_++;
-        stack_.push_back(a);
-        on_stack_[a] = 1;
-      }
-      bool descended = false;
-      while (f.next_edge < succ_[a].size()) {
-        const Atom b = succ_[a][f.next_edge++];
-        if (index_[b] == kUnvisited) {
-          call_stack.push_back(Frame{b, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack_[b] != 0) lowlink_[a] = std::min(lowlink_[a], index_[b]);
-      }
-      if (descended) continue;
-      // post-order: pop SCC if root
-      if (lowlink_[a] == index_[a]) {
-        const auto id = static_cast<std::uint32_t>(scc_size_.size());
-        std::uint32_t members = 0;
-        for (;;) {
-          const Atom b = stack_.back();
-          stack_.pop_back();
-          on_stack_[b] = 0;
-          scc_of_[b] = id;
-          ++members;
-          if (b == a) break;
-        }
-        scc_size_.push_back(members);
-      }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const Atom parent = call_stack.back().atom;
-        lowlink_[parent] = std::min(lowlink_[parent], lowlink_[a]);
-      }
+  std::vector<Atom> ready;
+  for (Atom a = 0; a < n; ++a) {
+    if (in_degree[a] == 0) ready.push_back(a);
+  }
+  std::uint32_t ordered = 0;
+  while (!ready.empty()) {
+    const Atom a = ready.back();
+    ready.pop_back();
+    ++ordered;
+    for (const Atom b : succ[a]) {
+      if (--in_degree[b] == 0) ready.push_back(b);
     }
   }
-
-  const std::vector<std::vector<Atom>>& succ_;
-  std::vector<std::uint32_t> index_;
-  std::vector<std::uint32_t> lowlink_;
-  std::vector<char> on_stack_;
-  std::vector<std::uint32_t> scc_of_;
-  std::vector<std::uint32_t> scc_size_;
-  std::vector<Atom> stack_;
-  std::uint32_t counter_ = 0;
-};
+  if (ordered != n) {
+    throw std::invalid_argument(
+        "program is not tight: " + std::to_string(n - ordered) + " of " +
+        std::to_string(n) +
+        " atoms are on, or reachable from, a positive dependency cycle");
+  }
+}
 
 }  // namespace
 
 CompiledProgram compile(const Program& program, Solver& solver) {
+  require_tight(program);
   CompiledProgram out;
   const std::uint32_t n = program.num_atoms();
   out.atom_var.resize(n);
@@ -129,23 +89,10 @@ CompiledProgram compile(const Program& program, Solver& solver) {
   };
 
   std::vector<std::vector<Lit>> supports(n);
-  std::vector<std::vector<Atom>> pos_succ(n);
-
   for (const Rule& r : program.rules()) {
     const Lit body = body_literal(r.body);
     supports[r.head].push_back(body);
     if (!r.choice) solver.add_clause({~body, out.lit(r.head)});
-
-    CompiledProgram::CompiledRule cr;
-    cr.head = r.head;
-    cr.body_lit = body;
-    for (const BodyLit& bl : r.body) {
-      if (bl.positive) {
-        cr.pos_body.push_back(bl.atom);
-        pos_succ[r.head].push_back(bl.atom);
-      }
-    }
-    out.rules.push_back(std::move(cr));
   }
 
   for (Atom a = 0; a < n; ++a) {
@@ -162,23 +109,6 @@ CompiledProgram compile(const Program& program, Solver& solver) {
     solver.add_clause({~b});
   }
 
-  // Tightness analysis.
-  SccFinder scc(n, pos_succ);
-  scc.run();
-  const auto& sizes = scc.scc_size();
-  out.scc_of = scc.take_scc_of();
-  out.cyclic.assign(n, 0);
-  for (Atom a = 0; a < n; ++a) {
-    if (sizes[out.scc_of[a]] > 1) out.cyclic[a] = 1;
-  }
-  // Self loops: a rule whose head occurs in its own positive body.
-  for (const auto& cr : out.rules) {
-    for (const Atom b : cr.pos_body) {
-      if (b == cr.head) out.cyclic[cr.head] = 1;
-    }
-  }
-  out.tight = std::none_of(out.cyclic.begin(), out.cyclic.end(),
-                           [](char c) { return c != 0; });
   return out;
 }
 

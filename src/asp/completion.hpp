@@ -1,14 +1,14 @@
-// Clark completion — translating a ground program into solver clauses.
+// Clark completion — translating a tight ground program into solver clauses.
 //
 // Each atom gets one solver variable; each non-trivial rule body gets a
 // shared auxiliary variable defined by equivalence clauses.  Support clauses
 // enforce `atom -> some body`, derivation clauses enforce `body -> atom` for
-// non-choice rules.  Tarjan's SCC algorithm over the positive dependency
-// graph determines tightness; for non-tight programs the completion is
-// complemented by the unfounded-set checker (unfounded.hpp).
+// non-choice rules.  On a tight program (no cycle in the positive
+// dependency graph) the models of the completion are exactly the stable
+// models, so no unfounded-set check is needed; compile() refuses any other
+// program.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "asp/program.hpp"
@@ -20,24 +20,6 @@ namespace aspmt::asp {
 struct CompiledProgram {
   /// Solver variable of each atom (indexed by Atom).
   std::vector<Var> atom_var;
-
-  /// Rule images needed by the unfounded-set checker.
-  struct CompiledRule {
-    Atom head = 0;
-    Lit body_lit = kLitUndef;      ///< solver literal equivalent to the body
-    std::vector<Atom> pos_body;    ///< positive body atoms
-  };
-  std::vector<CompiledRule> rules;
-
-  /// SCC id per atom over the positive dependency graph.
-  std::vector<std::uint32_t> scc_of;
-
-  /// True for atoms that lie on a positive cycle (member of a non-trivial
-  /// SCC or head of a self-loop rule).
-  std::vector<char> cyclic;
-
-  /// True iff the program is tight (completion alone captures stability).
-  bool tight = true;
 
   [[nodiscard]] Lit lit(Atom a, bool positive = true) const {
     return Lit::make(atom_var[a], positive);
@@ -51,7 +33,9 @@ struct CompiledProgram {
 /// Translate `program` into clauses of `solver`.  Allocates one variable per
 /// atom (in atom order) plus shared auxiliaries for rule bodies.  Returns the
 /// compiled image; `solver.ok()` is false afterwards iff the completion is
-/// unsatisfiable at the root.
+/// unsatisfiable at the root.  Throws std::invalid_argument, before it
+/// allocates any variable, when the program is not tight: when some rule
+/// head depends positively on itself, directly or through other rules.
 [[nodiscard]] CompiledProgram compile(const Program& program, Solver& solver);
 
 }  // namespace aspmt::asp

@@ -1,7 +1,7 @@
 #include "asp/program.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace aspmt::asp {
 
@@ -10,13 +10,6 @@ Atom Program::new_atom(std::string name) {
   if (name.empty()) name = "x" + std::to_string(a);
   names_.push_back(std::move(name));
   return a;
-}
-
-Atom Program::find(std::string_view name) const {
-  for (Atom a = 0; a < names_.size(); ++a) {
-    if (names_[a] == name) return a;
-  }
-  return num_atoms();
 }
 
 void Program::rule(Atom head, std::vector<BodyLit> body) {
@@ -31,109 +24,6 @@ void Program::choice_rule(Atom head, std::vector<BodyLit> body) {
 
 void Program::integrity(std::vector<BodyLit> body) {
   constraints_.push_back(std::move(body));
-}
-
-Atom Program::weight_node(
-    const std::vector<WeightedBodyLit>& body,
-    const std::vector<std::int64_t>& suffix_total, std::size_t index,
-    std::int64_t needed,
-    std::map<std::pair<std::size_t, std::int64_t>, Atom>& memo) {
-  if (needed <= 0) return kNodeTrue;
-  if (index >= body.size() || suffix_total[index] < needed) return kNodeFalse;
-  const auto key = std::make_pair(index, needed);
-  if (const auto it = memo.find(key); it != memo.end()) return it->second;
-
-  const WeightedBodyLit& e = body[index];
-  const Atom on_sat =
-      weight_node(body, suffix_total, index + 1, needed - e.weight, memo);
-  const Atom on_unsat = weight_node(body, suffix_total, index + 1, needed, memo);
-
-  // IMPORTANT: the expansion must stay *monotone* in the positive body
-  // atoms — the skip branch is unguarded (node :- next), never "not l".
-  // A Shannon decision on a positive atom would make support through the
-  // remaining elements depend on that atom being false, which is wrong
-  // under stable-model semantics when the atom is true but unfounded.
-  // Threshold semantics is preserved: node(i, needed) holds iff some subset
-  // of the satisfied suffix elements reaches `needed`, which for
-  // non-negative weights coincides with the satisfied total reaching it.
-  Atom node;
-  if (on_sat == kNodeTrue && on_unsat == kNodeTrue) {
-    node = kNodeTrue;
-  } else if (on_sat == kNodeFalse && on_unsat == kNodeFalse) {
-    node = kNodeFalse;
-  } else {
-    node = new_atom("wsum" + std::to_string(num_atoms()));
-    const BodyLit sat = e.lit;
-    if (on_sat == kNodeTrue) {
-      rule(node, {sat});
-    } else if (on_sat != kNodeFalse) {
-      rule(node, {sat, pos(on_sat)});
-    }
-    if (on_unsat == kNodeTrue) {
-      rule(node, {});  // unreachable for needed > 0, kept for safety
-    } else if (on_unsat != kNodeFalse) {
-      rule(node, {pos(on_unsat)});
-    }
-  }
-  memo.emplace(key, node);
-  return node;
-}
-
-void Program::weight_rule(Atom head, std::int64_t bound,
-                          std::vector<WeightedBodyLit> body) {
-  assert(head < num_atoms());
-  std::erase_if(body, [](const WeightedBodyLit& e) { return e.weight == 0; });
-  for (const WeightedBodyLit& e : body) {
-    assert(e.weight > 0 && "normalize negative weights before calling");
-    assert(e.lit.atom < num_atoms());
-    (void)e;
-  }
-  if (bound <= 0) {
-    rule(head, {});
-    return;
-  }
-  // Heavy elements first: smaller BDDs and earlier suffix cut-offs.
-  std::sort(body.begin(), body.end(),
-            [](const WeightedBodyLit& a, const WeightedBodyLit& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              if (a.lit.atom != b.lit.atom) return a.lit.atom < b.lit.atom;
-              return a.lit.positive && !b.lit.positive;
-            });
-  std::vector<std::int64_t> suffix(body.size() + 1, 0);
-  for (std::size_t i = body.size(); i-- > 0;) {
-    suffix[i] = suffix[i + 1] + body[i].weight;
-  }
-  std::map<std::pair<std::size_t, std::int64_t>, Atom> memo;
-  const Atom root = weight_node(body, suffix, 0, bound, memo);
-  if (root == kNodeTrue) {
-    rule(head, {});
-  } else if (root != kNodeFalse) {
-    rule(head, {pos(root)});
-  }
-  // kNodeFalse: the bound is unreachable — the rule never fires.
-}
-
-void Program::cardinality_rule(Atom head, std::int64_t bound,
-                               std::vector<BodyLit> body) {
-  std::vector<WeightedBodyLit> weighted;
-  weighted.reserve(body.size());
-  for (const BodyLit& bl : body) weighted.push_back(WeightedBodyLit{bl, 1});
-  weight_rule(head, bound, std::move(weighted));
-}
-
-void Program::minimize_at(std::int32_t priority,
-                          std::vector<WeightedBodyLit> terms) {
-  auto& level = minimize_[priority];
-  for (const WeightedBodyLit& t : terms) {
-    assert(t.weight >= 0 && "normalize negative weights before calling");
-    if (t.weight > 0) level.push_back(t);
-  }
-}
-
-std::span<const WeightedBodyLit> Program::minimize_terms() const noexcept {
-  const auto it = minimize_.find(0);
-  if (it == minimize_.end()) return {};
-  return it->second;
 }
 
 }  // namespace aspmt::asp

@@ -1,18 +1,15 @@
 // Ground answer-set programs.
 //
 // A Program is a bag of normal rules, choice rules and integrity constraints
-// over dense atom ids with optional symbolic names.  Encoders build programs
-// programmatically (the role the grounder plays in the clingo pipeline);
-// `compile()` (completion.hpp) translates a Program into solver clauses.
+// over dense atom ids with optional symbolic names.  The synthesis encoder
+// builds its ground program directly (the role a grounder plays in the
+// clingo pipeline); `compile()` (completion.hpp) translates a tight Program
+// into solver clauses.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace aspmt::asp {
@@ -37,15 +34,9 @@ struct Rule {
   bool choice = false;  ///< true for `{head} :- body.`
 };
 
-/// One weighted element of a weight rule body or a minimize statement.
-struct WeightedBodyLit {
-  BodyLit lit;
-  std::int64_t weight = 1;  ///< must be >= 0
-};
-
 class Program {
  public:
-  /// Create a fresh atom; `name` is kept for diagnostics and text output.
+  /// Create a fresh atom; `name` is kept for diagnostics.
   Atom new_atom(std::string name = {});
 
   [[nodiscard]] std::uint32_t num_atoms() const noexcept {
@@ -53,11 +44,6 @@ class Program {
   }
 
   [[nodiscard]] const std::string& name(Atom a) const { return names_[a]; }
-  void set_name(Atom a, std::string name) { names_[a] = std::move(name); }
-
-  /// Look up an atom by name; returns num_atoms() if absent (linear scan —
-  /// intended for tests and the text reader, not hot paths).
-  [[nodiscard]] Atom find(std::string_view name) const;
 
   /// `head :- body.`
   void rule(Atom head, std::vector<BodyLit> body);
@@ -71,60 +57,15 @@ class Program {
   /// `:- body.`
   void integrity(std::vector<BodyLit> body);
 
-  /// `head :- bound <= #sum { w1 : l1; w2 : l2; ... }.`
-  ///
-  /// Expanded eagerly into normal rules over fresh auxiliary atoms (a BDD
-  /// over the weighted literals), so stable-model semantics — including
-  /// positive recursion through the weight body and unfounded-set handling —
-  /// is inherited from the normal-rule machinery.  Weights must be
-  /// non-negative (clingo-style normalization of negative weights is the
-  /// caller's job).  Auxiliary atom count is O(|body| * bound).
-  void weight_rule(Atom head, std::int64_t bound, std::vector<WeightedBodyLit> body);
-
-  /// `a :- k { l1; ...; ln }.` — cardinality rule (weight rule, weights 1).
-  void cardinality_rule(Atom head, std::int64_t bound, std::vector<BodyLit> body);
-
-  /// `#minimize { w1 : l1; ... }.` at priority level 0.  Terms accumulate
-  /// across calls; weights must be non-negative.  The solver core does not
-  /// act on these — see theory/asp_minimize.hpp for the optimization driver.
-  void minimize(std::vector<WeightedBodyLit> terms) {
-    minimize_at(0, std::move(terms));
-  }
-
-  /// `#minimize { w : l, ... } @ priority.`  Higher priority levels are
-  /// optimised first (clingo convention).
-  void minimize_at(std::int32_t priority, std::vector<WeightedBodyLit> terms);
-
-  /// Terms of level 0 (the common case).
-  [[nodiscard]] std::span<const WeightedBodyLit> minimize_terms() const noexcept;
-
-  /// All (priority, terms) groups, highest priority first.
-  [[nodiscard]] const std::map<std::int32_t, std::vector<WeightedBodyLit>,
-                               std::greater<>>&
-  minimize_levels() const noexcept {
-    return minimize_;
-  }
-
   [[nodiscard]] std::span<const Rule> rules() const noexcept { return rules_; }
   [[nodiscard]] std::span<const std::vector<BodyLit>> constraints() const noexcept {
     return constraints_;
   }
 
  private:
-  /// BDD node for the weight-rule expansion: "the suffix from `index` can
-  /// still contribute at least `needed`".  Returns kNodeTrue/kNodeFalse for
-  /// the terminal cases.
-  static constexpr Atom kNodeTrue = 0xfffffffeU;
-  static constexpr Atom kNodeFalse = 0xfffffffdU;
-  Atom weight_node(const std::vector<WeightedBodyLit>& body,
-                   const std::vector<std::int64_t>& suffix_total,
-                   std::size_t index, std::int64_t needed,
-                   std::map<std::pair<std::size_t, std::int64_t>, Atom>& memo);
-
   std::vector<std::string> names_;
   std::vector<Rule> rules_;
   std::vector<std::vector<BodyLit>> constraints_;
-  std::map<std::int32_t, std::vector<WeightedBodyLit>, std::greater<>> minimize_;
 };
 
 }  // namespace aspmt::asp

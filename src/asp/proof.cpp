@@ -89,15 +89,6 @@ void ProofLog::def_objective_bound(std::size_t objective, std::int64_t bound,
   buf_ += '\n';
 }
 
-void ProofLog::def_rule(Lit head, Lit body, std::span<const Lit> positive_heads) {
-  buf_ += "PR";
-  append_lit(head);
-  append_lit(body);
-  append_int(static_cast<std::int64_t>(positive_heads.size()));
-  for (const Lit h : positive_heads) append_lit(h);
-  buf_ += '\n';
-}
-
 void ProofLog::theory_clause(const TheoryJustification& just,
                              std::span<const Lit> lits) {
   buf_ += 'T';
@@ -105,7 +96,6 @@ void ProofLog::theory_clause(const TheoryJustification& just,
     case TheoryTag::DiffCycle: buf_ += " DC"; break;
     case TheoryTag::DiffBound: buf_ += " DB"; break;
     case TheoryTag::LinearBound: buf_ += " LS"; break;
-    case TheoryTag::Unfounded: buf_ += " UF"; break;
     case TheoryTag::Dominance: buf_ += " DOM"; break;
     case TheoryTag::LinearLower: buf_ += " LL"; break;
     case TheoryTag::CombinatorBound: buf_ += " CB"; break;

@@ -3,7 +3,7 @@
 // When a ProofLog is attached, the solver and every theory propagator emit a
 // line-oriented trace of the whole incremental session: the constraint
 // system as it is declared (input clauses, linear sums, difference edges,
-// bound declarations, program rules, objective bindings), every inference
+// bound declarations, objective bindings), every inference
 // (learnt clauses as RUP additions, theory lemmas with a tagged
 // justification), deletions, and one conclusion step per solve() call that
 // ends in Unsat.  The stream is replayable by the solver-independent checker
@@ -30,7 +30,6 @@
 //                                    (leaf-only bindings are the legacy form)
 //   OB <obj> <bound> <act>           combinator-axis bound declaration:
 //                                    objective <obj> <= bound while act holds
-//   PR <head> <body> <n> <poshead>*  program rule (for loop nogoods)
 //   I  <lit>* 0                      input clause (axiom)
 //   G  <guard> <lit>* 0              guarded replay axiom: the clause
 //                                    (-guard v lits) is installed.  The
@@ -67,7 +66,6 @@ enum class TheoryTag : std::uint8_t {
   DiffCycle,    ///< positive cycle among edges guarded by the clause literals
   DiffBound,    ///< longest path to a node exceeds a declared bound
   LinearBound,  ///< weighted true guards exceed a declared sum bound
-  Unfounded,    ///< loop nogood for an unfounded set (payload: head lits)
   Dominance,    ///< region weakly dominated by a certified feasible point
   LinearLower,  ///< falsified guards forfeit too much weight for a sum floor
   CombinatorBound,  ///< combinator-axis lower bound exceeds a declared OB bound
@@ -75,7 +73,7 @@ enum class TheoryTag : std::uint8_t {
 
 struct TheoryJustification {
   TheoryTag tag;
-  /// Tag-specific integers (bounds, node/sum ids, points, head literals).
+  /// Tag-specific integers (bounds, node/sum ids, points).
   std::vector<std::int64_t> payload;
 };
 
@@ -100,7 +98,6 @@ class ProofLog {
   /// Combinator-axis bound declaration: `OB <obj> <bound> <act>`.
   void def_objective_bound(std::size_t objective, std::int64_t bound,
                            Lit activation);
-  void def_rule(Lit head, Lit body, std::span<const Lit> positive_heads);
 
   // ---- inference steps ----------------------------------------------------
   void input_clause(std::span<const Lit> lits) { clause_step('I', lits); }

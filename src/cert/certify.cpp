@@ -11,7 +11,7 @@ namespace aspmt::cert {
 namespace {
 
 /// The constraint system a proof stream claims to solve: the subsequence of
-/// its I/S/N/E/O/PR lines, verbatim.  Bound declarations (SB/SL/NB), replay
+/// its I/S/N/E/O lines, verbatim.  Bound declarations (SB/SL/NB), replay
 /// axioms (G) and all derivation steps are excluded — those legitimately
 /// differ across shards of one distributed run; the system itself must not.
 std::string declaration_core(std::string_view proof) {
@@ -25,7 +25,7 @@ std::string declaration_core(std::string_view proof) {
     const std::size_t sp = line.find(' ');
     const std::string_view head = line.substr(0, sp);
     if (head == "I" || head == "S" || head == "N" || head == "E" ||
-        head == "O" || head == "PR") {
+        head == "O") {
       core.append(line);
       core.push_back('\n');
     }
@@ -111,48 +111,23 @@ CertifyResult certify_front(
   return result;
 }
 
-MergedCertifyResult certify_merged(
-    const synth::Specification& spec,
-    std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
-    std::span<const pareto::Vec> front, std::span<const ShardProof> shards,
-    std::size_t shard_objective) {
-  MergedCertifyResult result;
+ShardsCheck check_shards(std::span<const ShardProof> shards,
+                         std::size_t shard_objective, CheckOptions options) {
+  ShardsCheck result;
   if (shards.empty()) {
     result.error = "no shard proofs to merge";
     return result;
   }
+  options.shard_objective = static_cast<std::int64_t>(shard_objective);
 
-  // 1. The union of all shards' discoveries must validate; only validated
-  //    points are admissible dominance sources in *any* shard's stream.
-  CheckOptions copts;
-  copts.require_global_unsat = false;
-  copts.trust_feasible_steps = false;
-  copts.shard_objective = static_cast<std::int64_t>(shard_objective);
-  copts.feasible_points.reserve(discoveries.size());
-  for (const auto& [point, impl] : discoveries) {
-    const std::string why = synth::validate_implementation(spec, impl);
-    if (!why.empty()) {
-      result.error =
-          "witness for " + pareto::to_string(point) + " invalid: " + why;
-      return result;
-    }
-    if (synth::recompute_objectives(spec, impl) != point) {
-      result.error = "witness objectives disagree with the recorded point " +
-                     pareto::to_string(point);
-      return result;
-    }
-    ++result.witnesses_validated;
-    copts.feasible_points.push_back(point);
-  }
-
-  // 2. Every shard's stream must verify, stay untruncated, declare no
-  //    unconditional bound, prove a box containing its claimed band, and
-  //    solve byte-for-byte the same constraint system as shard 0.
+  // Every shard's stream must verify, stay untruncated, declare no
+  // unconditional bound, prove a box containing its claimed band, and solve
+  // byte-for-byte the same constraint system as shard 0.
   std::string core;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ShardProof& shard = shards[i];
     const std::string tag = "shard " + std::to_string(i);
-    CheckResult check = check_proof(shard.proof, copts);
+    CheckResult check = check_proof(shard.proof, options);
     if (!check.ok) {
       result.error = tag + " proof check failed: " + check.error;
       result.checks.push_back(std::move(check));
@@ -196,8 +171,10 @@ MergedCertifyResult certify_merged(
     ++result.shards_checked;
   }
 
-  // 3. The claimed bands must tile the whole objective line exactly — sorted,
-  //    gap-free, overlap-free, open at both ends.
+  // The claimed bands must tile the whole objective line exactly — sorted,
+  // gap-free, overlap-free, open at both ends.  A band ending at INT64_MAX
+  // overlaps every band after it; testing that first keeps `end + 1` from
+  // overflowing.
   std::vector<std::array<std::int64_t, 2>> bands;
   bands.reserve(shards.size());
   for (const ShardProof& s : shards) bands.push_back({s.lo, s.hi});
@@ -209,21 +186,65 @@ MergedCertifyResult certify_merged(
     return result;
   }
   for (std::size_t i = 0; i < bands.size(); ++i) {
-    if (bands[i][0] > bands[i][1]) {
+    const std::int64_t end = bands[i][1];
+    if (bands[i][0] > end) {
       result.error = "shard band " + std::to_string(bands[i][0]) + " > " +
-                     std::to_string(bands[i][1]) + " is empty";
+                     std::to_string(end) + " is empty";
       return result;
     }
-    if (i + 1 < bands.size() && bands[i + 1][0] != bands[i][1] + 1) {
-      result.error = bands[i + 1][0] <= bands[i][1]
-                         ? "shard bands overlap"
-                         : "shard bands leave a gap after " +
-                               std::to_string(bands[i][1]);
+    if (i + 1 == bands.size()) break;
+    const std::int64_t next = bands[i + 1][0];
+    if (end == kMax || next <= end) {
+      result.error = "shard bands overlap";
+      return result;
+    }
+    if (next != end + 1) {
+      result.error = "shard bands leave a gap after " + std::to_string(end);
       return result;
     }
   }
   if (bands.back()[1] != kMax) {
     result.error = "shard bands leave the objective unbounded-above end uncovered";
+    return result;
+  }
+  return result;
+}
+
+MergedCertifyResult certify_merged(
+    const synth::Specification& spec,
+    std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
+    std::span<const pareto::Vec> front, std::span<const ShardProof> shards,
+    std::size_t shard_objective) {
+  MergedCertifyResult result;
+
+  // 1. The union of all shards' discoveries must validate; only validated
+  //    points are admissible dominance sources in *any* shard's stream.
+  CheckOptions copts;
+  copts.require_global_unsat = false;
+  copts.trust_feasible_steps = false;
+  copts.feasible_points.reserve(discoveries.size());
+  for (const auto& [point, impl] : discoveries) {
+    const std::string why = synth::validate_implementation(spec, impl);
+    if (!why.empty()) {
+      result.error =
+          "witness for " + pareto::to_string(point) + " invalid: " + why;
+      return result;
+    }
+    if (synth::recompute_objectives(spec, impl) != point) {
+      result.error = "witness objectives disagree with the recorded point " +
+                     pareto::to_string(point);
+      return result;
+    }
+    ++result.witnesses_validated;
+    copts.feasible_points.push_back(point);
+  }
+
+  // 2. and 3. Every shard's stream checks out and the bands tile the line.
+  ShardsCheck shard_check = check_shards(shards, shard_objective, std::move(copts));
+  result.checks = std::move(shard_check.checks);
+  result.shards_checked = shard_check.shards_checked;
+  if (!shard_check.error.empty()) {
+    result.error = std::move(shard_check.error);
     return result;
   }
 

@@ -64,14 +64,18 @@ struct CertifyResult {
 //      (CheckOptions::shard_objective): the checker-verified box of each
 //      stream must contain the claimed band, the stream must be untruncated
 //      and carry no unconditional bound (CheckResult::unsafe_bounds), and
-//      every stream's declaration core (the I/S/N/E/O/PR lines — the
+//      every stream's declaration core (the I/S/N/E/O lines — the
 //      constraint system itself) must be byte-identical to shard 0's, so all
 //      shards provably solved the same problem;
 //   3. coverage — the claimed bands, sorted, tile (-inf, +inf) exactly: the
-//      first is open below, each next band starts one past its predecessor's
-//      end, the last is open above.  No gap escapes every shard's Unsat;
+//      first is open below, none is empty, each next band starts one past
+//      its predecessor's end, the last is open above.  No gap escapes every
+//      shard's Unsat;
 //   4. the merged front equals the Pareto-minimal subset of the validated
 //      union.
+//
+// Steps 2 and 3 are check_shards, which `aspmt_check` runs on a merged
+// container with its trusting options (F steps taken at face value).
 //
 // Soundness of the cross-shard argument: a feasible point inside a band
 // extends to a model of the declared system with that band's activations
@@ -89,6 +93,23 @@ struct ShardProof {
   std::int64_t hi = std::numeric_limits<std::int64_t>::max();
   std::string proof;
 };
+
+/// Outcome of check_shards: steps 2 and 3 of certify_merged.
+struct ShardsCheck {
+  /// Per-shard check outcomes, in input order, up to the first failure.
+  std::vector<CheckResult> checks;
+  /// Shards whose stream met every per-shard condition of step 2.
+  std::size_t shards_checked = 0;
+  /// Empty when every shard checks out and the bands tile the objective
+  /// line; the first failing condition otherwise.
+  std::string error;
+};
+
+/// Check every shard's stream under `options`, with shard boxes extracted
+/// on `shard_objective` (step 2), then the claimed bands' tiling (step 3).
+[[nodiscard]] ShardsCheck check_shards(std::span<const ShardProof> shards,
+                                       std::size_t shard_objective,
+                                       CheckOptions options);
 
 struct MergedCertifyResult {
   bool certified = false;

@@ -86,12 +86,6 @@ struct Edge {
   Codes guards;  // all must be true for the edge to apply
 };
 
-struct Rule {
-  std::int64_t head = 0;
-  Code body = 0;
-  std::vector<std::int64_t> pos_heads;  // head literals of the positive body atoms
-};
-
 /// One objective binding as declared by an O line: a leaf ('L' sum, 'D'
 /// node) or a combinator ('X' lex with caps, 'M' minmax, 'W' weighted with
 /// weights) over such trees.  kind 0 marks an axis whose
@@ -508,27 +502,6 @@ class Checker {
       }
       return {};
     }
-    if (tag == "UF") {
-      if (payload.empty()) return "UF payload must list the unfounded set";
-      std::vector<std::int64_t> unfounded(payload);
-      std::sort(unfounded.begin(), unfounded.end());
-      const auto member = [&](std::int64_t a) {
-        return std::binary_search(unfounded.begin(), unfounded.end(), a);
-      };
-      if (std::none_of(unfounded.begin(), unfounded.end(),
-                       [&](std::int64_t u) { return clause_negates(u); })) {
-        return "clause negates no unfounded atom";
-      }
-      for (const Rule& r : rules_) {
-        if (!member(r.head)) continue;
-        const bool external =
-            std::none_of(r.pos_heads.begin(), r.pos_heads.end(), member);
-        if (external && !in_clause(r.body)) {
-          return "clause misses an external support body";
-        }
-      }
-      return {};
-    }
     if (tag == "DOM") {
       if (payload.empty() ||
           payload[0] != static_cast<std::int64_t>(payload.size()) - 1) {
@@ -670,8 +643,8 @@ class Checker {
   static constexpr std::uint8_t kStructural = 4;  // never a pure box activation
 
   /// Record that the variable of `c` occurs in an axiom or declaration, with
-  /// kStructural when it occurs in an input clause, sum term, edge guard,
-  /// program rule or replay tail.  False iff the variable is a replay guard
+  /// kStructural when it occurs in an input clause, sum term, edge guard
+  /// or replay tail.  False iff the variable is a replay guard
   /// — axioms must never mention guard variables or the guard-purity
   /// soundness argument collapses.
   [[nodiscard]] bool note_var(Code c, std::uint8_t flags) {
@@ -771,7 +744,6 @@ class Checker {
   std::set<std::array<std::int64_t, 3>> node_bounds_;
   std::vector<ObjTree> objectives_;  // one binding tree per Pareto axis
   std::set<std::array<std::int64_t, 3>> comb_bounds_;
-  std::vector<Rule> rules_;
   std::vector<std::vector<std::int64_t>> feasible_;
   std::vector<std::int64_t> dist_;  // longest_paths output
   std::vector<const Edge*> live_;   // longest_paths scratch
@@ -1047,32 +1019,6 @@ CheckResult Checker::run(std::string_view proof) {
       }
       comb_bounds_.insert({obj, bound, act});
       note_bound_act(3, obj, bound, act);
-    } else if (kind == "PR") {
-      Rule r;
-      std::int64_t body = 0;
-      std::int64_t n = 0;
-      if (!line.integer(r.head) || r.head == 0 || !line.integer(body) ||
-          body == 0 || !line.integer(n) || n < 0) {
-        return fail("malformed program rule");
-      }
-      r.pos_heads.resize(static_cast<std::size_t>(n));
-      for (auto& h : r.pos_heads) {
-        if (!line.integer(h) || h == 0) return fail("malformed program rule");
-      }
-      Code head = 0;
-      Codes pos_heads(r.pos_heads.size());
-      if (!declared_lit(r.head, head) || !declared_lit(body, r.body)) {
-        return fail(kOutOfRange);
-      }
-      for (std::size_t i = 0; i < r.pos_heads.size(); ++i) {
-        if (!declared_lit(r.pos_heads[i], pos_heads[i])) return fail(kOutOfRange);
-      }
-      if (!note_var(head, kAxiom | kStructural) ||
-          !note_var(r.body, kAxiom | kStructural) ||
-          !note_vars(pos_heads, kAxiom | kStructural)) {
-        return fail("program rule mentions a replay guard variable");
-      }
-      rules_.push_back(std::move(r));
     } else {
       return fail("unknown step kind '" + std::string(kind) + "'");
     }

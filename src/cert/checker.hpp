@@ -5,13 +5,13 @@
 // its own clause database with its own watched-literal unit propagation,
 // verifies every learnt clause by RUP (asserting the negation and
 // propagating to a conflict), re-derives every theory lemma from the
-// declared theory data alone (sum/edge/bound/rule/objective declarations),
+// declared theory data alone (sum/edge/bound/objective declarations),
 // and discharges every Unsat conclusion by asserting its assumptions and
 // propagating.  A proof that survives makes the solver's Unsat answers —
 // and with them the exactness of an explored Pareto front — independently
 // machine-checked facts.
 //
-// Trust boundary: declarations (I/S/SB/SL/N/E/NB/O/PR) are axioms of the
+// Trust boundary: declarations (I/S/SB/SL/N/E/NB/O/OB) are axioms of the
 // constraint system — they assert what problem was solved, not how.  The
 // certification layer (cert/certify.hpp) closes the remaining gap on the
 // model side by validating every feasible point's witness against the
@@ -68,9 +68,8 @@ struct CheckResult {
   /// With CheckOptions::shard_objective set: closed intervals [lo, hi] of
   /// the shard objective proven empty modulo dominance — each comes from a
   /// verified Unsat conclusion whose assumptions are *pure* box activations
-  /// (positive literals that occur in no input clause, sum term, edge guard,
-  /// rule, or replay step, and activate bounds only on the shard objective's
-  /// sum).  Purity makes the cross-shard model-extension argument sound: a
+  /// (positive literals that occur in no input clause, sum term, edge guard
+  /// or replay step, and activate bounds only on the shard objective's sum).  Purity makes the cross-shard model-extension argument sound: a
   /// feasible design point inside the box extends to a model of the declared
   /// system with the box activations true and every other auxiliary variable
   /// false, so the verified Unsat means every such point is weakly dominated

@@ -140,8 +140,6 @@ SynthContext::SynthContext(const synth::Specification& spec, ContextOptions opti
     }
   }
 
-  unfounded_ = std::make_unique<asp::UnfoundedSetChecker>(encoding.compiled);
-  unfounded_->set_proof(options.proof);
   archive_ = pareto::make_archive(options.archive_kind, objectives.count());
   dominance_ = std::make_unique<DominancePropagator>(objectives, *archive_);
   capture_ = std::make_unique<ModelCapture>(*this);
@@ -163,11 +161,10 @@ SynthContext::SynthContext(const synth::Specification& spec, ContextOptions opti
   }
 
   // Registration order matters: theories first (they feed the objective
-  // bounds), then stability, then the residual combinator bounds, then
-  // dominance, then capture (which must only run on accepted assignments).
+  // bounds), then the residual combinator bounds, then dominance, then
+  // capture (which must only run on accepted assignments).
   solver.add_propagator(&linear);
   solver.add_propagator(&difference);
-  solver.add_propagator(unfounded_.get());
   solver.add_propagator(combinator_bounds_.get());
   solver.add_propagator(dominance_.get());
   solver.add_propagator(capture_.get());

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "asp/solver.hpp"
-#include "asp/unfounded.hpp"
 #include "dse/combinator_bounds.hpp"
 #include "dse/dominance.hpp"
 #include "dse/objective_manager.hpp"
@@ -80,14 +79,10 @@ class SynthContext {
     return *combinator_bounds_;
   }
   [[nodiscard]] ModelCapture& capture() noexcept { return *capture_; }
-  [[nodiscard]] const asp::UnfoundedSetChecker& unfounded() const noexcept {
-    return *unfounded_;
-  }
 
  private:
   const synth::Specification* spec_;
   std::unique_ptr<CombinatorBoundPropagator> combinator_bounds_;
-  std::unique_ptr<asp::UnfoundedSetChecker> unfounded_;
   std::unique_ptr<pareto::Archive> archive_;
   std::unique_ptr<DominancePropagator> dominance_;
   std::unique_ptr<ModelCapture> capture_;

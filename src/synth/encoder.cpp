@@ -313,6 +313,7 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
   }
 
   // ---- compile the program into the solver --------------------------------
+  // Hop-indexed routing keeps the program tight, which compile() checks.
   enc.compiled = asp::compile(prog, solver);
 
   // Exactly one binding per task; at most one step per message and hop.

@@ -89,8 +89,7 @@ struct EncodeOptions {
 
 /// Build the full encoding into `solver` and the two theory propagators.
 /// The propagators must be registered with the solver by the caller (in
-/// order: linear, difference, unfounded-set checker, then any DSE
-/// propagators).  Throws std::invalid_argument when spec.validate() is not
+/// order: linear, difference, then any DSE propagators).  Throws std::invalid_argument when spec.validate() is not
 /// empty.
 [[nodiscard]] Encoding encode(const Specification& spec, asp::Solver& solver,
                               theory::LinearSumPropagator& linear,

@@ -127,6 +127,22 @@ TEST(ProofChecker, RejectsOutOfRangeLiterals) {
   }
 }
 
+TEST(ProofChecker, RejectsUnfoundedSetSteps) {
+  // The explorer compiles tight programs only, so the format has no program
+  // rule declarations and no loop nogoods.  Re-derived against no rules at
+  // all, a UF lemma would let this proof conclude Unsat for the satisfiable
+  // clause {1}.
+  const auto uf = check("p aspmt 1\nI 1 0\nT UF 1 ; -1 0\nU 0\n", true);
+  EXPECT_FALSE(uf.ok);
+  EXPECT_FALSE(uf.concluded_global_unsat);
+  EXPECT_EQ(uf.error, "line 3: theory lemma rejected: unknown theory tag");
+
+  const auto pr =
+      check("p aspmt 1\nPR 1 2 1 1\nI 1 0\nT UF 1 ; -1 0\nU 0\n", true);
+  EXPECT_FALSE(pr.ok);
+  EXPECT_EQ(pr.error, "line 2: unknown step kind 'PR'");
+}
+
 // ---- deletions --------------------------------------------------------------
 
 TEST(ProofChecker, DeletionStopsPropagation) {

@@ -6,8 +6,8 @@
 // the fork/exec + pipe + RESULT path runs end to end), feed the
 // coordinator a worker whose result has points of the wrong length, and
 // drive the certified merge with adversarial shard results — forged
-// witnesses, truncated proofs, overlapping and missing bands — that must
-// all be rejected.
+// witnesses, truncated proofs, overlapping, empty and missing bands — that
+// must all be rejected.
 #include "dse/distributed.hpp"
 
 #include <gtest/gtest.h>
@@ -435,6 +435,40 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
   }
 }
 
+TEST(Distributed, BandClaimsMustTileWithoutOverlap) {
+  // A global Unsat proves the whole line empty, so every band claim below
+  // is covered by its stream and only the tiling decides.  No discoveries:
+  // the merged front is empty.
+  const std::string proof =
+      "p aspmt 1\nS 0 1 1 1\nO 0 L 0\nI 1 0\nI -1 0\nU 0\n";
+  const synth::Specification spec;
+  const auto certify = [&](std::vector<cert::ShardProof> shards) {
+    const cert::MergedCertifyResult merged =
+        cert::certify_merged(spec, {}, {}, shards, 0);
+    // What `aspmt_check` runs on a merged container: the same verdict.
+    const cert::ShardsCheck trusting = cert::check_shards(shards, 0, {});
+    EXPECT_EQ(trusting.error, merged.error);
+    return merged;
+  };
+
+  const cert::MergedCertifyResult two =
+      certify({{kMin, 5, proof}, {6, kMax, proof}});
+  EXPECT_TRUE(two.certified) << two.error;
+  EXPECT_EQ(two.shards_checked, 2U);
+
+  const cert::MergedCertifyResult empty_middle =
+      certify({{kMin, 5, proof}, {6, 5, proof}, {6, kMax, proof}});
+  EXPECT_FALSE(empty_middle.certified);
+  EXPECT_EQ(empty_middle.error, "shard band 6 > 5 is empty");
+
+  // Both claim the full line: the first band's end is INT64_MAX, so a
+  // naive "next starts at end + 1" test overflows instead of rejecting.
+  const cert::MergedCertifyResult duplicate =
+      certify({{kMin, kMax, proof}, {kMin, kMax, proof}});
+  EXPECT_FALSE(duplicate.certified);
+  EXPECT_EQ(duplicate.error, "shard bands overlap");
+}
+
 // ---- worker processes ------------------------------------------------------
 
 TEST(Distributed, ProcessModeMatchesSingleProcessAndCertifies) {
@@ -560,6 +594,16 @@ TEST(Distributed, RemovedCliAliasesAreHardErrors) {
   const std::string err3 = slurp(err_path);
   EXPECT_NE(err3.find("--shards-in-process was removed"), std::string::npos)
       << err3;
+  std::remove(err_path.c_str());
+
+  // So is the general-purpose ASP subcommand; it reads nothing.
+  const std::string cmd4 =
+      std::string(ASPMT_DSE_BIN) + " asp x.lp 2>" + err_path;
+  const int status4 = std::system(cmd4.c_str());
+  ASSERT_TRUE(WIFEXITED(status4));
+  EXPECT_EQ(WEXITSTATUS(status4), 2);
+  const std::string err4 = slurp(err_path);
+  EXPECT_NE(err4.find("asp subcommand was removed"), std::string::npos) << err4;
   std::remove(err_path.c_str());
 }
 

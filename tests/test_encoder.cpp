@@ -83,9 +83,9 @@ TEST(Encoder, DecisionLiteralsCoverGuessedAtoms) {
 }
 
 TEST(Encoder, ProgramIsTight) {
+  // asp::compile throws on a non-tight program.
   const Specification spec = test::chain3_bus();
-  dse::SynthContext ctx(spec);
-  EXPECT_TRUE(ctx.encoding.compiled.tight);
+  EXPECT_NO_THROW(dse::SynthContext ctx(spec));
 }
 
 TEST(Encoder, SerializationForcedOnSharedResource) {

