@@ -120,7 +120,6 @@ class ProofLog {
   void truncation_marker() { buf_ += "X 0\n"; }
 
   [[nodiscard]] const std::string& text() const noexcept { return buf_; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept { return buf_.size(); }
 
  private:
   void clause_step(char kind, std::span<const Lit> lits);

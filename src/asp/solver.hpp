@@ -206,9 +206,6 @@ class Solver {
   void set_proof(ProofLog* proof) noexcept { proof_ = proof; }
   [[nodiscard]] ProofLog* proof() const noexcept { return proof_; }
 
-  /// Bump decision priority of a variable (domain heuristics).
-  void bump_variable(Var v) { heuristic_.bump(v); }
-
   /// Strong one-off priority boost so the variable is decided early
   /// (domain heuristics, e.g. binding before routing).
   void boost_variable(Var v, double amount) { heuristic_.boost(v, amount); }
@@ -223,9 +220,6 @@ class Solver {
 
   [[nodiscard]] std::size_t num_problem_clauses() const noexcept {
     return problem_clauses_.size();
-  }
-  [[nodiscard]] std::size_t num_learnt_clauses() const noexcept {
-    return learnt_clauses_.size();
   }
 
  private:

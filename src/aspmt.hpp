@@ -68,8 +68,9 @@
 #include "serve/client.hpp"
 
 // -- Certification ----------------------------------------------------------
-// cert::certify_front — replay a run's proof stream and witness set through
-// the independent checker; exit code of record for certified runs.
+// cert::certify — replay a run's proof streams (one per band; one for a
+// single-process run) and witness set through the independent checker;
+// exit code of record for certified runs.
 #include "cert/certify.hpp"
 
 // -- Observability ----------------------------------------------------------

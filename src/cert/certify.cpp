@@ -2,30 +2,50 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 
 #include "synth/validator.hpp"
+#include "util/text.hpp"
 
 namespace aspmt::cert {
 
 namespace {
 
-/// The constraint system a proof stream claims to solve: the subsequence of
-/// its I/S/N/E/O lines, verbatim.  Bound declarations (SB/SL/NB), replay
-/// axioms (G) and all derivation steps are excluded — those legitimately
-/// differ across shards of one distributed run; the system itself must not.
+using util::parse_number;
+using util::take_line;
+using util::take_token;
+
+/// The next word of `rest`, split at spaces and tabs as the checker splits.
+std::string_view take_word(std::string_view& rest) {
+  const auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  while (!rest.empty() && blank(rest.front())) rest.remove_prefix(1);
+  std::size_t n = 0;
+  while (n < rest.size() && !blank(rest[n])) ++n;
+  const std::string_view word = rest.substr(0, n);
+  rest.remove_prefix(n);
+  return word;
+}
+
+/// The constraint system a proof stream claims to solve, verbatim: its
+/// I/S/N/E/O lines and every bound declaration (SB/SL/NB/OB) whose
+/// activation is 0.  Conditional bounds (the band bounds), replay axioms (G)
+/// and all derivation steps are excluded — those legitimately differ across
+/// shards of one distributed run; the system itself must not.  Lines are
+/// classified by the words the checker reads, so no spacing hides a line.
 std::string declaration_core(std::string_view proof) {
   std::string core;
-  std::size_t pos = 0;
-  while (pos < proof.size()) {
-    std::size_t nl = proof.find('\n', pos);
-    if (nl == std::string_view::npos) nl = proof.size();
-    const std::string_view line = proof.substr(pos, nl - pos);
-    pos = nl + 1;
-    const std::size_t sp = line.find(' ');
-    const std::string_view head = line.substr(0, sp);
-    if (head == "I" || head == "S" || head == "N" || head == "E" ||
-        head == "O") {
+  while (!proof.empty()) {
+    const std::string_view line = take_line(proof);
+    std::string_view rest = line;
+    const std::string_view head = take_word(rest);
+    bool keep = head == "I" || head == "S" || head == "N" || head == "E" ||
+                head == "O";
+    if (head == "SB" || head == "SL" || head == "NB" || head == "OB") {
+      take_word(rest);  // sum, node or objective id
+      take_word(rest);  // bound
+      std::int64_t act = 0;
+      keep = !parse_number(take_word(rest), act) || act == 0;
+    }
+    if (keep) {
       core.append(line);
       core.push_back('\n');
     }
@@ -33,83 +53,7 @@ std::string declaration_core(std::string_view proof) {
   return core;
 }
 
-bool parse_i64(std::string_view token, std::int64_t& out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-std::string_view take_line(std::string_view& rest) {
-  const std::size_t nl = rest.find('\n');
-  const std::string_view line =
-      nl == std::string_view::npos ? rest : rest.substr(0, nl);
-  rest = nl == std::string_view::npos ? std::string_view{} : rest.substr(nl + 1);
-  return line;
-}
-
-std::string_view take_token(std::string_view& rest) {
-  while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-  const std::size_t sp = rest.find(' ');
-  const std::string_view tok =
-      sp == std::string_view::npos ? rest : rest.substr(0, sp);
-  rest = sp == std::string_view::npos ? std::string_view{} : rest.substr(sp + 1);
-  return tok;
-}
-
 }  // namespace
-
-CertifyResult certify_front(
-    const synth::Specification& spec,
-    std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
-    std::span<const pareto::Vec> front, std::string_view proof) {
-  CertifyResult result;
-
-  // 1. Every discovery needs an independently validated witness whose
-  //    recomputed objectives equal the recorded vector.
-  CheckOptions copts;
-  copts.require_global_unsat = true;
-  copts.trust_feasible_steps = false;
-  copts.feasible_points.reserve(discoveries.size());
-  for (const auto& [point, impl] : discoveries) {
-    const std::string why = synth::validate_implementation(spec, impl);
-    if (!why.empty()) {
-      result.error =
-          "witness for " + pareto::to_string(point) + " invalid: " + why;
-      return result;
-    }
-    if (synth::recompute_objectives(spec, impl) != point) {
-      result.error = "witness objectives disagree with the recorded point " +
-                     pareto::to_string(point);
-      return result;
-    }
-    ++result.witnesses_validated;
-    copts.feasible_points.push_back(point);
-  }
-
-  // 2. The proof must verify with only those points as dominance sources and
-  //    must close with a global Unsat conclusion.
-  result.check = check_proof(proof, copts);
-  if (!result.check.ok) {
-    result.error = "proof check failed: " + result.check.error;
-    return result;
-  }
-
-  // 3. The reported front must be exactly the Pareto-minimal subset of the
-  //    validated discoveries.
-  std::vector<pareto::Vec> points;
-  points.reserve(discoveries.size());
-  for (const auto& [point, impl] : discoveries) points.push_back(point);
-  std::vector<pareto::Vec> minimal = pareto::non_dominated_filter(std::move(points));
-  std::vector<pareto::Vec> reported(front.begin(), front.end());
-  std::sort(reported.begin(), reported.end());
-  if (reported != minimal) {
-    result.error = "reported front differs from the minimal validated set";
-    return result;
-  }
-
-  result.certified = true;
-  return result;
-}
 
 ShardsCheck check_shards(std::span<const ShardProof> shards,
                          std::size_t shard_objective, CheckOptions options) {
@@ -120,8 +64,9 @@ ShardsCheck check_shards(std::span<const ShardProof> shards,
   }
   options.shard_objective = static_cast<std::int64_t>(shard_objective);
 
-  // Every shard's stream must verify, stay untruncated, declare no
-  // unconditional bound, prove a box containing its claimed band, and solve
+  // Every shard's stream must verify, stay untruncated, declare no bound
+  // under a negative activation, cover its claimed band with a global Unsat
+  // or a proven box, and — when there is more than one band — solve
   // byte-for-byte the same constraint system as shard 0.
   std::string core;
   for (std::size_t i = 0; i < shards.size(); ++i) {
@@ -140,32 +85,32 @@ ShardsCheck check_shards(std::span<const ShardProof> shards,
     }
     if (check.unsafe_bounds) {
       result.error = tag +
-                     " declares an unconditional bound, breaking the "
-                     "cross-shard model-extension argument";
+                     " declares a bound under a negative activation, breaking "
+                     "the cross-shard model-extension argument";
       result.checks.push_back(std::move(check));
       return result;
     }
-    bool covered = false;
+    bool covered = check.concluded_global_unsat;
     for (const std::array<std::int64_t, 2>& box : check.shard_boxes) {
-      if (box[0] <= shard.lo && box[1] >= shard.hi) {
-        covered = true;
-        break;
-      }
+      covered = covered || (box[0] <= shard.lo && box[1] >= shard.hi);
     }
     if (!covered) {
-      result.error = tag + " proves no box covering its claimed band [" +
-                     std::to_string(shard.lo) + ", " + std::to_string(shard.hi) +
-                     "]";
+      result.error = tag + " proves neither a global Unsat nor a box covering "
+                     "its claimed band [" + std::to_string(shard.lo) + ", " +
+                     std::to_string(shard.hi) + "]";
       result.checks.push_back(std::move(check));
       return result;
     }
-    std::string shard_core = declaration_core(shard.proof);
-    if (i == 0) {
-      core = std::move(shard_core);
-    } else if (shard_core != core) {
-      result.error = tag + " solved a different constraint system than shard 0";
-      result.checks.push_back(std::move(check));
-      return result;
+    if (shards.size() > 1) {
+      std::string shard_core = declaration_core(shard.proof);
+      if (i == 0) {
+        core = std::move(shard_core);
+      } else if (shard_core != core) {
+        result.error =
+            tag + " solved a different constraint system than shard 0";
+        result.checks.push_back(std::move(check));
+        return result;
+      }
     }
     result.checks.push_back(std::move(check));
     ++result.shards_checked;
@@ -210,17 +155,17 @@ ShardsCheck check_shards(std::span<const ShardProof> shards,
   return result;
 }
 
-MergedCertifyResult certify_merged(
+CertifyResult certify(
     const synth::Specification& spec,
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
     std::span<const pareto::Vec> front, std::span<const ShardProof> shards,
     std::size_t shard_objective) {
-  MergedCertifyResult result;
+  CertifyResult result;
 
-  // 1. The union of all shards' discoveries must validate; only validated
+  // 1. Every discovery needs an independently validated witness whose
+  //    recomputed objectives equal the recorded vector; only validated
   //    points are admissible dominance sources in *any* shard's stream.
   CheckOptions copts;
-  copts.require_global_unsat = false;
   copts.trust_feasible_steps = false;
   copts.feasible_points.reserve(discoveries.size());
   for (const auto& [point, impl] : discoveries) {
@@ -248,8 +193,8 @@ MergedCertifyResult certify_merged(
     return result;
   }
 
-  // 4. The merged front must be exactly the Pareto-minimal subset of the
-  //    validated union.
+  // 4. The reported front must be exactly the Pareto-minimal subset of the
+  //    validated discoveries.
   std::vector<pareto::Vec> points;
   points.reserve(discoveries.size());
   for (const auto& [point, impl] : discoveries) points.push_back(point);
@@ -258,7 +203,7 @@ MergedCertifyResult certify_merged(
   std::vector<pareto::Vec> reported(front.begin(), front.end());
   std::sort(reported.begin(), reported.end());
   if (reported != minimal) {
-    result.error = "merged front differs from the minimal validated union";
+    result.error = "reported front differs from the minimal validated set";
     return result;
   }
 
@@ -296,7 +241,7 @@ std::string parse_merged_proof(std::string_view text, std::size_t& objective,
   std::string_view obj_line = take_line(rest);
   if (take_token(obj_line) != "objective") return "missing objective line";
   std::int64_t obj = -1;
-  if (!parse_i64(take_token(obj_line), obj) || obj < 0) {
+  if (!parse_number(take_token(obj_line), obj) || obj < 0) {
     return "malformed objective index";
   }
   objective = static_cast<std::size_t>(obj);
@@ -306,9 +251,9 @@ std::string parse_merged_proof(std::string_view text, std::size_t& objective,
     if (take_token(line) != "shard") return "expected a shard block";
     ShardProof shard;
     std::int64_t nbytes = -1;
-    if (!parse_i64(take_token(line), shard.lo) ||
-        !parse_i64(take_token(line), shard.hi) ||
-        !parse_i64(take_token(line), nbytes) || nbytes < 0) {
+    if (!parse_number(take_token(line), shard.lo) ||
+        !parse_number(take_token(line), shard.hi) ||
+        !parse_number(take_token(line), nbytes) || nbytes < 0) {
       return "malformed shard block header";
     }
     if (static_cast<std::size_t>(nbytes) > rest.size()) {

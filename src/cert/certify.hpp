@@ -1,20 +1,50 @@
-// Front certification: combine witness validation with proof checking so a
-// whole exploration result becomes independently verified.
+// Certification: combine witness validation with proof checking so a whole
+// exploration result becomes independently verified.
 //
-// An exploration run is certified exact when
-//   1. every point it ever discovered carries a witness implementation that
-//      synth::Validator accepts, with objectives matching the recorded
-//      vector (so each F step of the proof denotes a real design point);
-//   2. the proof stream checks out end to end (cert::check_proof) with only
-//      those validated points admitted as dominance sources, and contains a
-//      verified assumption-free Unsat conclusion — no model escapes the
-//      dominance-blocked regions, i.e. everything feasible is weakly
-//      dominated by a validated point;
-//   3. the reported front equals the Pareto-minimal subset of the validated
+// One routine certifies every run.  A run hands up *bands*: closed intervals
+// [lo, hi] of one objective that tile (-inf, +inf), each with the raw
+// `p aspmt 1` stream that proves it exhausted.  A single-process run is the
+// one-band case: one unbounded band whose stream ends in a global Unsat.  A
+// distributed run (dse/distributed.hpp) splits one linear objective into K
+// bands, explores each in its own process under activation-guarded band
+// bounds, and merges the per-band fronts.  cert::certify turns either into
+// one verified exactness claim through four checks:
+//
+//   1. witness validation — every discovered point (the union over all
+//      bands) carries a witness implementation that synth::Validator
+//      accepts and that recomputes to the recorded vector; only those
+//      points are admitted as dominance sources in any stream;
+//   2. per-band proof check — every stream verifies end to end
+//      (cert::check_proof), is untruncated, declares no bound under a
+//      negative activation (CheckResult::unsafe_bounds) and covers its
+//      band: it concludes a verified global Unsat, or a checker-verified
+//      shard box (CheckOptions::shard_objective) contains the band.  With
+//      more than one band, every stream's declaration core must be
+//      byte-identical to band 0's: the I/S/N/E/O lines and the bound
+//      declarations (SB/SL/NB/OB) whose activation is 0, i.e. the
+//      constraint system itself, so all bands provably solved one problem;
+//   3. coverage — the claimed bands, sorted, tile (-inf, +inf) exactly: the
+//      first is open below, none is empty, each next band starts one past
+//      its predecessor's end, the last is open above.  No gap escapes every
+//      band's Unsat;
+//   4. the reported front equals the Pareto-minimal subset of the validated
 //      discoveries.
-// Together these imply the reported front is exactly the Pareto front of
-// the declared constraint system, trusting only the encoding declarations
-// (which the validator cross-checks on the model side).
+//
+// Steps 2 and 3 are check_shards, which `aspmt_check` runs on a merged
+// container with its trusting options (F steps taken at face value).
+//
+// Soundness of the cross-band argument: a feasible point inside a band
+// extends to a model of the declared system with that band's activations
+// true and every other auxiliary variable false (box purity, verified by the
+// checker), so the band's verified Unsat means every feasible point in the
+// band is weakly dominated by some validated point — possibly one discovered
+// in a *different* band, which is why the feasible set is the union.  An
+// unconditional bound (activation 0) is part of the declared system, like
+// the spec's own deadline `NB <makespan> <latency_bound> 0`; a bound under a
+// negative activation cannot be switched off by the extension and is
+// rejected.  Together these imply the reported front is exactly the Pareto
+// front of the declared constraint system, trusting only the encoding
+// declarations (which the validator cross-checks on the model side).
 #pragma once
 
 #include <cstdint>
@@ -32,69 +62,17 @@
 
 namespace aspmt::cert {
 
-struct CertifyResult {
-  bool certified = false;
-  std::size_t witnesses_validated = 0;
-  CheckResult check;
-  /// Empty when certified; first failing condition otherwise.
-  std::string error;
-};
-
-/// Certify one exploration run.  `discoveries` must pair every objective
-/// vector the run ever inserted into its archive with the witness
-/// implementation captured for it; `front` is the reported final front.
-[[nodiscard]] CertifyResult certify_front(
-    const synth::Specification& spec,
-    std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
-    std::span<const pareto::Vec> front, std::string_view proof);
-
-// ---------------------------------------------------------------------------
-// Merged certification for distributed (sharded) runs — dse/distributed.hpp.
-//
-// A distributed run splits one objective's range into K disjoint bands
-// ("boxes"), explores each band with an independent portfolio under
-// activation-guarded band bounds, and merges the per-band fronts.  Each band
-// hands up a raw `p aspmt 1` stream whose terminating Unsat is concluded
-// under exactly its band activations.  certify_merged turns the collection
-// into one verified exactness claim through four checks:
-//
-//   1. witness validation — the union of all shards' discoveries validates,
-//      and only those points are admitted as dominance sources anywhere;
-//   2. per-shard proof check with shard-box extraction
-//      (CheckOptions::shard_objective): the checker-verified box of each
-//      stream must contain the claimed band, the stream must be untruncated
-//      and carry no unconditional bound (CheckResult::unsafe_bounds), and
-//      every stream's declaration core (the I/S/N/E/O lines — the
-//      constraint system itself) must be byte-identical to shard 0's, so all
-//      shards provably solved the same problem;
-//   3. coverage — the claimed bands, sorted, tile (-inf, +inf) exactly: the
-//      first is open below, none is empty, each next band starts one past
-//      its predecessor's end, the last is open above.  No gap escapes every
-//      shard's Unsat;
-//   4. the merged front equals the Pareto-minimal subset of the validated
-//      union.
-//
-// Steps 2 and 3 are check_shards, which `aspmt_check` runs on a merged
-// container with its trusting options (F steps taken at face value).
-//
-// Soundness of the cross-shard argument: a feasible point inside a band
-// extends to a model of the declared system with that band's activations
-// true and every other auxiliary variable false (box purity, verified by the
-// checker), so the band's verified Unsat means every feasible point in the
-// band is weakly dominated by some validated point — possibly one discovered
-// by a *different* shard, which is why the feasible set is the union.
-// ---------------------------------------------------------------------------
-
-/// One shard of a distributed run: the claimed closed band [lo, hi] on the
-/// shard objective (INT64_MIN/INT64_MAX = unbounded end) and the raw
-/// `p aspmt 1` stream its portfolio produced under the band activations.
+/// One band of a run: the claimed closed band [lo, hi] on the shard
+/// objective (INT64_MIN/INT64_MAX = unbounded end) and the raw `p aspmt 1`
+/// stream that proves it exhausted.  The defaults are the one unbounded
+/// band of a single-process run.
 struct ShardProof {
   std::int64_t lo = std::numeric_limits<std::int64_t>::min();
   std::int64_t hi = std::numeric_limits<std::int64_t>::max();
   std::string proof;
 };
 
-/// Outcome of check_shards: steps 2 and 3 of certify_merged.
+/// Outcome of check_shards: steps 2 and 3 of certify.
 struct ShardsCheck {
   /// Per-shard check outcomes, in input order, up to the first failure.
   std::vector<CheckResult> checks;
@@ -111,7 +89,7 @@ struct ShardsCheck {
                                        std::size_t shard_objective,
                                        CheckOptions options);
 
-struct MergedCertifyResult {
+struct CertifyResult {
   bool certified = false;
   std::size_t witnesses_validated = 0;
   std::size_t shards_checked = 0;
@@ -121,11 +99,12 @@ struct MergedCertifyResult {
   std::string error;
 };
 
-/// Certify a distributed run.  `discoveries` is the union of every shard's
-/// discoveries (each with its witness), `front` the merged front,
-/// `shard_objective` the banded objective's index in the spec's objective
-/// order.
-[[nodiscard]] MergedCertifyResult certify_merged(
+/// Certify a run.  `discoveries` pairs every objective vector the run ever
+/// inserted into an archive, in any band, with its witness implementation;
+/// `front` is the reported front; `shard_objective` the banded objective's
+/// index in the spec's objective order (any index for the single unbounded
+/// band of a one-process run).
+[[nodiscard]] CertifyResult certify(
     const synth::Specification& spec,
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
     std::span<const pareto::Vec> front, std::span<const ShardProof> shards,

@@ -674,9 +674,10 @@ class Checker {
   /// 3 = combinator bound (OB — id is an objective index, not a sum id).
   void note_bound_act(std::int64_t kind, std::int64_t id, std::int64_t bound,
                       std::int64_t act) {
-    if (act <= 0) {
-      // Unconditional (or negative-literal) bounds block the cross-shard
-      // model-extension argument; merged certification refuses the stream.
+    if (act == 0) return;  // unconditional: part of the declared system
+    if (act < 0) {
+      // A negative-literal activation blocks the cross-shard
+      // model-extension argument; certification refuses the stream.
       result_.unsafe_bounds = true;
       return;
     }

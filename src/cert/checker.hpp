@@ -42,7 +42,7 @@ struct CheckOptions {
   /// verified Unsat conclusion whose assumptions are all pure bound
   /// activations on the objective's sum contributes the interval
   /// [max SL floor, min SB ceiling] it proves empty modulo dominance.  See
-  /// CheckResult::shard_boxes and cert::certify_merged.
+  /// CheckResult::shard_boxes and cert::certify.
   std::int64_t shard_objective = -1;
 };
 
@@ -69,17 +69,21 @@ struct CheckResult {
   /// the shard objective proven empty modulo dominance — each comes from a
   /// verified Unsat conclusion whose assumptions are *pure* box activations
   /// (positive literals that occur in no input clause, sum term, edge guard
-  /// or replay step, and activate bounds only on the shard objective's sum).  Purity makes the cross-shard model-extension argument sound: a
+  /// or replay step, and activate bounds only on the shard objective's sum).
+  /// Purity makes the cross-shard model-extension argument sound: a
   /// feasible design point inside the box extends to a model of the declared
   /// system with the box activations true and every other auxiliary variable
   /// false, so the verified Unsat means every such point is weakly dominated
   /// by a certified feasible point.  INT64_MIN/INT64_MAX encode unbounded
   /// ends; an assumption-free global Unsat contributes the full line.
   std::vector<std::array<std::int64_t, 2>> shard_boxes;
-  /// A sum/node bound declaration with no (or a negative) activation literal
-  /// was seen.  Such a bound holds unconditionally, so the model-extension
-  /// argument above cannot switch it off — merged certification rejects
-  /// shard streams carrying one.
+  /// A bound declaration (SB/SL/NB/OB) with a negative activation literal
+  /// was seen.  The model-extension argument above sets every auxiliary
+  /// variable false, which switches such a bound on, so certification
+  /// rejects streams carrying one.  An activation of 0 is not flagged: that
+  /// bound is part of the declared system, like the spec's own deadline,
+  /// and cert::check_shards compares it across shards with the rest of the
+  /// declaration core.
   bool unsafe_bounds = false;
   /// First failure, with its 1-based line number; empty when ok.
   std::string error;

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "synth/specio.hpp"
+#include "util/text.hpp"
 
 namespace aspmt::dse {
 namespace {
@@ -31,15 +32,6 @@ constexpr std::string_view kHeaderV2 = "aspmt-ckpt 2";
 constexpr std::string_view kHeaderV3 = "aspmt-ckpt 3";
 constexpr std::string_view kHeaderV4 = "aspmt-ckpt 4";
 constexpr std::string_view kHeader = "aspmt-ckpt 5";
-
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Whitespace-separated integer scanner over one line.
 class Scanner {
@@ -149,7 +141,7 @@ std::string witness_from_text(std::string_view text,
 }
 
 std::uint64_t spec_fingerprint(const synth::Specification& spec) {
-  return fnv1a(synth::to_text(spec));
+  return util::fnv1a(synth::to_text(spec));
 }
 
 std::string to_text(const Checkpoint& ckpt) {
@@ -183,7 +175,7 @@ std::string to_text(const Checkpoint& ckpt) {
   }
   std::string payload = out.str();
   payload += "end ";
-  payload += std::to_string(fnv1a(std::string_view(payload)));
+  payload += std::to_string(util::fnv1a(std::string_view(payload)));
   payload += '\n';
   return payload;
 }
@@ -206,7 +198,7 @@ std::string parse_checkpoint(std::string_view text, Checkpoint& out) {
     if (!sc.integer(stated) || !sc.done()) {
       return "checkpoint: malformed checksum";
     }
-    const std::uint64_t actual = fnv1a(text.substr(0, end_pos + 4));
+    const std::uint64_t actual = util::fnv1a(text.substr(0, end_pos + 4));
     if (stated != actual) return "checkpoint: checksum mismatch";
   }
   std::string_view body = text.substr(0, end_pos);

@@ -44,10 +44,6 @@ class CombinatorBoundPropagator final : public asp::TheoryPropagator {
   /// propagators' contract).
   void add_bound(std::size_t axis, std::int64_t bound, asp::Lit activation);
 
-  [[nodiscard]] std::size_t bound_count() const noexcept {
-    return bounds_.size();
-  }
-
   // -- TheoryPropagator ----------------------------------------------------
   bool propagate(asp::Solver& solver) override { return enforce(solver); }
   void undo_to(const asp::Solver&, std::size_t) override {}

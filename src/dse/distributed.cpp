@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -26,37 +25,19 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "synth/specio.hpp"
+#include "util/text.hpp"
 #include "util/timer.hpp"
 
 namespace aspmt::dse {
 
 namespace {
 
+using util::parse_number;
+using util::take_line;
+using util::take_token;
+
 constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-
-bool parse_i64(std::string_view token, std::int64_t& out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-std::string_view take_line(std::string_view& rest) {
-  const std::size_t nl = rest.find('\n');
-  const std::string_view line =
-      nl == std::string_view::npos ? rest : rest.substr(0, nl);
-  rest = nl == std::string_view::npos ? std::string_view{} : rest.substr(nl + 1);
-  return line;
-}
-
-std::string_view take_token(std::string_view& rest) {
-  while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-  const std::size_t sp = rest.find(' ');
-  const std::string_view tok =
-      sp == std::string_view::npos ? rest : rest.substr(0, sp);
-  rest = sp == std::string_view::npos ? std::string_view{} : rest.substr(sp + 1);
-  return tok;
-}
 
 /// Coordinator-side event emission.  The coordinator owns the sink for the
 /// whole distributed run (shard workers run sink-less) and emits from its
@@ -259,7 +240,7 @@ std::string parse_shard_result(std::string_view text, ShardResultPayload& out) {
     if (take_token(line) != keyword) {
       return "expected '" + std::string(keyword) + "' line";
     }
-    if (!parse_i64(take_token(line), n) || n < 0) {
+    if (!parse_number(take_token(line), n) || n < 0) {
       return "malformed '" + std::string(keyword) + "' count";
     }
     return {};
@@ -285,7 +266,9 @@ std::string parse_shard_result(std::string_view text, ShardResultPayload& out) {
     pareto::Vec point;
     while (!line.empty()) {
       std::int64_t v = 0;
-      if (!parse_i64(take_token(line), v)) return "malformed discovery point";
+      if (!parse_number(take_token(line), v)) {
+        return "malformed discovery point";
+      }
       point.push_back(v);
     }
     std::string_view wline = take_line(rest);
@@ -303,7 +286,7 @@ std::string parse_shard_result(std::string_view text, ShardResultPayload& out) {
     pareto::Vec point;
     while (!line.empty()) {
       std::int64_t v = 0;
-      if (!parse_i64(take_token(line), v)) return "malformed front point";
+      if (!parse_number(take_token(line), v)) return "malformed front point";
       point.push_back(v);
     }
     out.front.push_back(std::move(point));
@@ -484,20 +467,20 @@ DistributedResult explore_distributed(const synth::Specification& spec,
     const std::string_view head = take_token(rest);
     if (head == "HB") {
       std::int64_t ms = 0;
-      parse_i64(take_token(rest), ms);
+      parse_number(take_token(rest), ms);
       events.emit(obs::EventKind::ShardHeartbeat,
                   static_cast<std::int64_t>(shards[p.slot].id), ms,
                   static_cast<std::int64_t>(p.points));
     } else if (head == "PT") {
       std::int64_t a = 0, b = 0, c = 0;
-      parse_i64(take_token(rest), a);
-      parse_i64(take_token(rest), b);
-      parse_i64(take_token(rest), c);
+      parse_number(take_token(rest), a);
+      parse_number(take_token(rest), b);
+      parse_number(take_token(rest), c);
       ++p.points;
       events.emit(obs::EventKind::ShardPoint, a, b, c);
     } else if (head == "RESULT") {
       std::int64_t n = 0;
-      if (parse_i64(take_token(rest), n) && n >= 0) {
+      if (parse_number(take_token(rest), n) && n >= 0) {
         p.in_result = true;
         p.result_need = static_cast<std::size_t>(n);
         p.result.reserve(p.result_need);
@@ -736,9 +719,9 @@ DistributedResult explore_distributed(const synth::Specification& spec,
     if (have_proofs) {
       result.base.proof =
           cert::merged_proof_to_text(options.shard_objective, proofs);
-      result.merged = cert::certify_merged(spec, union_discoveries,
-                                           result.base.front, proofs,
-                                           options.shard_objective);
+      result.merged = cert::certify(spec, union_discoveries,
+                                    result.base.front, proofs,
+                                    options.shard_objective);
       result.base.certified = result.merged.certified;
       result.base.certificate_error = result.merged.error;
     } else {

@@ -9,7 +9,7 @@
 //   lo <= objective <= hi,
 // so a shard's terminating Unsat is concluded under exactly its band
 // activations — which the proof checker turns into a verified *shard box*
-// (cert::CheckResult::shard_boxes) and cert::certify_merged combines with a
+// (cert::CheckResult::shard_boxes) and cert::certify combines with a
 // coverage argument into one machine-checked exactness claim for the merged
 // front (the bands tile the whole objective line; see cert/certify.hpp).
 //
@@ -156,7 +156,7 @@ struct DistributedResult {
   /// Certified mode: the full merged-certification outcome (per-shard proof
   /// checks, coverage, front equality).  `base.certified` mirrors
   /// `merged.certified`.
-  cert::MergedCertifyResult merged;
+  cert::CertifyResult merged;
 };
 
 /// Explore `spec` distributed over `options.processes` workers.  Throws

@@ -94,12 +94,6 @@ class ObjectiveTerm {
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] bool is_leaf() const noexcept {
-    return kind_ == Kind::Linear || kind_ == Kind::Difference;
-  }
-  [[nodiscard]] bool is_linear_leaf() const noexcept {
-    return kind_ == Kind::Linear;
-  }
   /// Leaf theory id (sum or node).
   [[nodiscard]] std::uint32_t leaf_id() const noexcept { return id_; }
   [[nodiscard]] const std::vector<ObjectiveTerm>& children() const noexcept {

@@ -611,13 +611,9 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
                         result.worker_errors.empty();
     // The winner's stream is the completeness proof.  Without one, worker
     // 0's stream, honestly truncation-marked, still hands over a checkable
-    // prefix.  (Not a conditional expression: mixing the const lvalue with
-    // the temporary would copy the stream twice.)
-    if (proved) {
-      result.base.proof = logs[winner->worker]->text();
-    } else {
-      result.base.proof = logs[0]->text() + "X 0\n";
-    }
+    // prefix.  Either stream is copied once.
+    if (!proved) logs[0]->truncation_marker();
+    result.base.proof = logs[proved ? winner->worker : 0]->text();
     if (!result.worker_errors.empty()) {
       result.base.certificate_error =
           "worker " + std::to_string(result.worker_errors.front().worker) +
@@ -630,11 +626,14 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
     } else if (!options.shard.active) {
       // A shard-banded stream concludes Unsat under the shard's box
       // activations, not globally, so it goes up unjudged: the coordinator
-      // certifies the merged front with cert::certify_merged.
+      // certifies all bands at once.  Here the run is the one unbounded
+      // band; its stream moves into the band and back, never copied.
       std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs(
           shared.witnesses.begin(), shared.witnesses.end());
-      const cert::CertifyResult cr = cert::certify_front(
-          spec, pairs, result.base.front, result.base.proof);
+      cert::ShardProof band{.proof = std::move(result.base.proof)};
+      const cert::CertifyResult cr = cert::certify(
+          spec, pairs, result.base.front, {&band, 1}, 0);
+      result.base.proof = std::move(band.proof);
       result.base.certified = cr.certified;
       if (!cr.certified) result.base.certificate_error = cr.error;
     }

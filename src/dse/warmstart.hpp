@@ -12,7 +12,7 @@
 //     dominance nogood blocks `f >= p` *including equality*, a seeded point
 //     is never re-enumerated by the solver — its validated witness stands
 //     in as the front witness, and a matching `F` proof step is emitted at
-//     injection time, so `cert::certify_front` certifies warm runs
+//     injection time, so `cert::certify` certifies warm runs
 //     end-to-end (see DESIGN §12 for the soundness argument).  Seeds that
 //     turn out to be dominated are evicted by normal archive semantics.
 //

@@ -40,9 +40,6 @@ class Collector {
   [[nodiscard]] Recorder& recorder(std::size_t index) {
     return *recorders_.at(index);
   }
-  [[nodiscard]] std::size_t recorder_count() const noexcept {
-    return recorders_.size();
-  }
 
   void start();
   void stop();

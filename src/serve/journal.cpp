@@ -1,51 +1,22 @@
 #include "serve/journal.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "dse/checkpoint.hpp"
+#include "util/text.hpp"
 
 namespace aspmt::serve {
 
 namespace {
 
+using util::parse_number;
+using util::take_line;
+using util::take_token;
+
 constexpr std::string_view kHeader = "aspmt-job 1";
-
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  const auto res = std::from_chars(text.data(), text.data() + text.size(), out);
-  return res.ec == std::errc{} && res.ptr == text.data() + text.size();
-}
-
-bool parse_i64(std::string_view text, std::int64_t& out) {
-  const auto res = std::from_chars(text.data(), text.data() + text.size(), out);
-  return res.ec == std::errc{} && res.ptr == text.data() + text.size();
-}
-
-bool parse_f64(std::string_view text, double& out) {
-  const auto res = std::from_chars(text.data(), text.data() + text.size(), out);
-  return res.ec == std::errc{} && res.ptr == text.data() + text.size();
-}
-
-std::string_view take_token(std::string_view& rest) {
-  while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-  const std::size_t sp = rest.find(' ');
-  const std::string_view tok = rest.substr(0, sp);
-  rest = sp == std::string_view::npos ? std::string_view{}
-                                      : rest.substr(sp + 1);
-  return tok;
-}
 
 bool state_from_name(std::string_view name, JobState& out) {
   if (name == "queued") out = JobState::Queued;
@@ -104,7 +75,7 @@ std::string job_to_text(const JobRecord& r) {
     }
   }
   std::string text = out.str();
-  text += "end " + std::to_string(fnv1a(text)) + "\n";
+  text += "end " + std::to_string(util::fnv1a(text)) + "\n";
   return text;
 }
 
@@ -119,25 +90,17 @@ std::string job_from_text(std::string_view text, JobRecord& out) {
   std::string_view trailer = text.substr(end_pos + 4);
   if (!trailer.empty() && trailer.back() == '\n') trailer.remove_suffix(1);
   std::uint64_t expected = 0;
-  if (!parse_u64(trailer, expected)) return "job: malformed checksum";
-  if (fnv1a(text.substr(0, end_pos)) != expected) {
+  if (!parse_number(trailer, expected)) return "job: malformed checksum";
+  if (util::fnv1a(text.substr(0, end_pos)) != expected) {
     return "job: checksum mismatch";
   }
   std::string_view body = text.substr(0, end_pos);
 
-  auto next_line = [&body]() -> std::string_view {
-    const std::size_t nl = body.find('\n');
-    const std::string_view line = body.substr(0, nl);
-    body = nl == std::string_view::npos ? std::string_view{}
-                                        : body.substr(nl + 1);
-    return line;
-  };
-
-  if (next_line() != kHeader) return "job: bad header";
+  if (take_line(body) != kHeader) return "job: bad header";
   out = JobRecord{};
   bool saw_spec = false;
   while (!body.empty()) {
-    std::string_view line = next_line();
+    std::string_view line = take_line(body);
     if (line.empty()) continue;
     std::string_view rest = line;
     const std::string_view key = take_token(rest);
@@ -148,20 +111,20 @@ std::string job_from_text(std::string_view text, JobRecord& out) {
     } else if (key == "state") {
       if (!state_from_name(rest, out.state)) return "job: unknown state";
     } else if (key == "priority") {
-      if (!parse_i64(rest, out.priority)) return "job: bad priority";
+      if (!parse_number(rest, out.priority)) return "job: bad priority";
     } else if (key == "threads") {
       std::uint64_t v = 0;
-      if (!parse_u64(rest, v)) return "job: bad threads";
+      if (!parse_number(rest, v)) return "job: bad threads";
       out.threads = static_cast<std::size_t>(v);
     } else if (key == "attempts") {
       std::uint64_t v = 0;
-      if (!parse_u64(rest, v)) return "job: bad attempts";
+      if (!parse_number(rest, v)) return "job: bad attempts";
       out.attempts = static_cast<std::size_t>(v);
     } else if (key == "limits") {
       std::uint64_t conflicts = 0, mem = 0;
-      if (!parse_f64(take_token(rest), out.limits.wall_seconds) ||
-          !parse_u64(take_token(rest), conflicts) ||
-          !parse_u64(take_token(rest), mem)) {
+      if (!parse_number(take_token(rest), out.limits.wall_seconds) ||
+          !parse_number(take_token(rest), conflicts) ||
+          !parse_number(take_token(rest), mem)) {
         return "job: bad limits";
       }
       out.limits.conflicts = conflicts;
@@ -170,7 +133,7 @@ std::string job_from_text(std::string_view text, JobRecord& out) {
       out.certify = rest == "1";
     } else if (key == "spec-bytes") {
       std::uint64_t n = 0;
-      if (!parse_u64(rest, n)) return "job: bad spec-bytes";
+      if (!parse_number(rest, n)) return "job: bad spec-bytes";
       if (body.size() < n + 1 || body[n] != '\n') {
         return "job: truncated spec payload";
       }
@@ -184,14 +147,14 @@ std::string job_from_text(std::string_view text, JobRecord& out) {
       std::string_view cert = take_token(rest);
       out.complete = c == "1";
       out.certified = cert == "1";
-      if (!parse_f64(take_token(rest), out.seconds)) {
+      if (!parse_number(take_token(rest), out.seconds)) {
         return "job: bad result line";
       }
     } else if (key == "p") {
       pareto::Vec p;
       while (!rest.empty()) {
         std::int64_t v = 0;
-        if (!parse_i64(take_token(rest), v)) return "job: bad point line";
+        if (!parse_number(take_token(rest), v)) return "job: bad point line";
         p.push_back(v);
       }
       if (p.empty()) return "job: bad point line";

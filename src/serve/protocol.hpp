@@ -51,13 +51,6 @@ class Json {
   [[nodiscard]] bool is_object() const noexcept {
     return kind_ == Kind::Object;
   }
-  [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::Array; }
-  [[nodiscard]] bool is_string() const noexcept {
-    return kind_ == Kind::String;
-  }
-  [[nodiscard]] bool is_number() const noexcept {
-    return kind_ == Kind::Int || kind_ == Kind::Double;
-  }
 
   [[nodiscard]] bool as_bool(bool fallback = false) const noexcept {
     return kind_ == Kind::Bool ? bool_ : fallback;

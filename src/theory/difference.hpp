@@ -43,7 +43,6 @@ class DifferencePropagator final : public asp::TheoryPropagator {
   /// Create a new event variable (>= 0).
   NodeId new_node(std::string name = {});
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_.size(); }
   [[nodiscard]] const std::string& name(NodeId n) const { return nodes_[n].name; }
 
   /// Add the conditional constraint `to >= from + weight`, active when all

@@ -43,7 +43,6 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
   /// Register a new sum.  Must be called before the first solve.
   SumId add_sum(std::string name, std::vector<Term> terms);
 
-  [[nodiscard]] std::size_t num_sums() const noexcept { return sums_.size(); }
   [[nodiscard]] const std::string& name(SumId s) const { return sums_[s].name; }
 
   /// Lower bound of the sum under the current partial assignment.

@@ -34,12 +34,6 @@ class Deadline {
     return budget_ > 0.0 && timer_.elapsed_seconds() >= budget_;
   }
 
-  [[nodiscard]] double remaining_seconds() const noexcept {
-    if (budget_ <= 0.0) return -1.0;
-    const double rest = budget_ - timer_.elapsed_seconds();
-    return rest > 0.0 ? rest : 0.0;
-  }
-
   [[nodiscard]] bool unlimited() const noexcept { return budget_ <= 0.0; }
 
  private:

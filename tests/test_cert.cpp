@@ -469,7 +469,7 @@ TEST(ProofMutation, TamperedSumBoundRejected) {
       << r.error;
 }
 
-// ---- certify_front end-to-end ----------------------------------------------
+// ---- one-band certification end-to-end ------------------------------------
 
 TEST(CertifyFront, SingletonRoundTrips) {
   const synth::Specification spec = test::singleton();
@@ -483,7 +483,15 @@ TEST(CertifyFront, SingletonRoundTrips) {
   std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs;
   pairs.emplace_back(r.front[0], r.witnesses[0]);
 
-  const auto ok = cert::certify_front(spec, pairs, r.front, r.proof);
+  // A single-process run is the one unbounded band of cert::certify.
+  const auto certify =
+      [&](std::span<const std::pair<pareto::Vec, synth::Implementation>> found,
+          std::span<const pareto::Vec> front, std::string proof) {
+        const cert::ShardProof band{.proof = std::move(proof)};
+        return cert::certify(spec, found, front, {&band, 1}, 0);
+      };
+
+  const auto ok = certify(pairs, r.front, r.proof);
   EXPECT_TRUE(ok.certified) << ok.error;
   EXPECT_EQ(ok.witnesses_validated, 1U);
 
@@ -491,19 +499,19 @@ TEST(CertifyFront, SingletonRoundTrips) {
   // and the witnesses are untouched.
   std::vector<pareto::Vec> padded = r.front;
   padded.push_back({0, 0, 0});
-  const auto extra = cert::certify_front(spec, pairs, padded, r.proof);
+  const auto extra = certify(pairs, padded, r.proof);
   EXPECT_FALSE(extra.certified);
 
   // A discovery whose recorded objectives disagree with its witness is the
   // witness-forgery case.
   auto forged = pairs;
   forged[0].first[0] += 1;
-  const auto forgery = cert::certify_front(spec, forged, r.front, r.proof);
+  const auto forgery = certify(forged, r.front, r.proof);
   EXPECT_FALSE(forgery.certified);
   EXPECT_NE(forgery.error.find("disagree"), std::string::npos) << forgery.error;
 
   // And an empty proof certifies nothing.
-  const auto empty = cert::certify_front(spec, pairs, r.front, "");
+  const auto empty = certify(pairs, r.front, "");
   EXPECT_FALSE(empty.certified);
 }
 

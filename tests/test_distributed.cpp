@@ -21,6 +21,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cert/certify.hpp"
@@ -354,7 +355,7 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
   // Baseline: the untampered run certifies — every rejection below is
   // attributable to its single tampered aspect.
   {
-    const cert::MergedCertifyResult ok = cert::certify_merged(
+    const cert::CertifyResult ok = cert::certify(
         run.spec, run.discoveries, run.front, run.proofs, 1);
     ASSERT_TRUE(ok.certified) << ok.error;
   }
@@ -365,7 +366,7 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
     auto discoveries = run.discoveries;
     ASSERT_FALSE(discoveries.empty());
     discoveries.front().first[0] += 1;
-    const cert::MergedCertifyResult r = cert::certify_merged(
+    const cert::CertifyResult r = cert::certify(
         run.spec, discoveries, run.front, run.proofs, 1);
     EXPECT_FALSE(r.certified);
     EXPECT_FALSE(r.error.empty());
@@ -376,7 +377,7 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
   {
     auto discoveries = run.discoveries;
     discoveries.front().second = synth::Implementation{};
-    const cert::MergedCertifyResult r = cert::certify_merged(
+    const cert::CertifyResult r = cert::certify(
         run.spec, discoveries, run.front, run.proofs, 1);
     EXPECT_FALSE(r.certified);
   }
@@ -387,7 +388,7 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
     auto proofs = run.proofs;
     ASSERT_GT(proofs[1].proof.size(), 40U);
     proofs[1].proof.resize(proofs[1].proof.size() / 2);
-    const cert::MergedCertifyResult r = cert::certify_merged(
+    const cert::CertifyResult r = cert::certify(
         run.spec, run.discoveries, run.front, proofs, 1);
     EXPECT_FALSE(r.certified);
   }
@@ -397,7 +398,7 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
   {
     auto proofs = run.proofs;
     proofs[1].lo = proofs[0].lo;
-    const cert::MergedCertifyResult r = cert::certify_merged(
+    const cert::CertifyResult r = cert::certify(
         run.spec, run.discoveries, run.front, proofs, 1);
     EXPECT_FALSE(r.certified);
   }
@@ -405,7 +406,7 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
   // Missing band: dropping a shard leaves a hole no Unsat covers.
   {
     const std::vector<cert::ShardProof> proofs{run.proofs[0]};
-    const cert::MergedCertifyResult r = cert::certify_merged(
+    const cert::CertifyResult r = cert::certify(
         run.spec, run.discoveries, run.front, proofs, 1);
     EXPECT_FALSE(r.certified);
   }
@@ -416,7 +417,7 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
     auto proofs = run.proofs;
     proofs[0].hi += 5;
     proofs[1].lo += 5;
-    const cert::MergedCertifyResult r = cert::certify_merged(
+    const cert::CertifyResult r = cert::certify(
         run.spec, run.discoveries, run.front, proofs, 1);
     EXPECT_FALSE(r.certified);
   }
@@ -429,9 +430,43 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
     pareto::Vec extra = front.front();
     for (std::int64_t& v : extra) v += 1;
     front.push_back(extra);
-    const cert::MergedCertifyResult r = cert::certify_merged(
+    const cert::CertifyResult r = cert::certify(
         run.spec, run.discoveries, front, run.proofs, 1);
     EXPECT_FALSE(r.certified);
+  }
+}
+
+TEST(Distributed, UnconditionalBoundInOneBandIsRejected) {
+  // An unconditional bound is part of the declared system, so a band that
+  // declares one the others lack solved a smaller system.  Only the
+  // declaration-core comparison sees it: the stream itself still verifies.
+  const TwoShardRun run = real_two_shard_run();
+  ASSERT_EQ(run.proofs.size(), 2U);
+  const std::string& band1 = run.proofs[1].proof;
+  const std::size_t sum0 = band1.find("\nS 0 ");
+  ASSERT_NE(sum0, std::string::npos) << "band 1 defines no sum 0";
+  const std::size_t after_sum0 = band1.find('\n', sum0 + 1) + 1;
+  const std::size_t first_input = band1.find("\nI ");
+  ASSERT_NE(first_input, std::string::npos);
+  const std::string input = band1.substr(
+      first_input + 1, band1.find('\n', first_input + 1) - first_input);
+
+  // The extra line, as the checker reads it, in three spellings: spacing
+  // must not hide a line from the core.
+  for (const std::pair<std::size_t, std::string>& extra :
+       {std::pair<std::size_t, std::string>{after_sum0, "SB 0 1000000 0\n"},
+        {after_sum0, "SB\t0\t1000000\t0\n"},
+        {first_input + 1, " " + input}}) {
+    auto proofs = run.proofs;
+    proofs[1].proof.insert(extra.first, extra.second);
+    const cert::CertifyResult r =
+        cert::certify(run.spec, run.discoveries, run.front, proofs, 1);
+    EXPECT_FALSE(r.certified) << extra.second;
+    EXPECT_EQ(r.error,
+              "shard 1 solved a different constraint system than shard 0")
+        << extra.second;
+    const cert::ShardsCheck trusting = cert::check_shards(proofs, 1, {});
+    EXPECT_EQ(trusting.error, r.error) << extra.second;
   }
 }
 
@@ -443,30 +478,38 @@ TEST(Distributed, BandClaimsMustTileWithoutOverlap) {
       "p aspmt 1\nS 0 1 1 1\nO 0 L 0\nI 1 0\nI -1 0\nU 0\n";
   const synth::Specification spec;
   const auto certify = [&](std::vector<cert::ShardProof> shards) {
-    const cert::MergedCertifyResult merged =
-        cert::certify_merged(spec, {}, {}, shards, 0);
+    const cert::CertifyResult merged = cert::certify(spec, {}, {}, shards, 0);
     // What `aspmt_check` runs on a merged container: the same verdict.
     const cert::ShardsCheck trusting = cert::check_shards(shards, 0, {});
     EXPECT_EQ(trusting.error, merged.error);
     return merged;
   };
 
-  const cert::MergedCertifyResult two =
-      certify({{kMin, 5, proof}, {6, kMax, proof}});
+  const cert::CertifyResult two = certify({{kMin, 5, proof}, {6, kMax, proof}});
   EXPECT_TRUE(two.certified) << two.error;
   EXPECT_EQ(two.shards_checked, 2U);
 
-  const cert::MergedCertifyResult empty_middle =
+  const cert::CertifyResult empty_middle =
       certify({{kMin, 5, proof}, {6, 5, proof}, {6, kMax, proof}});
   EXPECT_FALSE(empty_middle.certified);
   EXPECT_EQ(empty_middle.error, "shard band 6 > 5 is empty");
 
   // Both claim the full line: the first band's end is INT64_MAX, so a
   // naive "next starts at end + 1" test overflows instead of rejecting.
-  const cert::MergedCertifyResult duplicate =
+  const cert::CertifyResult duplicate =
       certify({{kMin, kMax, proof}, {kMin, kMax, proof}});
   EXPECT_FALSE(duplicate.certified);
   EXPECT_EQ(duplicate.error, "shard bands overlap");
+
+  // The same global Unsat with its axis on a difference-logic node: the
+  // checker extracts no shard box there, and the global Unsat alone covers
+  // every band.
+  const std::string dl_proof =
+      "p aspmt 1\nN 0\nO 0 D 0\nI 1 0\nI -1 0\nU 0\n";
+  const cert::CertifyResult dl =
+      certify({{kMin, 5, dl_proof}, {6, kMax, dl_proof}});
+  EXPECT_TRUE(dl.certified) << dl.error;
+  EXPECT_EQ(dl.shards_checked, 2U);
 }
 
 // ---- worker processes ------------------------------------------------------
@@ -491,6 +534,46 @@ TEST(Distributed, ProcessModeMatchesSingleProcessAndCertifies) {
     EXPECT_TRUE(s.completed) << "shard " << s.shard << ": " << s.error;
     EXPECT_EQ(s.attempts, 1U);
     EXPECT_GT(s.seconds, 0.0);
+  }
+}
+
+TEST(Distributed, DeadlineSpecCertifiesAcrossBands) {
+  // bus_small under a hard deadline: every band's stream declares the
+  // spec's own unconditional `NB <makespan> 30 0`, which is part of the
+  // declared system, so the bands certify like the one-process run.
+  const synth::Specification spec =
+      synth::parse_specification(test::edited_bus_small_text(
+          "# aspmt-dse specification",
+          "# aspmt-dse specification\nlatency_bound 30"));
+  ASSERT_EQ(spec.latency_bound, 30);
+  const ExploreResult seq = explore(spec);
+  ASSERT_TRUE(seq.stats.complete);
+  test::expect_front_shape(spec, seq);
+
+  DistributedOptions opts;
+  opts.worker_path = ASPMT_DSE_BIN;
+  opts.processes = 2;
+  opts.shards = 3;
+  opts.base.common.certify = true;
+  const DistributedResult r = explore_distributed(spec, opts);
+  ASSERT_TRUE(r.base.stats.complete);
+  test::expect_front_shape(spec, r.base);
+  EXPECT_EQ(r.base.front, seq.front);
+  EXPECT_TRUE(r.base.certified) << r.base.certificate_error;
+
+  std::size_t objective = 0;
+  std::vector<cert::ShardProof> shards;
+  ASSERT_EQ(cert::parse_merged_proof(r.base.proof, objective, shards), "");
+  EXPECT_GT(shards.size(), 1U);
+  for (const cert::ShardProof& shard : shards) {
+    std::istringstream lines(shard.proof);
+    bool deadline = false;
+    for (std::string line; std::getline(lines, line);) {
+      deadline =
+          deadline || (line.starts_with("NB ") && line.ends_with(" 30 0"));
+    }
+    EXPECT_TRUE(deadline) << "band [" << shard.lo << ", " << shard.hi
+                          << "] declares no unconditional deadline";
   }
 }
 
@@ -646,6 +729,9 @@ TEST(Cli, EveryModeNamesTheFlagsItCannotHonour) {
       {"--shard-workers=-2", "--shard-workers '-2'"},
       {"--time-limit 1s", "--time-limit '1s'"},
       {"--epsilon 1,x,1", "--epsilon '1,x,1'"},
+      // A flag the mode does not read is named, not dropped: a misspelt
+      // --certify would otherwise run uncertified and exit 0.
+      {"--certfy", "--certfy"},
   };
   for (const auto& c : cases) {
     std::string out;
@@ -662,6 +748,13 @@ TEST(Cli, EveryModeNamesTheFlagsItCannotHonour) {
           .c_str());
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
+  // So does a flag the command does not read, before it connects.
+  const int typo = std::system(
+      ("timeout 20 " + std::string(ASPMT_SERVED_BIN) + " status --socket " +
+       temp_path("cli_flags.sock") + " --jbo j-1 >/dev/null 2>&1")
+          .c_str());
+  ASSERT_TRUE(WIFEXITED(typo));
+  EXPECT_EQ(WEXITSTATUS(typo), 2);
   std::remove(spec.c_str());
 }
 

@@ -2,7 +2,9 @@
 //
 // After the subcommand, an argument is `--key value`, `--key=value`, a bare
 // `--key` (an empty value: a switch), `-o FILE` (same as `--out FILE`) or a
-// positional.  The numeric accessors read a flag's whole value with
+// positional.  Each subcommand lists the flags it reads (Command); any other
+// flag is a usage error, so a misspelt switch never runs silently without
+// its effect.  The numeric accessors read a flag's whole value with
 // std::from_chars: an integer flag rejects fractions, out-of-range values
 // (negatives for unsigned types) and trailing garbage, and a real flag
 // rejects anything that is not one finite number.  Either throws
@@ -11,17 +13,18 @@
 // aspmt_dse.cpp on its own.
 #pragma once
 
-#include <charconv>
+#include <algorithm>
 #include <cmath>
 #include <concepts>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/text.hpp"
 
 namespace aspmt::cli {
 
@@ -34,9 +37,7 @@ class BadFlagValue : public std::runtime_error {
 /// Parse all of `text` as one number of type T; false on anything else.
 template <typename T>
 bool parse_whole(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (ec != std::errc{} || ptr != end) return false;
+  if (!util::parse_number(text, out)) return false;
   if constexpr (std::floating_point<T>) return std::isfinite(out);
   return true;
 }
@@ -74,6 +75,26 @@ struct Args {
     return out;
   }
 };
+
+/// One subcommand: its name, every flag it reads (each listed once) and its
+/// handler.
+struct Command {
+  std::string_view name;
+  std::vector<std::string_view> flags;
+  int (*run)(const Args&);
+};
+
+/// The first flag on the command line that `command` does not read, as
+/// `--name`; "" when it reads them all.
+inline std::string unread_flag(const Args& args, const Command& command) {
+  for (const auto& [name, value] : args.named) {
+    if (std::find(command.flags.begin(), command.flags.end(), name) ==
+        command.flags.end()) {
+      return "--" + name;
+    }
+  }
+  return {};
+}
 
 inline Args parse_args(int argc, char** argv) {
   Args args;

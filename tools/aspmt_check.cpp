@@ -13,11 +13,12 @@
 //
 // A merged container is verified by cert::check_shards, the same shard and
 // coverage checks as `aspmt_dse explore --certify`: every embedded stream
-// must check out, prove a shard box covering its claimed band, declare no
-// unconditional bound, and share shard 0's declaration core; the claimed
-// bands must tile the whole objective line (the cross-shard coverage
-// argument — see cert/certify.hpp).  --require-unsat is implied per shard:
-// each band-conditional Unsat *is* the shard's completeness certificate.
+// must check out, cover its claimed band with a global Unsat or a proven
+// shard box, declare no bound under a negative activation, and share shard
+// 0's declaration core (unconditional bounds included); the claimed bands
+// must tile the whole objective line (the cross-shard coverage argument —
+// see cert/certify.hpp).  --require-unsat is implied per shard: each
+// band-conditional Unsat *is* the shard's completeness certificate.
 //
 // Exit code: 0 when the proof verifies, 1 otherwise, 2 on usage errors.
 #include <fstream>

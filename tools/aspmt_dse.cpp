@@ -511,7 +511,8 @@ int cmd_shard_worker(const Args& args) {
   // predecessor's checkpoint.  Both are `aspmt-ckpt` files whose points
   // re-enter through the certifiable warm-start gate: each re-validates and
   // emits its F proof step, so a resumed shard certifies like a cold one.
-  // No clause replay: cert::certify_merged has never checked a `G` step.
+  // No clause replay: no shard stream has ever been certified with a `G`
+  // step.
   for (const char* flag : {"warm-seeds", "shard-resume"}) {
     const std::string path = args.get(flag, "");
     if (path.empty()) continue;
@@ -817,6 +818,42 @@ int cmd_validate(const Args& args) {
   return 1;
 }
 
+/// Every subcommand with the flags it reads.  shard-worker reads exactly
+/// what dse::explore_distributed passes its workers.
+const std::vector<cli::Command>& commands() {
+  static const std::vector<cli::Command> kCommands = {
+      {"generate",
+       {"family", "seed", "tasks", "layers", "options", "out", "arch",
+        "bus-procs", "big", "little", "depths", "caches", "throttle-factor",
+        "axes"},
+       cmd_generate},
+      {"explore",
+       {"threads", "seed", "time-limit", "conflict-budget", "mem-limit-mb",
+        "archive", "no-partial-eval", "certify", "checkpoint-out",
+        "checkpoint-interval", "warm-start", "warm-start-budget",
+        "warm-start-seed", "epsilon", "resume", "reexplore-from",
+        "shard-workers", "shards", "shard-objective", "heartbeat-timeout",
+        "trace-out", "events-out", "metrics-out", "progress", "witnesses",
+        "proof-out", "front-out"},
+       cmd_explore},
+      {"optimize",
+       {"objective", "warm-start", "warm-start-budget", "warm-start-seed",
+        "seed", "time-limit"},
+       cmd_optimize},
+      {"baseline", {"method", "time-limit"}, cmd_baseline},
+      {"nsga2", {"pop", "gens", "seed"}, cmd_nsga2},
+      {"validate", {}, cmd_validate},
+      {"witnesses", {"point", "limit", "time-limit"}, cmd_witnesses},
+      {"shard-worker",
+       {"shard-lo", "shard-hi", "shard-objective", "threads", "seed",
+        "heartbeat-ms", "archive", "no-partial-eval", "certify", "time-limit",
+        "checkpoint-out", "checkpoint-interval", "warm-seeds", "shard-resume",
+        "die-after-points"},
+       cmd_shard_worker},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -835,15 +872,18 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << removed << "\n";
     return 2;
   }
+  const auto it = std::find_if(
+      commands().begin(), commands().end(),
+      [&](const cli::Command& c) { return c.name == command; });
+  if (it == commands().end()) return usage();
+  // Before any file is read: an unread flag would drop its effect silently,
+  // and a misspelt --certify would run uncertified and exit 0.
+  if (const std::string flag = cli::unread_flag(args, *it); !flag.empty()) {
+    std::cerr << "error: unknown flag " << flag << " for " << command << "\n";
+    return 2;
+  }
   try {
-    if (command == "generate") return cmd_generate(args);
-    if (command == "explore") return cmd_explore(args);
-    if (command == "optimize") return cmd_optimize(args);
-    if (command == "baseline") return cmd_baseline(args);
-    if (command == "nsga2") return cmd_nsga2(args);
-    if (command == "validate") return cmd_validate(args);
-    if (command == "witnesses") return cmd_witnesses(args);
-    if (command == "shard-worker") return cmd_shard_worker(args);
+    return it->run(args);
   } catch (const cli::BadFlagValue& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -851,5 +891,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
 }

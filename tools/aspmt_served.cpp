@@ -4,7 +4,8 @@
 //                        [--queue-depth N] [--shed-watermark N]
 //                        [--tenant-quota N] [--max-job-threads N]
 //                        [--checkpoint-interval SEC] [--rss-watermark-mb MB]
-//                        [--drain-grace SEC] [--seed S] [--events-out FILE]
+//                        [--drain-grace SEC] [--seed S]
+//                        [--default-time-limit SEC] [--events-out FILE]
 //                        [--metrics-out FILE]
 //   aspmt_served submit  spec.txt --socket PATH [--tenant T] [--priority P]
 //                        [--threads N] [--time-limit SEC]
@@ -21,7 +22,9 @@
 // Exit codes (submit/result): 0 job completed with a complete front,
 // 3 terminal but partial (deadline/cancel/shed/quarantine), 5 rejected at
 // admission ("rejected: overload" and friends — structured, never a hang).
-// Every command exits 2 on a usage error, such as a malformed flag value.
+// Every command exits 2 on a usage error, such as a malformed flag value or
+// a flag the command does not read.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -54,7 +57,8 @@ int usage() {
       "          [--queue-depth N] [--shed-watermark N] [--tenant-quota N]\n"
       "          [--max-job-threads N] [--checkpoint-interval SEC]\n"
       "          [--rss-watermark-mb MB] [--drain-grace SEC] [--seed S]\n"
-      "          [--events-out FILE] [--metrics-out FILE]\n"
+      "          [--default-time-limit SEC] [--events-out FILE]\n"
+      "          [--metrics-out FILE]\n"
       "  aspmt_served submit spec.txt --socket PATH [--tenant T]\n"
       "          [--priority P] [--threads N] [--time-limit SEC]\n"
       "          [--conflict-budget N] [--mem-limit-mb MB] [--certify]\n"
@@ -314,20 +318,48 @@ int cmd_simple(const Args& args, const std::string& op) {
   return 0;
 }
 
+/// Every subcommand with the flags it reads.
+const std::vector<cli::Command>& commands() {
+  static const std::vector<cli::Command> kCommands = {
+      {"serve",
+       {"socket", "journal", "events-out", "workers", "queue-depth",
+        "shed-watermark", "rss-watermark-mb", "tenant-quota",
+        "max-job-threads", "checkpoint-interval", "default-time-limit",
+        "drain-grace", "seed", "metrics-out"},
+       cmd_serve},
+      {"submit",
+       {"socket", "tenant", "priority", "threads", "time-limit",
+        "conflict-budget", "mem-limit-mb", "certify", "stream", "no-wait",
+        "front-out"},
+       cmd_submit},
+      {"status", {"socket", "job", "front-out"},
+       [](const Args& a) { return cmd_simple(a, "status"); }},
+      {"result", {"socket", "job", "timeout", "front-out"},
+       [](const Args& a) { return cmd_simple(a, "result"); }},
+      {"cancel", {"socket", "job"},
+       [](const Args& a) { return cmd_simple(a, "cancel"); }},
+      {"stats", {"socket"}, [](const Args& a) { return cmd_simple(a, "stats"); }},
+      {"drain", {"socket"}, [](const Args& a) { return cmd_simple(a, "drain"); }},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   const Args args = cli::parse_args(argc, argv);
+  const auto it =
+      std::find_if(commands().begin(), commands().end(),
+                   [&](const cli::Command& c) { return c.name == cmd; });
+  if (it == commands().end()) return usage();
+  if (const std::string flag = cli::unread_flag(args, *it); !flag.empty()) {
+    std::cerr << "error: unknown flag " << flag << " for " << cmd << "\n";
+    return 2;
+  }
   try {
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "submit") return cmd_submit(args);
-    if (cmd == "status") return cmd_simple(args, "status");
-    if (cmd == "result") return cmd_simple(args, "result");
-    if (cmd == "cancel") return cmd_simple(args, "cancel");
-    if (cmd == "stats") return cmd_simple(args, "stats");
-    if (cmd == "drain") return cmd_simple(args, "drain");
+    return it->run(args);
   } catch (const cli::BadFlagValue& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -335,5 +367,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
 }
