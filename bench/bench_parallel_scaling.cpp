@@ -5,9 +5,9 @@
 // Select instances with ASPMT_SCALING_INSTANCES (comma-separated suite
 // names, default "S06,S07,S09"); the per-method time limit comes from
 // ASPMT_BENCH_TIMEOUT as everywhere else.  Note that on a single-core
-// container the portfolio can only win algorithmically (slice seeding +
-// diversified restarts shrinking total work), not by using more hardware —
-// interpret speedups together with the machine's core count.
+// container the portfolio can only win algorithmically (diversified
+// searches sharing one archive shrink total work), not by using more
+// hardware — interpret speedups together with the machine's core count.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>

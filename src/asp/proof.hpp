@@ -120,6 +120,9 @@ class ProofLog {
   void truncation_marker() { buf_ += "X 0\n"; }
 
   [[nodiscard]] const std::string& text() const noexcept { return buf_; }
+  /// Hand the finished stream over without copying it; the log is left
+  /// empty and must not be appended to again.
+  [[nodiscard]] std::string take_text() noexcept { return std::move(buf_); }
 
  private:
   void clause_step(char kind, std::span<const Lit> lits);

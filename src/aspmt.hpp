@@ -33,9 +33,9 @@
 // dse::explore_parallel — the parallel portfolio (ParallelExploreOptions
 // adds threads/seed/shards; the result embeds an ExploreResult as .base).
 #include "dse/parallel_explorer.hpp"
-// dse::generate_warm_seeds / WarmStartOptions / SliceScheduler — the hybrid
-// heuristic–exact pipeline: validated heuristic seeds and gap-guided slice
-// scheduling (DESIGN.md §12).
+// dse::generate_warm_seeds / WarmStartOptions — the hybrid heuristic–exact
+// pipeline: validated heuristic seeds enter the archive before the search
+// (DESIGN.md §12).
 #include "dse/warmstart.hpp"
 // dse::Budget / BudgetLimits / StopReason — resource ceilings and the
 // async-signal-safe cancellation token.
@@ -45,7 +45,7 @@
 #include "dse/checkpoint.hpp"
 // dse::reexplore / classify_checkpoint / spec_sections — incremental
 // re-exploration on spec deltas: per-section digests, delta classification,
-// archive + guarded-clause + slice reuse (DESIGN.md §13).
+// archive + guarded-clause reuse (DESIGN.md §13).
 #include "dse/respec.hpp"
 // dse::explore_distributed / shard_objective_space — multi-process
 // cube-and-conquer over objective-space bands with a certified merged

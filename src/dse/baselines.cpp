@@ -44,6 +44,50 @@ BaselineResult enumerate_and_filter(const synth::Specification& spec,
   return result;
 }
 
+namespace {
+
+/// One lexicographic step: minimise every objective in turn, each under the
+/// optimum of its predecessors.  `point` is the lexicographic minimum of the
+/// remaining region when the step is feasible and proven.
+struct LexStep {
+  pareto::Vec point;
+  bool feasible = true;
+  bool proven = true;  ///< false only when the deadline cut a descent short
+};
+
+LexStep lexicographic_minimum(SynthContext& ctx,
+                              const util::Deadline& deadline) {
+  const std::size_t k = ctx.objectives.count();
+  LexStep step{pareto::Vec(k, 0)};
+  std::vector<asp::Lit> assumptions;
+  for (std::size_t o = 0; o < k; ++o) {
+    const MinimizeResult mr = minimize_objective(ctx, o, assumptions, &deadline);
+    if (!mr.feasible) {
+      step.feasible = false;
+      step.proven = mr.proven;  // Unsat proves exhaustion; a timeout does not
+      return step;
+    }
+    step.proven = step.proven && mr.proven;
+    step.point[o] = mr.best;
+  }
+  return step;
+}
+
+/// Exclude the weakly dominated region of `point`: some objective must
+/// improve strictly.  d_o  ->  objective_o <= point_o - 1.  False when that
+/// leaves the problem unsatisfiable.
+bool exclude_dominated(SynthContext& ctx, const pareto::Vec& point) {
+  std::vector<asp::Lit> some_better;
+  for (std::size_t o = 0; o < point.size(); ++o) {
+    const asp::Lit d = asp::Lit::make(ctx.solver.new_var(), true);
+    ctx.objectives.add_bound(o, point[o] - 1, d);
+    some_better.push_back(d);
+  }
+  return ctx.solver.add_clause(std::move(some_better));
+}
+
+}  // namespace
+
 BaselineResult lexicographic_epsilon(const synth::Specification& spec,
                                      double time_limit_seconds) {
   util::Timer timer;
@@ -53,38 +97,16 @@ BaselineResult lexicographic_epsilon(const synth::Specification& spec,
   SynthContext ctx(spec, copts);
 
   BaselineResult result;
-  const std::size_t k = ctx.objectives.count();
   for (;;) {
     if (deadline.expired()) break;
-    std::vector<asp::Lit> assumptions;
-    pareto::Vec point(k, 0);
-    bool feasible = true;
-    bool proven = true;
-    for (std::size_t o = 0; o < k; ++o) {
-      const MinimizeResult mr = minimize_objective(ctx, o, assumptions, &deadline);
-      if (!mr.feasible) {
-        feasible = false;
-        proven = mr.proven;  // Unsat proves exhaustion; a timeout does not
-        break;
-      }
-      proven = proven && mr.proven;
-      point[o] = mr.best;
-    }
-    if (!feasible) {
-      result.complete = proven;
+    const LexStep step = lexicographic_minimum(ctx, deadline);
+    if (!step.feasible) {
+      result.complete = step.proven;
       break;
     }
-    if (!proven) break;  // timed out mid-optimisation: the point is unproven
-    result.front.push_back(point);
-    // Exclude the weakly dominated region of `point`: some objective must
-    // improve strictly.  d_o  ->  objective_o <= point_o - 1.
-    std::vector<asp::Lit> some_better;
-    for (std::size_t o = 0; o < k; ++o) {
-      const asp::Lit d = asp::Lit::make(ctx.solver.new_var(), true);
-      ctx.objectives.add_bound(o, point[o] - 1, d);
-      some_better.push_back(d);
-    }
-    if (!ctx.solver.add_clause(std::move(some_better))) {
+    if (!step.proven) break;  // timed out mid-descent: the point is unproven
+    result.front.push_back(step.point);
+    if (!exclude_dominated(ctx, step.point)) {
       result.complete = true;
       break;
     }
@@ -109,44 +131,24 @@ BaselineResult lexicographic_epsilon_cold(const synth::Specification& spec,
     if (deadline.expired()) break;
     // Single-shot: re-ground and re-solve from scratch for every point.
     SynthContext ctx(spec, copts);
-    const std::size_t k = ctx.objectives.count();
     for (const pareto::Vec& p : excluded) {
-      std::vector<asp::Lit> some_better;
-      for (std::size_t o = 0; o < k; ++o) {
-        const asp::Lit d = asp::Lit::make(ctx.solver.new_var(), true);
-        ctx.objectives.add_bound(o, p[o] - 1, d);
-        some_better.push_back(d);
-      }
-      if (!ctx.solver.add_clause(std::move(some_better))) {
+      if (!exclude_dominated(ctx, p)) {
         result.complete = true;
         break;
       }
     }
     if (result.complete) break;
 
-    std::vector<asp::Lit> assumptions;
-    pareto::Vec point(k, 0);
-    bool feasible = true;
-    bool proven = true;
-    for (std::size_t o = 0; o < k; ++o) {
-      const MinimizeResult mr = minimize_objective(ctx, o, assumptions, &deadline);
-      if (!mr.feasible) {
-        feasible = false;
-        proven = mr.proven;
-        break;
-      }
-      proven = proven && mr.proven;
-      point[o] = mr.best;
-    }
+    const LexStep step = lexicographic_minimum(ctx, deadline);
     result.models += ctx.solver.stats().models;
     result.conflicts += ctx.solver.stats().conflicts;
-    if (!feasible) {
-      result.complete = proven;
+    if (!step.feasible) {
+      result.complete = step.proven;
       break;
     }
-    if (!proven) break;
-    result.front.push_back(point);
-    excluded.push_back(point);
+    if (!step.proven) break;
+    result.front.push_back(step.point);
+    excluded.push_back(step.point);
   }
   std::sort(result.front.begin(), result.front.end());
   result.seconds = timer.elapsed_seconds();

@@ -225,9 +225,13 @@ std::string shard_result_to_text(const ParallelExploreResult& r) {
     out << "\n";
   }
   out << "proof " << r.base.proof.size() << "\n";
-  out << r.base.proof;
-  out << "end\n";
-  return out.str();
+  // The proof, by far the largest part, is copied once: appended to the
+  // stream's moved-out buffer, not streamed and then copied out again.
+  std::string text = std::move(out).str();
+  text.reserve(text.size() + r.base.proof.size() + 4);
+  text += r.base.proof;
+  text += "end\n";
+  return text;
 }
 
 std::string parse_shard_result(std::string_view text, ShardResultPayload& out) {
@@ -305,18 +309,9 @@ DistributedResult explore_distributed(const synth::Specification& spec,
   // Refused here rather than by every shard worker's encoder, which would
   // turn one invalid input into a failed shard per band.
   spec.require_valid();
-  // Fail fast on unshardable axes: banding needs a linear *leaf* objective
-  // (a non-latency metric), because neither difference logic nor any
-  // combinator admits a sound single-sum floor/ceiling decomposition — and
-  // the merged-front checker would reject such shard boxes regardless.
-  const std::vector<synth::ObjectiveExpr> axes = spec.effective_objectives();
-  if (options.shard_objective >= axes.size() ||
-      axes[options.shard_objective].kind != synth::ObjectiveExpr::Kind::Metric ||
-      axes[options.shard_objective].metric == "latency") {
-    throw std::invalid_argument(
-        "distributed sharding requires a linear leaf shard objective "
-        "(an energy or cost axis); latency and combinator axes cannot be "
-        "banded soundly");
+  if (std::string err = shard_axis_error(spec, options.shard_objective);
+      !err.empty()) {
+    throw std::invalid_argument(std::move(err));
   }
 
   DistributedResult result;
@@ -705,6 +700,8 @@ DistributedResult explore_distributed(const synth::Specification& spec,
 
   // ---- certified merge -----------------------------------------------------
   if (options.base.common.certify) {
+    // Each shard's stream moves into its band: nothing reads
+    // outcomes[i].result.proof after this.
     std::vector<cert::ShardProof> proofs;
     proofs.reserve(shards.size());
     bool have_proofs = all_complete;
@@ -714,7 +711,7 @@ DistributedResult explore_distributed(const synth::Specification& spec,
         break;
       }
       proofs.push_back(cert::ShardProof{shards[i].lo, shards[i].hi,
-                                        outcomes[i].result.proof});
+                                        std::move(outcomes[i].result.proof)});
     }
     if (have_proofs) {
       result.base.proof =

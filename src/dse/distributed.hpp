@@ -98,9 +98,8 @@ struct DistributedOptions {
   /// Shard count; 0 = one shard per process.  More shards than processes
   /// gives the coordinator a work queue to rebalance onto survivors.
   std::size_t shards = 0;
-  /// Index of the banded objective.  Must be linear (energy = 1 or cost = 2
-  /// in the standard encoding); latency's difference logic has no sound
-  /// floor bound.
+  /// Index of the banded objective; it must pass shard_axis_error
+  /// (energy = 1 or cost = 2 in the standard encoding).
   std::size_t shard_objective = 1;
   /// Worker binary.  "" = $ASPMT_DSE_BIN, then
   /// /proc/self/exe (correct when the coordinator is aspmt_dse itself).
@@ -161,7 +160,7 @@ struct DistributedResult {
 
 /// Explore `spec` distributed over `options.processes` workers.  Throws
 /// std::invalid_argument, before any worker starts, when the specification
-/// is invalid or the shard objective is not a linear leaf axis.
+/// is invalid or shard_axis_error rejects the shard objective.
 [[nodiscard]] DistributedResult explore_distributed(
     const synth::Specification& spec, const DistributedOptions& options = {});
 

@@ -22,7 +22,6 @@
 namespace aspmt::dse {
 namespace {
 
-constexpr std::size_t kNoSlice = std::numeric_limits<std::size_t>::max();
 /// Learnt clauses worker 0 dumps into the final checkpoint.
 constexpr std::size_t kClauseDump = 1024;
 
@@ -40,11 +39,8 @@ std::uint64_t mix_seed(std::uint64_t x) {
 }
 
 struct SharedState {
-  SharedState(const std::string& kind, std::size_t axes, Budget* bdg,
-              std::size_t total_workers)
-      : archive(kind, axes),
-        budget(bdg),
-        slice_parts(total_workers > 1 ? 2 * (total_workers - 1) : 0) {}
+  SharedState(const std::string& kind, std::size_t axes, Budget* bdg)
+      : archive(kind, axes), budget(bdg) {}
 
   pareto::ConcurrentArchive archive;
   Budget* budget;
@@ -55,12 +51,6 @@ struct SharedState {
   std::map<pareto::Vec, synth::Implementation> witnesses;
   std::vector<std::pair<double, pareto::Vec>> discoveries;
   std::vector<WorkerError> errors;
-
-  // Gap-guided epsilon-slice dispenser (warmstart.hpp).  More slices than
-  // workers (2*(threads-1) parts), so which slice a worker adopts *next* is
-  // a real scheduling decision, driven by the hypervolume gap scores.
-  SliceScheduler scheduler;
-  const std::size_t slice_parts;
 
   CheckpointWriter* checkpoint = nullptr;
   const FaultPlan* fault = nullptr;
@@ -81,17 +71,11 @@ struct SharedState {
   /// each other — an approximation, flagged in DESIGN.md §11.
   obs::Histogram* insert_hist = nullptr;
 
-  /// Contain a worker death: preserve the error and return its slice to the
-  /// scheduler (one-shot requeue) so a survivor can finish the region it
-  /// was responsible for.  Slices the dead worker never claimed are still
-  /// pending in the scheduler and need no rescue.
-  void record_failure(std::size_t worker, std::size_t active_slice,
-                      std::string message) {
-    {
-      std::lock_guard lock(mutex);
-      errors.push_back({worker, std::move(message)});
-    }
-    if (active_slice != kNoSlice) scheduler.abandon(active_slice);
+  /// Contain a worker death: preserve the error.  Nothing else needs
+  /// rescue: every survivor searches the whole problem.
+  void record_failure(std::size_t worker, std::string message) {
+    std::lock_guard lock(mutex);
+    errors.push_back({worker, std::move(message)});
   }
 
   /// Consistent snapshot for the checkpoint writer.
@@ -116,7 +100,7 @@ struct SharedState {
   }
 };
 
-/// Diversified solver configuration for worker `index` of `total`.  Worker 0
+/// Diversified solver configuration for worker `index`.  Worker 0
 /// keeps the caller's base configuration bit-for-bit (it is the portfolio's
 /// anchor, and alone the whole of a one-worker run); the others jitter
 /// tie-breaking, restart cadence and activity decay.
@@ -130,8 +114,7 @@ asp::SolverOptions diversify(asp::SolverOptions base, std::size_t index,
   return base;
 }
 
-void run_worker(std::size_t index, std::size_t total,
-                const synth::Specification& spec,
+void run_worker(std::size_t index, const synth::Specification& spec,
                 const ParallelExploreOptions& opts, SharedState& shared,
                 WorkerReport& report, asp::ProofLog* proof,
                 obs::Recorder* rec) {
@@ -170,8 +153,8 @@ void run_worker(std::size_t index, std::size_t total,
   // Incremental re-exploration (respec.hpp): every worker owns an
   // independent solver, so each installs the previous session's clauses
   // behind its own assumption guard.  The guard is dropped on the first
-  // Unsat under it — after the active slice, before the unconstrained
-  // completeness claim — so replay never taints the global Unsat proof.
+  // Unsat under it, before the completeness claim, so replay never taints
+  // the global Unsat proof.
   const std::uint32_t base_vars = ctx.solver.num_vars();
   std::vector<asp::Lit> base_assume;
   if (!common.clause_replay.clauses.empty()) {
@@ -185,23 +168,14 @@ void run_worker(std::size_t index, std::size_t total,
   }
 
   // Distributed banding: permanent shard assumptions.  Unlike the replay
-  // guard and slice bounds these are never dropped — the terminating Unsat
-  // is concluded under exactly these activations, which is what makes it a
-  // *shard box* proof the merge layer can combine across processes.
+  // guard these are never dropped — the terminating Unsat is concluded
+  // under exactly these activations, which is what makes it a *shard box*
+  // proof the merge layer can combine across processes.  run_portfolio
+  // checked the axis is a linear leaf, so both bounds install.
   std::vector<asp::Lit> shard_assume;
   if (opts.shard.active) {
     constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
     constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
-    if (opts.shard.objective >= ctx.objectives.count() ||
-        ctx.objectives.source(opts.shard.objective).kind !=
-            ObjectiveManager::Source::Kind::Linear) {
-      // Reject rather than miscompute: banding a combinator (or difference)
-      // axis has no sound single-sum floor/ceiling decomposition, and the
-      // merged-front checker would refuse the shard boxes anyway.
-      throw std::runtime_error(
-          "shard objective must be a linear leaf axis; difference-logic and "
-          "combinator axes cannot be banded soundly");
-    }
     if (opts.shard.hi != kMax) {
       const asp::Lit act = asp::Lit::make(ctx.solver.new_var(), true);
       // Primary-only: a floor-mirrored ceiling would make the checker's
@@ -213,21 +187,14 @@ void run_worker(std::size_t index, std::size_t total,
     }
     if (opts.shard.lo != kMin) {
       const asp::Lit act = asp::Lit::make(ctx.solver.new_var(), true);
-      if (!ctx.objectives.add_lower_bound(opts.shard.objective, opts.shard.lo,
-                                          act)) {
-        throw std::runtime_error(
-            "shard objective must be linear (difference logic has no floor)");
-      }
+      ctx.objectives.add_lower_bound(opts.shard.objective, opts.shard.lo, act);
       shard_assume.push_back(act);
     }
   }
 
-  std::vector<asp::Lit> assumptions;  // the active slice bound, if any
-  std::size_t active_slice = kNoSlice;
   const auto assume_all = [&]() {
     std::vector<asp::Lit> all = base_assume;
     all.insert(all.end(), shard_assume.begin(), shard_assume.end());
-    all.insert(all.end(), assumptions.begin(), assumptions.end());
     return all;
   };
 
@@ -238,7 +205,6 @@ void run_worker(std::size_t index, std::size_t total,
                   axis_or_zero(point, 1), axis_or_zero(point, 2));
     }
     fault_worker_throw(shared.fault, index, report.models);
-    if (active_slice != kNoSlice) ++report.slice_models;
     const bool observing = rec != nullptr && rec->enabled();
     const std::size_t before = observing ? shared.archive.size() : 0;
     const std::uint64_t cmp_before =
@@ -289,54 +255,12 @@ void run_worker(std::size_t index, std::size_t total,
     }
   };
 
-  /// Claim the next slice from the gap-guided scheduler (workers > 0 only).
-  /// The scheduler is seeded lazily from the first front snapshot that
-  /// spans a range — with a warm start or a restart (whose reused front is
-  /// that snapshot) it is before the first solve call, so slices (and their
-  /// hypervolume-gap ranking) exist from t ~ 0.
-  const auto try_activate_slice = [&]() {
-    if (active_slice != kNoSlice || index == 0 || total < 2) return;
-    if (!shared.scheduler.seeded() &&
-        !shared.scheduler.seed(shared.archive.points(), shared.slice_parts)) {
-      return;  // no spread yet (or degenerate range); stay unconstrained
-    }
-    const auto slice = shared.scheduler.claim();
-    if (!slice.has_value()) return;
-    ++report.slices_claimed;
-    const asp::Lit act = asp::Lit::make(ctx.solver.new_var(), true);
-    ctx.objectives.add_bound(0, slice->bound, act);
-    assumptions.assign(1, act);
-    active_slice = slice->id;
-    if (rec != nullptr) {
-      rec->record(obs::EventKind::SliceScheduled,
-                  static_cast<std::int64_t>(slice->id), slice->bound,
-                  static_cast<std::int64_t>(slice->gap + 0.5));
-      rec->record(obs::EventKind::SliceActivate,
-                  static_cast<std::int64_t>(slice->id), slice->bound);
-    }
-  };
-
   try {
     for (;;) {
-      try_activate_slice();
       const asp::Solver::Result r =
           ctx.solver.solve(assume_all(), shared.budget->deadline());
       if (r == asp::Solver::Result::Unknown) break;  // peer finished or budget
       if (r == asp::Solver::Result::Unsat) {
-        if (!assumptions.empty() && ctx.solver.ok()) {
-          // Slice exhausted; the next loop iteration claims the scheduler's
-          // best remaining slice, or the unconstrained problem if none.
-          // (Under an active replay guard "exhausted" is conservative — a
-          // stale clause may have hidden a point — but the post-guard
-          // unconstrained pass re-covers every slice's region.)
-          if (rec != nullptr) {
-            rec->record(obs::EventKind::SliceExhaust,
-                        static_cast<std::int64_t>(active_slice));
-          }
-          assumptions.clear();
-          active_slice = kNoSlice;
-          continue;
-        }
         if (!base_assume.empty() && ctx.solver.ok()) {
           // Replay guard exhausted: the *augmented* problem is empty, which
           // proves nothing about the original.  Drop the guard and re-prove
@@ -380,15 +304,16 @@ void run_worker(std::size_t index, std::size_t total,
       if (out_of_time) break;
     }
   } catch (const std::exception& e) {
-    // Contained: the shared archive keeps every published point, the slice
-    // is requeued for a survivor, and the run degrades instead of dying.
+    // Contained: the shared archive keeps every published point, the
+    // survivors' whole-problem searches cover the rest, and the run
+    // degrades instead of dying.
     report.failed = true;
     report.error = e.what();
-    shared.record_failure(index, active_slice, e.what());
+    shared.record_failure(index, e.what());
   } catch (...) {
     report.failed = true;
     report.error = "unknown exception";
-    shared.record_failure(index, active_slice, "unknown exception");
+    shared.record_failure(index, "unknown exception");
   }
 
   // Worker 0 donates its learnt clauses to the final v3 checkpoint (its
@@ -433,6 +358,20 @@ void run_worker(std::size_t index, std::size_t total,
 
 }  // namespace
 
+std::string shard_axis_error(const synth::Specification& spec,
+                             std::size_t objective) {
+  const std::vector<synth::ObjectiveExpr> axes = spec.effective_objectives();
+  if (objective < axes.size() &&
+      axes[objective].kind == synth::ObjectiveExpr::Kind::Metric &&
+      axes[objective].metric != "latency") {
+    return {};
+  }
+  return "objective " + std::to_string(objective) +
+         " is not shardable: only a linear leaf axis (an energy or cost "
+         "metric) admits sound banding; latency (difference logic), "
+         "combinator and out-of-range axes do not";
+}
+
 namespace detail {
 
 ParallelExploreResult run_portfolio(const synth::Specification& spec,
@@ -447,6 +386,12 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
         "epsilon has " + std::to_string(epsilon.size()) +
         " entries but the specification declares " +
         std::to_string(spec.axis_count()) + " objective axes");
+  }
+  if (options.shard.active) {
+    if (std::string err = shard_axis_error(spec, options.shard.objective);
+        !err.empty()) {
+      throw std::invalid_argument(std::move(err));
+    }
   }
   std::size_t threads = options.threads != 0
                             ? options.threads
@@ -467,7 +412,7 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
     if (env_fault.any()) fault = &env_fault;
   }
 
-  SharedState shared(common.archive_kind, spec.axis_count(), budget, threads);
+  SharedState shared(common.archive_kind, spec.axis_count(), budget);
   shared.fault = fault;
   shared.epsilon = epsilon;
   shared.fingerprint = spec_fingerprint(spec);
@@ -505,8 +450,7 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
   // gate's validated antichain enters the still-empty shared archive (so
   // every seed is accepted) before any worker spawns.  Every worker's first
   // generation-counter sync pulls the seeds (emitting per-stream F steps in
-  // certified mode), and the slice scheduler can rank slices by hypervolume
-  // gap from t ~ 0.  Search and this gate are the archive's only sources.
+  // certified mode).  Search and this gate are the archive's only sources.
   if (warm_start_enabled(common.warm_start)) {
     WarmStartResult ws = generate_warm_seeds(spec, common.warm_start);
     ExploreStats& stats = result.base.stats;
@@ -541,7 +485,7 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
   }
 
   if (threads == 1) {
-    run_worker(0, 1, spec, options, shared, result.workers[0], logs[0].get(),
+    run_worker(0, spec, options, shared, result.workers[0], logs[0].get(),
                worker_recorder(0));
   } else {
     std::vector<std::thread> pool;
@@ -549,14 +493,14 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
     for (std::size_t w = 0; w < threads; ++w) {
       pool.emplace_back([&, w] {
         try {
-          run_worker(w, threads, spec, options, shared, result.workers[w],
+          run_worker(w, spec, options, shared, result.workers[w],
                      logs[w].get(), worker_recorder(w));
         } catch (const std::exception& e) {
           // run_worker contains its own search-loop failures; this catch
           // covers context construction, which leaves no stats to report.
           result.workers[w].failed = true;
           result.workers[w].error = e.what();
-          shared.record_failure(w, kNoSlice, e.what());
+          shared.record_failure(w, e.what());
         }
       });
     }
@@ -611,9 +555,9 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
                         result.worker_errors.empty();
     // The winner's stream is the completeness proof.  Without one, worker
     // 0's stream, honestly truncation-marked, still hands over a checkable
-    // prefix.  Either stream is copied once.
+    // prefix.  Either stream is moved out of its log, never copied.
     if (!proved) logs[0]->truncation_marker();
-    result.base.proof = logs[proved ? winner->worker : 0]->text();
+    result.base.proof = logs[proved ? winner->worker : 0]->take_text();
     if (!result.worker_errors.empty()) {
       result.base.certificate_error =
           "worker " + std::to_string(result.worker_errors.front().worker) +

@@ -3,35 +3,27 @@
 // (explorer.hpp) is its one-worker case, run inline in the calling thread.
 //
 // Every worker owns a full independent SynthContext (solver, theories,
-// encoding, dominance propagator) configured with a distinct seed, restart
-// base and phase polarity, and publishes every accepted model into one
-// shared ConcurrentArchive.  Each worker's dominance propagator treats its
-// thread-local archive as a snapshot of the shared front and refreshes it
-// lazily off a lock-free generation counter, so a point found by any worker
-// starts pruning every other worker's search mid-flight.  After each model a
-// worker drills down to a Pareto-optimal point by re-solving under
+// encoding, dominance propagator) and publishes every accepted model into
+// one shared ConcurrentArchive.  Each worker's dominance propagator treats
+// its thread-local archive as a snapshot of the shared front and refreshes
+// it lazily off a lock-free generation counter, so a point found by any
+// worker starts pruning every other worker's search mid-flight.  After each
+// model a worker drills down to a Pareto-optimal point by re-solving under
 // activation-guarded bounds f <= v.
 //
-// Work partitioning: as soon as the shared front spans a range in the first
-// objective (immediately, under a warm start or a restart, whose reused
-// front is the first snapshot), it is carved into roughly
-// 2*(threads-1) epsilon-constraint slices `latency <= split_i`, each scored
-// by its remaining-hypervolume gap (pareto::slice_hypervolume_gaps).  A
-// shared SliceScheduler (warmstart.hpp) hands the highest-gap pending slice
-// to whichever worker asks next; a worker that exhausts its slice claims
-// another, and only falls back to the unconstrained problem when the queue
-// is empty — search effort concentrates where the most unexplained
-// objective-space volume remains instead of being statically pinned to
-// worker indices.  Worker 0 never takes a slice and keeps the caller's
-// solver configuration, so it runs exactly the one-worker search.
+// There is no work partitioning: every worker searches the whole problem.
+// Worker 0 keeps the caller's solver configuration, so it runs exactly the
+// one-worker search; workers 1..N-1 differ from it only by diversify()'s
+// seed, restart cadence and activity-decay jitter.  A dead worker leaves
+// nothing to rescue: the survivors' own searches cover its share.
 //
-// Exactness: slices and diversification only change the *order* of
-// discovery.  The run ends when some worker proves the unconstrained
-// problem unsatisfiable under dominance pruning — at that moment the shared
-// archive weakly dominates every feasible point and, since every archived
-// point is itself a feasible model, it *is* the unique exact Pareto front.
-// Hence the front is identical for every thread count (the test layer
-// enforces this point-for-point).
+// Exactness: diversification only changes the *order* of discovery.  The
+// run ends when some worker proves the problem unsatisfiable under
+// dominance pruning — at that moment the shared archive weakly dominates
+// every feasible point and, since every archived point is itself a
+// feasible model, it *is* the unique exact Pareto front.  Hence the front
+// is identical for every thread count (the test layer enforces this
+// point-for-point).
 #pragma once
 
 #include <cstdint>
@@ -68,8 +60,7 @@ struct ParallelExploreOptions {
   /// terminating Unsat is concluded under exactly those activations — which
   /// the proof checker turns into a verified *shard box* (see
   /// cert::CheckResult::shard_boxes).  INT64_MIN / INT64_MAX ends install no
-  /// bound at all.  The banded objective must be linear (energy or cost in
-  /// the standard encoding; latency's difference logic has no sound floor).
+  /// bound at all.  The banded objective must pass shard_axis_error.
   struct ShardBand {
     bool active = false;
     std::size_t objective = 1;
@@ -79,12 +70,22 @@ struct ParallelExploreOptions {
   ShardBand shard;
 };
 
+/// The one shard-axis rule, checked before any worker starts: "" when axis
+/// `objective` of `spec` is a linear leaf (an energy or cost metric), else
+/// the diagnostic.  Difference logic (latency) has no sound floor and no
+/// combinator a sound single-sum floor/ceiling decomposition; the merged
+/// checker would refuse their shard boxes anyway.  explore_parallel and
+/// explore_distributed throw it as std::invalid_argument.
+[[nodiscard]] std::string shard_axis_error(const synth::Specification& spec,
+                                           std::size_t objective);
+
 /// Per-worker accounting for the CLI report and the consistency tests.
 struct WorkerReport {
   std::size_t worker = 0;
   std::uint64_t models = 0;            ///< accepted answer sets
-  std::uint64_t slice_models = 0;      ///< found while some slice was active
-  std::uint64_t slices_claimed = 0;    ///< slices adopted from the scheduler
+  /// Always 0: the portfolio no longer partitions work into slices.  Kept
+  /// only because perfbench still reads it (`portfolio.slices_claimed`).
+  std::uint64_t slices_claimed = 0;
   std::uint64_t shared_inserts = 0;    ///< points this worker published first
   std::uint64_t rejected_inserts = 0;  ///< beaten to the archive by a peer
   std::uint64_t prunings = 0;
@@ -130,7 +131,9 @@ struct ParallelExploreResult {
 /// Compute the exact Pareto front of `spec` with a portfolio of
 /// `options.threads` diversified workers.  With threads == 1 the worker
 /// runs inline in the calling thread (no thread is spawned): that run is
-/// dse::explore's search, step for step.
+/// dse::explore's search, step for step.  Throws std::invalid_argument,
+/// before any worker starts, when the specification is invalid or an active
+/// shard band sits on an axis shard_axis_error rejects.
 [[nodiscard]] ParallelExploreResult explore_parallel(
     const synth::Specification& spec, const ParallelExploreOptions& options = {});
 

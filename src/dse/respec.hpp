@@ -15,9 +15,7 @@
 //     (asp::Solver::add_guarded_clauses), so a stale or hostile dump can
 //     prune nothing from the final answer.
 //
-// Nothing else carries over.  The portfolio's SliceScheduler cuts its
-// epsilon slices from the first front snapshot that spans a range, as in a
-// cold run; for a restart that snapshot is the reused front.
+// Nothing else carries over.
 //
 // The exactness bar is unconditional: an incremental run returns the same
 // front a cold run would, certified, at any thread count — reuse only ever

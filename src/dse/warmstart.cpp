@@ -5,7 +5,6 @@
 
 #include "ea/nsga2.hpp"
 #include "pareto/archive.hpp"
-#include "pareto/indicators.hpp"
 #include "synth/validator.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -129,95 +128,6 @@ WarmStartResult generate_warm_seeds(const synth::Specification& spec,
   result.rejected_dominated = validated.size() - result.seeds.size();
   result.seconds = timer.elapsed_seconds();
   return result;
-}
-
-namespace {
-
-/// Epsilon-constraint work partitioning: split the observed objective-0
-/// range [lo, hi] into `parts` regions and return the ascending interior
-/// upper bounds (at most parts-1, deduplicated, strictly inside (lo, hi)).
-/// Purely a work-partitioning heuristic — completeness never depends on it.
-std::vector<std::int64_t> epsilon_splits(std::int64_t lo, std::int64_t hi,
-                                         std::size_t parts) {
-  std::vector<std::int64_t> splits;
-  if (parts < 2 || hi <= lo) return splits;
-  const std::int64_t span = hi - lo;
-  for (std::size_t i = 1; i < parts; ++i) {
-    const std::int64_t b =
-        lo + span * static_cast<std::int64_t>(i) /
-                 static_cast<std::int64_t>(parts);
-    if (b <= lo || b >= hi) continue;
-    if (!splits.empty() && splits.back() == b) continue;
-    splits.push_back(b);
-  }
-  return splits;
-}
-
-}  // namespace
-
-bool SliceScheduler::seed(const std::vector<pareto::Vec>& front,
-                          std::size_t parts) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (seeded_) return true;
-  if (front.size() < 2 || parts < 2) return false;
-  std::int64_t lo = front.front()[0];
-  std::int64_t hi = front.front()[0];
-  for (const pareto::Vec& p : front) {
-    lo = std::min(lo, p[0]);
-    hi = std::max(hi, p[0]);
-  }
-  const std::vector<std::int64_t> splits = epsilon_splits(lo, hi, parts);
-  if (splits.empty()) return false;
-  const std::vector<double> gaps = pareto::slice_hypervolume_gaps(front, splits);
-  slices_.resize(splits.size());
-  requeued_.assign(splits.size(), 0);
-  for (std::size_t i = 0; i < splits.size(); ++i) {
-    slices_[i] = Slice{i, splits[i], gaps[i]};
-  }
-  // Pending queue ordered so the *back* is the next claim: ascending gap,
-  // ties broken towards lower slice id (tighter objective-0 bound) first.
-  queue_.resize(slices_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) queue_[i] = i;
-  std::stable_sort(queue_.begin(), queue_.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     if (slices_[a].gap != slices_[b].gap) {
-                       return slices_[a].gap < slices_[b].gap;
-                     }
-                     return slices_[a].id > slices_[b].id;
-                   });
-  seeded_ = true;
-  return true;
-}
-
-std::optional<SliceScheduler::Slice> SliceScheduler::claim() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!seeded_ || queue_.empty()) return std::nullopt;
-  const std::size_t id = queue_.back();
-  queue_.pop_back();
-  return slices_[id];
-}
-
-void SliceScheduler::abandon(std::size_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!seeded_ || id >= slices_.size() || requeued_[id] != 0) return;
-  requeued_[id] = 1;
-  // Reinsert in gap order so the orphan competes on its score, not on
-  // recency.
-  const auto pos = std::lower_bound(
-      queue_.begin(), queue_.end(), id, [this](std::size_t q, std::size_t v) {
-        return slices_[q].gap < slices_[v].gap;
-      });
-  queue_.insert(pos, id);
-}
-
-bool SliceScheduler::seeded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return seeded_;
-}
-
-std::size_t SliceScheduler::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 }  // namespace aspmt::dse

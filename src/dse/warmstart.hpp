@@ -1,32 +1,20 @@
 // dse::HybridPipeline — the heuristic half of the hybrid heuristic–exact
-// explorer (ROADMAP item 4).
+// explorer: warm-start seeding, strictly accuracy-preserving.
 //
-// Two mechanisms, both strictly accuracy-preserving:
-//
-//  1. Warm-start seeding: a budgeted heuristic pass (NSGA-II or a random
-//     genotype sampler) proposes candidate design points.  Every candidate
-//     is re-validated through synth::validate_implementation and its
-//     objectives cross-checked against the decoded implementation before it
-//     may enter the archive; survivors are injected as bounds that tighten
-//     the dominance propagator from the very first conflict.  Because the
-//     dominance nogood blocks `f >= p` *including equality*, a seeded point
-//     is never re-enumerated by the solver — its validated witness stands
-//     in as the front witness, and a matching `F` proof step is emitted at
-//     injection time, so `cert::certify` certifies warm runs
-//     end-to-end (see DESIGN §12 for the soundness argument).  Seeds that
-//     turn out to be dominated are evicted by normal archive semantics.
-//
-//  2. Slice scheduling: the portfolio explorer carves objective 0 into
-//     epsilon slices.  Instead of statically assigning slice i to worker i,
-//     a SliceScheduler scores every slice by its remaining-hypervolume gap
-//     (pareto::slice_hypervolume_gaps) against the incumbent front —
-//     warm-start seeds and a restart's reused points make that front
-//     available immediately — and workers claim the highest-gap slice next,
-//     so search effort goes where the most unexplained volume is.
+// A budgeted heuristic pass (NSGA-II or a random genotype sampler) proposes
+// candidate design points.  Every candidate is re-validated through
+// synth::validate_implementation and its objectives cross-checked against
+// the decoded implementation before it may enter the archive; survivors are
+// injected as bounds that tighten the dominance propagator from the very
+// first conflict.  Because the dominance nogood blocks `f >= p` *including
+// equality*, a seeded point is never re-enumerated by the solver — its
+// validated witness stands in as the front witness, and a matching `F`
+// proof step is emitted at injection time, so `cert::certify` certifies
+// warm runs end-to-end (see DESIGN §12 for the soundness argument).  Seeds
+// that turn out to be dominated are evicted by normal archive semantics.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -91,44 +79,5 @@ struct WarmStartResult {
 /// point.
 [[nodiscard]] WarmStartResult generate_warm_seeds(
     const synth::Specification& spec, const WarmStartOptions& options);
-
-/// Thread-safe gap-guided slice dispenser for the portfolio explorer.
-///
-/// Built once from the first usable front snapshot; workers then `claim()`
-/// pending slices in descending hypervolume-gap order.  A slice abandoned
-/// by a dying worker is requeued exactly once (same one-shot policy the
-/// static scheduler had), so a slice whose constraint itself triggers the
-/// fault cannot wedge the portfolio in a requeue loop.
-class SliceScheduler {
- public:
-  struct Slice {
-    std::size_t id = 0;
-    std::int64_t bound = 0;  ///< objective-0 upper bound of the slice
-    double gap = 0.0;        ///< remaining-hypervolume score at seeding time
-  };
-
-  /// Build the slice table from a front snapshot: `parts` epsilon splits on
-  /// objective 0, scored by pareto::slice_hypervolume_gaps.  Only the first
-  /// call with a front of >= 2 points takes effect; returns true when the
-  /// table was (already) built.  This is the one way to build it.
-  bool seed(const std::vector<pareto::Vec>& front, std::size_t parts);
-
-  /// Claim the pending slice with the largest gap; nullopt when none left.
-  std::optional<Slice> claim();
-
-  /// Return a claimed slice after its worker died; it becomes claimable
-  /// again exactly once.
-  void abandon(std::size_t id);
-
-  [[nodiscard]] bool seeded() const;
-  [[nodiscard]] std::size_t pending() const;
-
- private:
-  mutable std::mutex mutex_;
-  bool seeded_ = false;
-  std::vector<Slice> slices_;        // immutable after seeding
-  std::vector<std::size_t> queue_;   // pending slice ids, best gap last
-  std::vector<char> requeued_;       // one-shot abandon flag per slice
-};
 
 }  // namespace aspmt::dse

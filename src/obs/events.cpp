@@ -16,12 +16,9 @@ const char* kind_name(EventKind kind) noexcept {
     case EventKind::ArchiveInsert: return "archive-insert";
     case EventKind::ArchiveEvict: return "archive-evict";
     case EventKind::DominancePrune: return "dominance-prune";
-    case EventKind::SliceActivate: return "slice-activate";
-    case EventKind::SliceExhaust: return "slice-exhaust";
     case EventKind::BudgetTrip: return "budget-trip";
     case EventKind::CheckpointWrite: return "checkpoint-write";
     case EventKind::WarmStartSeed: return "warmstart-seed";
-    case EventKind::SliceScheduled: return "slice-scheduled";
     case EventKind::RespecDelta: return "respec-delta";
     case EventKind::RespecReuse: return "respec-reuse";
     case EventKind::ShardSpawn: return "shard-spawn";

@@ -46,11 +46,6 @@ enum class EventKind : std::uint8_t {
   /// A dominance conflict pruned a subtree.  a = cumulative prunings of the
   /// emitting worker's propagator.
   DominancePrune,
-  /// A portfolio epsilon-slice was activated.  a = slice id, b = its bound
-  /// on the first objective.
-  SliceActivate,
-  /// A portfolio epsilon-slice was exhausted (proven empty).  a = slice id.
-  SliceExhaust,
   /// The run's Budget tripped; emitted once per worker on first observation
   /// (the trip itself may happen in a signal handler).  a = StopReason.
   BudgetTrip,
@@ -60,17 +55,12 @@ enum class EventKind : std::uint8_t {
   /// A validated heuristic seed entered the archive before solving began.
   /// a,b,c = the seeded point.
   WarmStartSeed,
-  /// The gap-guided scheduler handed a slice to a worker.  a = slice id,
-  /// b = the slice's objective-0 bound, c = its hypervolume-gap score
-  /// rounded to the nearest integer.
-  SliceScheduled,
   /// Incremental re-exploration classified a spec delta (dse/respec.hpp).
   /// a = DeltaClass, b = changed-section bitmask (tasks=1, resources=2,
   /// mappings=4, objectives=8), c = 1 iff the run degraded to a cold start.
   RespecDelta,
   /// Incremental re-exploration reuse summary.  a = archive witnesses
-  /// reused, b = learnt clauses replayed, c = 0 (the slices a restarted run
-  /// cuts from the reused front show up as SliceScheduled events).
+  /// reused, b = learnt clauses replayed, c = 0.
   RespecReuse,
   /// Distributed exploration (dse/distributed.hpp): a shard was handed to a
   /// worker process.  a = shard id, b = band lower bound (clamped to

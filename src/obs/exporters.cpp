@@ -145,15 +145,6 @@ void ChromeTraceExporter::on_event(const Event& e) {
       prunings_[e.worker] = e.a;
       counters_dirty_ = true;
       break;
-    case EventKind::SliceActivate:
-      args << ",\"s\":\"t\",\"args\":{\"slice\":" << e.a << ",\"bound\":"
-           << e.b << "}";
-      emit("i", "slice-activate", e, args.str());
-      break;
-    case EventKind::SliceExhaust:
-      args << ",\"s\":\"t\",\"args\":{\"slice\":" << e.a << "}";
-      emit("i", "slice-exhaust", e, args.str());
-      break;
     case EventKind::BudgetTrip:
       args << ",\"s\":\"g\",\"args\":{\"reason\":" << e.a << "}";
       emit("i", "budget-trip", e, args.str());
@@ -169,11 +160,6 @@ void ChromeTraceExporter::on_event(const Event& e) {
       args << ",\"s\":\"g\",\"args\":{\"point\":[" << e.a << "," << e.b << ","
            << e.c << "]}";
       emit("i", "warmstart-seed", e, args.str());
-      break;
-    case EventKind::SliceScheduled:
-      args << ",\"s\":\"t\",\"args\":{\"slice\":" << e.a << ",\"bound\":"
-           << e.b << ",\"gap\":" << e.c << "}";
-      emit("i", "slice-scheduled", e, args.str());
       break;
     case EventKind::ShardSpawn:
       args << ",\"s\":\"g\",\"args\":{\"shard\":" << e.a << ",\"lo\":" << e.b

@@ -30,7 +30,7 @@ class NdjsonExporter final : public EventSink {
 };
 
 /// Chrome trace_event JSON: solve() calls become duration (B/E) pairs per
-/// worker track, models/restarts/slices become instants, and front size /
+/// worker track, models/restarts/checkpoints become instants, and front size /
 /// conflicts / prunings become counter tracks.  Load the file via
 /// ui.perfetto.dev → "Open trace file" or chrome://tracing.
 class ChromeTraceExporter final : public EventSink {

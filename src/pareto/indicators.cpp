@@ -69,55 +69,6 @@ std::int64_t additive_epsilon(const std::vector<Vec>& approximation,
   return eps;
 }
 
-std::vector<double> slice_hypervolume_gaps(
-    const std::vector<Vec>& front, const std::vector<std::int64_t>& splits) {
-  if (front.size() < 2 || splits.empty()) return {};
-  const std::size_t k = front.front().size();
-  // Per-objective envelope of the front.  The upper reference is max+1 so
-  // boundary points still contribute volume (same convention as the anytime
-  // bench); the lower corner is the optimistic bound for unexplored space.
-  Vec lo = front.front();
-  Vec hi = front.front();
-  for (const Vec& p : front) {
-    for (std::size_t i = 0; i < k; ++i) {
-      lo[i] = std::min(lo[i], p[i]);
-      hi[i] = std::max(hi[i], p[i]);
-    }
-  }
-  Vec ref = hi;
-  for (std::size_t i = 0; i < k; ++i) ref[i] += 1;
-
-  std::vector<double> gaps;
-  gaps.reserve(splits.size());
-  std::int64_t band_lo = lo[0];
-  for (const std::int64_t band_hi : splits) {
-    if (band_hi <= band_lo) {
-      gaps.push_back(0.0);
-      continue;
-    }
-    double box = static_cast<double>(band_hi - band_lo);
-    for (std::size_t i = 1; i < k; ++i) {
-      box *= static_cast<double>(ref[i] - lo[i]);
-    }
-    // Dominated volume inside the band: clip every front point at or below
-    // the band's upper bound to the band's lower edge on objective 0, then
-    // measure against a reference capped at the band's upper bound.
-    std::vector<Vec> clipped;
-    for (const Vec& p : front) {
-      if (p[0] > band_hi) continue;
-      Vec q = p;
-      q[0] = std::max(q[0], band_lo);
-      clipped.push_back(std::move(q));
-    }
-    Vec band_ref = ref;
-    band_ref[0] = band_hi;
-    const double covered = hypervolume(std::move(clipped), band_ref);
-    gaps.push_back(std::max(0.0, box - covered));
-    band_lo = band_hi;
-  }
-  return gaps;
-}
-
 double coverage_ratio(const std::vector<Vec>& approximation,
                       const std::vector<Vec>& reference) {
   if (reference.empty()) return 1.0;

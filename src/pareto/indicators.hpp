@@ -25,22 +25,4 @@ namespace aspmt::pareto {
 [[nodiscard]] double coverage_ratio(const std::vector<Vec>& approximation,
                                     const std::vector<Vec>& reference);
 
-/// Remaining-hypervolume estimate per epsilon slice of objective 0.
-///
-/// `splits` are the ascending interior bounds the portfolio's slice
-/// scheduler cuts (dse::SliceScheduler::seed); slice i is the objective-0 band
-/// (splits[i-1], splits[i]] (the first band starts at the front's
-/// objective-0 minimum).  The score of a band is the volume of its
-/// bounding box — spanned by the band on objective 0 and by the front's
-/// per-objective [min, max+1) ranges elsewhere — minus the part of the box
-/// already dominated by the (clipped) front.  A large gap means the
-/// incumbent front leaves much of the band unexplained, so a worker
-/// constrained to that slice has the most hypervolume left to win; this is
-/// the score the portfolio scheduler ranks slices by.
-///
-/// Returns one non-negative score per split; empty when `front` has fewer
-/// than two points or `splits` is empty.
-[[nodiscard]] std::vector<double> slice_hypervolume_gaps(
-    const std::vector<Vec>& front, const std::vector<std::int64_t>& splits);
-
 }  // namespace aspmt::pareto

@@ -236,6 +236,19 @@ TEST(MulticoreFamily, CombinatorShardAxisIsRejectedNotMiscomputed) {
   dse::DistributedOptions oob = opts;
   oob.shard_objective = 7;  // out of range
   EXPECT_THROW(dse::explore_distributed(spec, oob), std::invalid_argument);
+  // A library call of the portfolio refuses the band up front, the same way
+  // at every thread count, before any worker starts.
+  for (const std::size_t threads : {1U, 4U}) {
+    for (const std::size_t objective : {0U, 7U}) {
+      dse::ParallelExploreOptions par;
+      par.threads = threads;
+      par.shard.active = true;
+      par.shard.objective = objective;
+      EXPECT_THROW((void)dse::explore_parallel(spec, par),
+                   std::invalid_argument)
+          << "threads " << threads << ", objective " << objective;
+    }
+  }
 }
 
 // ---- scenario/objective spec round-trips ------------------------------------

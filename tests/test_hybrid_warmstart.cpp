@@ -313,73 +313,5 @@ TEST(WarmStartMethodNames, ParseRoundTrips) {
   EXPECT_FALSE(parse_warm_start_method("").has_value());
 }
 
-// --- the gap-guided slice scheduler ----------------------------------------
-
-TEST(SliceSchedulerTest, RefusesDegenerateFronts) {
-  SliceScheduler s;
-  EXPECT_FALSE(s.seed({}, 4));
-  EXPECT_FALSE(s.seed({{1, 2}}, 4));          // one point: no range
-  EXPECT_FALSE(s.seed({{1, 2}, {3, 4}}, 1));  // one part: nothing to split
-  EXPECT_FALSE(s.seed({{5, 1}, {5, 9}}, 4));  // zero span on objective 0
-  EXPECT_FALSE(s.seeded());
-  EXPECT_EQ(s.pending(), 0U);
-  EXPECT_FALSE(s.claim().has_value());
-}
-
-TEST(SliceSchedulerTest, ClaimsSlicesInDescendingGapOrder) {
-  // Front {(0,10),(10,0)}, 4 parts => splits {2,5,7}; hand computation of
-  // slice_hypervolume_gaps gives gaps {20, 30, 20}: the middle band is the
-  // emptiest, and the 20/20 tie breaks towards the lower slice id.
-  SliceScheduler s;
-  ASSERT_TRUE(s.seed({{0, 10}, {10, 0}}, 4));
-  EXPECT_TRUE(s.seeded());
-  EXPECT_EQ(s.pending(), 3U);
-
-  const auto first = s.claim();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->id, 1U);
-  EXPECT_EQ(first->bound, 5);
-  EXPECT_DOUBLE_EQ(first->gap, 30.0);
-
-  const auto second = s.claim();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->id, 0U);
-  EXPECT_EQ(second->bound, 2);
-
-  const auto third = s.claim();
-  ASSERT_TRUE(third.has_value());
-  EXPECT_EQ(third->id, 2U);
-  EXPECT_EQ(third->bound, 7);
-
-  EXPECT_EQ(s.pending(), 0U);
-  EXPECT_FALSE(s.claim().has_value());
-}
-
-TEST(SliceSchedulerTest, SeedingIsFirstSnapshotWins) {
-  SliceScheduler s;
-  ASSERT_TRUE(s.seed({{0, 10}, {10, 0}}, 4));
-  EXPECT_EQ(s.pending(), 3U);
-  // A later, different snapshot must not rebuild the table mid-run.
-  EXPECT_TRUE(s.seed({{0, 100}, {100, 0}}, 8));
-  EXPECT_EQ(s.pending(), 3U);
-}
-
-TEST(SliceSchedulerTest, AbandonedSliceIsRequeuedExactlyOnce) {
-  SliceScheduler s;
-  ASSERT_TRUE(s.seed({{0, 10}, {10, 0}}, 4));
-  const auto first = s.claim();
-  ASSERT_TRUE(first.has_value());
-  while (s.claim().has_value()) {
-  }
-  s.abandon(first->id);
-  const auto again = s.claim();
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->id, first->id);
-  // The one-shot latch: a second death of the same slice retires it.
-  s.abandon(first->id);
-  EXPECT_FALSE(s.claim().has_value());
-  EXPECT_EQ(s.pending(), 0U);
-}
-
 }  // namespace
 }  // namespace aspmt::dse

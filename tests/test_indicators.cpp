@@ -97,69 +97,6 @@ TEST(Hypervolume, HandComputedThreeObjectiveFront) {
                    33.0);
 }
 
-TEST(SliceGaps, DegenerateInputsYieldNothing) {
-  EXPECT_TRUE(slice_hypervolume_gaps({}, {1}).empty());
-  EXPECT_TRUE(slice_hypervolume_gaps({{1, 2}}, {1}).empty());
-  EXPECT_TRUE(slice_hypervolume_gaps({{1, 2}, {2, 1}}, {}).empty());
-}
-
-// front {(2,6),(3,3),(6,2)}: lo=(2,2), hi=(6,6), upper reference (7,7).
-// Band (2,3]: box = 1*5 = 5; dominated part is (2,6) clipped against the
-//   (3,7) corner = 1*1 = 1 -> gap 4 ((3,3) sits on the band edge, width 0).
-// Band (3,6]: box = 3*5 = 15; (3,3) covers (6-3)*(7-3) = 12, (6,2) has
-//   width 0, (3,6) is dominated -> gap 3.
-TEST(SliceGaps, HandComputedTwoBandCase) {
-  const std::vector<double> gaps =
-      slice_hypervolume_gaps({{2, 6}, {3, 3}, {6, 2}}, {3, 6});
-  ASSERT_EQ(gaps.size(), 2U);
-  EXPECT_DOUBLE_EQ(gaps[0], 4.0);
-  EXPECT_DOUBLE_EQ(gaps[1], 3.0);
-}
-
-TEST(SliceGaps, CollapsedBandScoresZero) {
-  // A duplicated split makes the second band empty: its gap must be 0.
-  const std::vector<double> gaps =
-      slice_hypervolume_gaps({{2, 6}, {6, 2}}, {4, 4});
-  ASSERT_EQ(gaps.size(), 2U);
-  EXPECT_GT(gaps[0], 0.0);
-  EXPECT_DOUBLE_EQ(gaps[1], 0.0);
-}
-
-TEST(SliceGaps, NonNegativeAndBoundedByTheBandBox) {
-  util::Rng rng(9);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<Vec> pts;
-    const int n = 2 + static_cast<int>(rng.below(5));
-    for (int i = 0; i < n; ++i) {
-      pts.push_back(Vec{rng.range(0, 20), rng.range(0, 20), rng.range(0, 20)});
-    }
-    const std::vector<Vec> front = non_dominated_filter(std::move(pts));
-    if (front.size() < 2) continue;
-    Vec lo = front.front();
-    Vec hi = front.front();
-    for (const Vec& p : front) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        lo[i] = std::min(lo[i], p[i]);
-        hi[i] = std::max(hi[i], p[i]);
-      }
-    }
-    const std::vector<std::int64_t> splits{lo[0] + (hi[0] - lo[0]) / 2, hi[0]};
-    const std::vector<double> gaps = slice_hypervolume_gaps(front, splits);
-    ASSERT_EQ(gaps.size(), splits.size());
-    std::int64_t band_lo = lo[0];
-    for (std::size_t i = 0; i < gaps.size(); ++i) {
-      EXPECT_GE(gaps[i], 0.0);
-      const double width = static_cast<double>(splits[i] - band_lo);
-      const double box = width < 0 ? 0.0
-                                   : width *
-                                         static_cast<double>(hi[1] + 1 - lo[1]) *
-                                         static_cast<double>(hi[2] + 1 - lo[2]);
-      EXPECT_LE(gaps[i], box + 1e-9) << "round " << round << " band " << i;
-      band_lo = splits[i];
-    }
-  }
-}
-
 TEST(Epsilon, ZeroWhenCovering) {
   const std::vector<Vec> r{{1, 2}, {2, 1}};
   EXPECT_EQ(additive_epsilon(r, r), 0);

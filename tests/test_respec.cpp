@@ -6,8 +6,8 @@
 // (tests/spec_mutations.hpp), dse::reexplore from the previous session's
 // checkpoint must return byte-for-byte the same front a cold run on the
 // edited spec returns — certified — at 1, 2 and 4 threads.  Reuse
-// (archive witnesses, guarded clause replay, slice resumption) may only
-// change how fast the search gets there.  Adversarially corrupted clause
+// (archive witnesses, guarded clause replay) may only change how fast the
+// search gets there.  Adversarially corrupted clause
 // dumps must be rejected or neutralized, degrading towards a cold start,
 // never distorting the front.
 #include "dse/respec.hpp"
@@ -321,9 +321,9 @@ TEST(Respec, EmitsDeltaAndReuseEventsAndMetrics) {
 }
 
 // A checkpoint from a 4-thread session, restarted at 4 threads after an
-// edit: the scheduler cuts its slices from the reused front, as a cold run
-// cuts them from its first front snapshot, and the run lands on the cold
-// front.
+// edit: every worker starts from the reused front and searches the whole
+// problem, and the run lands on the cold front.  (The name is from when a
+// restart re-seeded the portfolio's ε-slice scheduler.)
 TEST(Respec, SliceBoundsFromV4CheckpointReseedTheScheduler) {
   const synth::Specification base = test::chain3_bus();
   const std::string path =

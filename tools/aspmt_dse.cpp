@@ -553,8 +553,12 @@ int cmd_shard_worker(const Args& args) {
 
   stop.store(true, std::memory_order_relaxed);
   heartbeat.join();
+  // The heartbeat is joined and the run's collector stopped, so nothing
+  // else writes between the header and the payload: two writes, no
+  // concatenated copy of the proof.
   const std::string payload = dse::shard_result_to_text(r);
-  shard_write("RESULT " + std::to_string(payload.size()) + "\n" + payload);
+  shard_write("RESULT " + std::to_string(payload.size()) + "\n");
+  shard_write(payload);
   return r.base.stats.complete ? 0 : 3;
 }
 
@@ -573,21 +577,11 @@ int explore_sharded(const synth::Specification& spec, const Args& args) {
   opts.shards = args.integer<std::size_t>("shards", 0);
   opts.shard_objective = args.integer<std::size_t>("shard-objective", 1);
   opts.heartbeat_timeout_seconds = args.num("heartbeat-timeout", 10.0);
-  {
-    // Mirrors the explore_distributed pre-flight: banding is only sound on
-    // a linear leaf axis (an energy or cost metric).
-    const std::vector<synth::ObjectiveExpr> axes = spec.effective_objectives();
-    const bool linear_leaf =
-        opts.shard_objective < axes.size() &&
-        axes[opts.shard_objective].kind == synth::ObjectiveExpr::Kind::Metric &&
-        axes[opts.shard_objective].metric != "latency";
-    if (!linear_leaf) {
-      std::cerr << "--shard-objective " << opts.shard_objective
-                << " is not shardable: only a linear leaf axis (an energy or "
-                   "cost metric) admits sound banding; latency (difference "
-                   "logic) and combinator axes do not\n";
-      return 2;
-    }
+  if (const std::string err =
+          dse::shard_axis_error(spec, opts.shard_objective);
+      !err.empty()) {
+    std::cerr << "error: --shard-objective: " << err << "\n";
+    return 2;
   }
   ObsSetup obs_setup;
   if (!obs_setup.init(args)) return 1;
@@ -689,12 +683,11 @@ int cmd_explore(const Args& args) {
   print_front(spec, r.base.front);
   if (r.workers.size() > 1) {
     std::cout << "\nper-worker breakdown:\n";
-    util::Table workers({"worker", "models", "slice", "inserts", "rejected",
+    util::Table workers({"worker", "models", "inserts", "rejected",
                          "prunings", "conflicts", "restarts", "sec", "proof"});
     for (const dse::WorkerReport& w : r.workers) {
       workers.add_row({util::fmt(static_cast<long long>(w.worker)),
                        util::fmt(static_cast<long long>(w.models)),
-                       util::fmt(static_cast<long long>(w.slice_models)),
                        util::fmt(static_cast<long long>(w.shared_inserts)),
                        util::fmt(static_cast<long long>(w.rejected_inserts)),
                        util::fmt(static_cast<long long>(w.prunings)),
