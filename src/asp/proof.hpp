@@ -51,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -79,9 +80,24 @@ struct TheoryJustification {
 
 /// Append-only proof stream.  Not thread-safe: in portfolio solving every
 /// worker owns its own log.
+///
+/// The stream is stored as line-aligned chunks of about kChunkBytes, each in
+/// an anonymous mapping of its own, so appending never moves written bytes.
+/// A full chunk is *sealed* — never written again — and handed to the chunk
+/// sink, which may read it in place on another thread (the certifier's
+/// checker does) until take_text() or the log's destruction.
 class ProofLog {
  public:
-  ProofLog() { buf_ = "p aspmt 1\n"; }
+  /// Size of a chunk's mapping; a line longer than this gets a chunk sized
+  /// to fit it.
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+  /// Called on the appending thread with every chunk as it is sealed.
+  using ChunkSink = std::function<void(std::string_view)>;
+
+  ProofLog();
+  ~ProofLog();
+  ProofLog(const ProofLog&) = delete;
+  ProofLog& operator=(const ProofLog&) = delete;
 
   // ---- constraint-system declarations ------------------------------------
   void def_sum(std::uint32_t sum, std::span<const std::pair<Lit, std::int64_t>> terms);
@@ -112,24 +128,46 @@ class ProofLog {
   void conclude_unsat(std::span<const Lit> assumptions) {
     clause_step('U', assumptions);
   }
-  void sat_marker() { buf_ += "M 0\n"; }
+  void sat_marker() {
+    line_ += "M 0\n";
+    end_line();
+  }
   void feasible_point(std::span<const std::int64_t> point);
   /// Honest label for a proof cut short by a budget trip or interrupt: the
   /// prefix stays verifiable step by step, but no Unsat conclusion (and
   /// hence no completeness claim) can follow.
-  void truncation_marker() { buf_ += "X 0\n"; }
+  void truncation_marker() {
+    line_ += "X 0\n";
+    end_line();
+  }
 
-  [[nodiscard]] const std::string& text() const noexcept { return buf_; }
-  /// Hand the finished stream over without copying it; the log is left
-  /// empty and must not be appended to again.
-  [[nodiscard]] std::string take_text() noexcept { return std::move(buf_); }
+  /// Route every chunk sealed from now on to `sink` (empty: to nobody).
+  void set_chunk_sink(ChunkSink sink) { sink_ = std::move(sink); }
+  /// Seal the chunk being written, however full, and hand it to the sink.
+  void flush();
+  /// The whole stream as one string, built chunk by chunk, each chunk
+  /// unmapped as soon as it is copied, so the text is never held twice.  The
+  /// log is left empty and must not be appended to again.
+  [[nodiscard]] std::string take_text();
 
  private:
+  struct Chunk {
+    char* data = nullptr;
+    std::size_t size = 0;      ///< bytes written
+    std::size_t capacity = 0;  ///< bytes mapped
+  };
+
   void clause_step(char kind, std::span<const Lit> lits);
   void append_lit(Lit l);
   void append_int(std::int64_t v);
+  /// Move the finished line in `line_` into the chunk being written,
+  /// sealing it first when the line does not fit.
+  void end_line();
 
-  std::string buf_;
+  std::string line_;           // the step being formatted
+  std::vector<Chunk> chunks_;  // sealed chunks, then the one being written
+  bool open_ = false;          // chunks_.back() is still being written
+  ChunkSink sink_;
 };
 
 /// Signed 1-based integer encoding of a literal (DIMACS convention).

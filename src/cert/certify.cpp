@@ -53,6 +53,29 @@ std::string declaration_core(std::string_view proof) {
   return core;
 }
 
+/// Step 2's conditions on one band whose stream checked as `check`: "" when
+/// they hold, else the failing one.
+std::string judge_band(const ShardProof& shard, const CheckResult& check) {
+  if (!check.ok) return "proof check failed: " + check.error;
+  if (check.truncated) {
+    return "proof is truncated; its band is not proven exhausted";
+  }
+  if (check.unsafe_bounds) {
+    return "declares a bound under a negative activation, breaking the "
+           "cross-shard model-extension argument";
+  }
+  bool covered = check.concluded_global_unsat;
+  for (const std::array<std::int64_t, 2>& box : check.shard_boxes) {
+    covered = covered || (box[0] <= shard.lo && box[1] >= shard.hi);
+  }
+  if (!covered) {
+    return "proves neither a global Unsat nor a box covering its claimed "
+           "band [" + std::to_string(shard.lo) + ", " +
+           std::to_string(shard.hi) + "]";
+  }
+  return {};
+}
+
 }  // namespace
 
 ShardsCheck check_shards(std::span<const ShardProof> shards,
@@ -71,48 +94,23 @@ ShardsCheck check_shards(std::span<const ShardProof> shards,
   std::string core;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ShardProof& shard = shards[i];
-    const std::string tag = "shard " + std::to_string(i);
-    CheckResult check = check_proof(shard.proof, options);
-    if (!check.ok) {
-      result.error = tag + " proof check failed: " + check.error;
-      result.checks.push_back(std::move(check));
-      return result;
-    }
-    if (check.truncated) {
-      result.error = tag + " proof is truncated; its band is not proven exhausted";
-      result.checks.push_back(std::move(check));
-      return result;
-    }
-    if (check.unsafe_bounds) {
-      result.error = tag +
-                     " declares a bound under a negative activation, breaking "
-                     "the cross-shard model-extension argument";
-      result.checks.push_back(std::move(check));
-      return result;
-    }
-    bool covered = check.concluded_global_unsat;
-    for (const std::array<std::int64_t, 2>& box : check.shard_boxes) {
-      covered = covered || (box[0] <= shard.lo && box[1] >= shard.hi);
-    }
-    if (!covered) {
-      result.error = tag + " proves neither a global Unsat nor a box covering "
-                     "its claimed band [" + std::to_string(shard.lo) + ", " +
-                     std::to_string(shard.hi) + "]";
-      result.checks.push_back(std::move(check));
-      return result;
-    }
-    if (shards.size() > 1) {
+    CheckResult check = shard.checked.has_value()
+                            ? *shard.checked
+                            : check_proof(shard.proof, options);
+    std::string why = judge_band(shard, check);
+    if (why.empty() && shards.size() > 1) {
       std::string shard_core = declaration_core(shard.proof);
       if (i == 0) {
         core = std::move(shard_core);
       } else if (shard_core != core) {
-        result.error =
-            tag + " solved a different constraint system than shard 0";
-        result.checks.push_back(std::move(check));
-        return result;
+        why = "solved a different constraint system than shard 0";
       }
     }
     result.checks.push_back(std::move(check));
+    if (!why.empty()) {
+      result.error = "shard " + std::to_string(i) + " " + why;
+      return result;
+    }
     ++result.shards_checked;
   }
 
@@ -155,6 +153,13 @@ ShardsCheck check_shards(std::span<const ShardProof> shards,
   return result;
 }
 
+CheckOptions band_check_options(std::size_t shard_objective) {
+  CheckOptions options;
+  options.trust_feasible_steps = false;
+  options.shard_objective = static_cast<std::int64_t>(shard_objective);
+  return options;
+}
+
 CertifyResult certify(
     const synth::Specification& spec,
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
@@ -165,8 +170,7 @@ CertifyResult certify(
   // 1. Every discovery needs an independently validated witness whose
   //    recomputed objectives equal the recorded vector; only validated
   //    points are admissible dominance sources in *any* shard's stream.
-  CheckOptions copts;
-  copts.trust_feasible_steps = false;
+  CheckOptions copts = band_check_options(shard_objective);
   copts.feasible_points.reserve(discoveries.size());
   for (const auto& [point, impl] : discoveries) {
     const std::string why = synth::validate_implementation(spec, impl);

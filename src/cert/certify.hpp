@@ -15,14 +15,16 @@
 //      accepts and that recomputes to the recorded vector; only those
 //      points are admitted as dominance sources in any stream;
 //   2. per-band proof check — every stream verifies end to end
-//      (cert::check_proof), is untruncated, declares no bound under a
-//      negative activation (CheckResult::unsafe_bounds) and covers its
-//      band: it concludes a verified global Unsat, or a checker-verified
-//      shard box (CheckOptions::shard_objective) contains the band.  With
-//      more than one band, every stream's declaration core must be
-//      byte-identical to band 0's: the I/S/N/E/O lines and the bound
-//      declarations (SB/SL/NB/OB) whose activation is 0, i.e. the
-//      constraint system itself, so all bands provably solved one problem;
+//      (cert::check_proof, or the ProofChecker that read the stream while
+//      the run wrote it — ShardProof::checked), is untruncated, declares
+//      no bound under a negative activation (CheckResult::unsafe_bounds)
+//      and covers its band: it concludes a verified global Unsat, or a
+//      checker-verified shard box (CheckOptions::shard_objective) contains
+//      the band.  With more than one band, every stream's declaration
+//      core must be byte-identical to band 0's: the I/S/N/E/O lines and
+//      the bound declarations (SB/SL/NB/OB) whose activation is 0, i.e.
+//      the constraint system itself, so all bands provably solved one
+//      problem;
 //   3. coverage — the claimed bands, sorted, tile (-inf, +inf) exactly: the
 //      first is open below, none is empty, each next band starts one past
 //      its predecessor's end, the last is open above.  No gap escapes every
@@ -49,6 +51,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -70,6 +73,13 @@ struct ShardProof {
   std::int64_t lo = std::numeric_limits<std::int64_t>::min();
   std::int64_t hi = std::numeric_limits<std::int64_t>::max();
   std::string proof;
+  /// The check of `proof`, when it already ran while the run wrote the
+  /// stream: under the options check_shards uses, with a subset of the
+  /// validated discoveries admitted, and not failed for want of an admitted
+  /// point (ProofChecker::failed_for_want_of_points).  Such a result equals
+  /// the replay's field for field, so check_shards judges the band from it.
+  /// Empty: check_shards replays `proof`.
+  std::optional<CheckResult> checked = std::nullopt;
 };
 
 /// Outcome of check_shards: steps 2 and 3 of certify.
@@ -85,9 +95,16 @@ struct ShardsCheck {
 
 /// Check every shard's stream under `options`, with shard boxes extracted
 /// on `shard_objective` (step 2), then the claimed bands' tiling (step 3).
+/// A band that carries its `checked` result is judged from it, unreplayed.
 [[nodiscard]] ShardsCheck check_shards(std::span<const ShardProof> shards,
                                        std::size_t shard_objective,
                                        CheckOptions options);
+
+/// The options certify checks a band's stream under, before any point is
+/// admitted: only validated discoveries are dominance sources
+/// (trust_feasible_steps off) and shard boxes are extracted on
+/// `shard_objective`.  A ShardProof::checked result must come from these.
+[[nodiscard]] CheckOptions band_check_options(std::size_t shard_objective);
 
 struct CertifyResult {
   bool certified = false;

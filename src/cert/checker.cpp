@@ -5,8 +5,10 @@
 #include <charconv>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 namespace aspmt::cert {
 namespace {
@@ -108,11 +110,29 @@ struct Watch {
 /// propagation plus the declared theory tables.
 class Checker {
  public:
-  explicit Checker(const CheckOptions& options) : opts_(options) {}
+  explicit Checker(CheckOptions options) : opts_(std::move(options)) {}
 
-  CheckResult run(std::string_view proof);
+  void admit(std::vector<std::int64_t> point) {
+    opts_.feasible_points.push_back(std::move(point));
+  }
+  bool feed(std::string_view bytes);
+  CheckResult finish();
+  [[nodiscard]] bool failed_for_want_of_points() const noexcept {
+    return want_of_points_;
+  }
 
  private:
+  /// Replay one line, without its '\n'.  False once the check has failed.
+  bool step(const char* begin, const char* end);
+
+  /// Record the first failure at the current line; always false.
+  bool fail(std::string_view what) {
+    failed_ = true;
+    result_.ok = false;
+    result_.error = "line " + std::to_string(line_no_) + ": " + std::string(what);
+    return false;
+  }
+
   // ---- unit propagation ---------------------------------------------------
   //
   // Clauses live in one flat arena, each as [size<<1 | deleted] followed by
@@ -509,6 +529,7 @@ class Checker {
       }
       const std::vector<std::int64_t> point(payload.begin() + 1, payload.end());
       if (!some_feasible_leq(point)) {
+        want_of_points_ = !opts_.trust_feasible_steps;
         return "no certified feasible point at or below the thresholds";
       }
       for (std::size_t i = 0; i < point.size(); ++i) {
@@ -725,6 +746,15 @@ class Checker {
 
   CheckOptions opts_;
   CheckResult result_;
+  // Stream position: lines replayed so far, the header seen, the first
+  // failure met (and whether an admitted point could have averted it), and
+  // the head of a line cut by a piece boundary.
+  std::size_t line_no_ = 0;
+  bool saw_header_ = false;
+  bool failed_ = false;
+  bool want_of_points_ = false;
+  std::string partial_;
+  Codes lits_;  // the current step's literals
 
   std::vector<std::int8_t> val_;  // literal code -> -1/0/+1
   std::vector<Code> trail_;
@@ -755,293 +785,330 @@ class Checker {
   std::map<Code, std::vector<std::array<std::int64_t, 3>>> act_bounds_;
 };
 
-CheckResult Checker::run(std::string_view proof) {
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  auto fail = [&](std::string_view what) {
-    result_.ok = false;
-    result_.error = "line " + std::to_string(line_no) + ": " + std::string(what);
-    return result_;
-  };
-
-  const char* cursor = proof.data();
-  const char* const end = proof.data() + proof.size();
-  Codes lits;
-  while (cursor < end) {
-    const char* eol = std::find(cursor, end, '\n');
-    Line line(cursor, eol);
-    cursor = eol == end ? end : eol + 1;
-    ++line_no;
-
-    std::string_view kind;
-    if (!line.word(kind)) continue;  // blank line
-    if (!saw_header) {
-      std::string_view fmt;
-      std::string_view version;
-      if (kind != "p" || !line.word(fmt) || fmt != "aspmt" ||
-          !line.word(version) || version != "1") {
-        return fail("missing or unsupported 'p aspmt 1' header");
-      }
-      saw_header = true;
-      continue;
+bool Checker::feed(std::string_view bytes) {
+  const char* cursor = bytes.data();
+  const char* const end = cursor + bytes.size();
+  while (!failed_ && cursor != end) {
+    const char* const eol = std::find(cursor, end, '\n');
+    if (eol == end) {
+      partial_.append(cursor, end);
+      break;
     }
-
-    if (kind == "I" || kind == "L") {
-      if (const char* err = read_lits(line, lits, "unterminated clause")) return fail(err);
-      canonicalize(lits);
-      if (kind == "L") {
-        if (!rup(lits)) return fail("learnt clause is not RUP");
-        ++result_.learnt_clauses;
-      } else {
-        if (!note_vars(lits, kAxiom | kStructural)) {
-          return fail("input clause mentions a replay guard variable");
-        }
-        ++result_.input_clauses;
-      }
-      if (!install(lits)) return fail(kArenaFull);
-    } else if (kind == "G") {
-      if (const char* err = read_lits(line, lits, "unterminated guarded clause")) {
-        return fail(err);
-      }
-      if (lits.empty()) return fail("guarded clause without a guard literal");
-      const Code guard = lits.front();
-      if ((guard & 1) != 0) return fail("guard literal must be positive");
-      if ((var_flags_[guard >> 1] & kAxiom) != 0) {
-        return fail("guard variable is not fresh w.r.t. the axioms");
-      }
-      Codes tail(lits.begin() + 1, lits.end());
-      for (const Code c : tail) {
-        if ((c >> 1) == (guard >> 1)) {
-          return fail("guard variable occurs in its own clause tail");
-        }
-        if (!note_var(c, kAxiom | kStructural)) {
-          return fail("guarded clause tail mentions a guard variable");
-        }
-      }
-      var_flags_[guard >> 1] |= kGuard;
-      tail.push_back(guard ^ 1);
-      canonicalize(tail);
-      ++result_.guarded_clauses;
-      if (!install(tail)) return fail(kArenaFull);
-    } else if (kind == "T") {
-      std::string_view tag;
-      if (!line.word(tag)) return fail("theory step without tag");
-      std::vector<std::int64_t> payload;
-      std::string_view tok;
-      bool separated = false;
-      while (line.word(tok)) {
-        if (tok == ";") {
-          separated = true;
-          break;
-        }
-        std::int64_t v = 0;
-        const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-        if (res.ec != std::errc{} || res.ptr != tok.data() + tok.size()) {
-          return fail("malformed theory payload");
-        }
-        payload.push_back(v);
-      }
-      if (!separated) return fail("theory step without ';' separator");
-      if (const char* err = read_lits(line, lits, "unterminated clause")) return fail(err);
-      canonicalize(lits);
-      if (!note_vars(lits, kAxiom)) {
-        return fail("theory lemma mentions a replay guard variable");
-      }
-      for (const Code c : lits) lit_mark_[c] = 1;
-      const std::string why = verify_lemma(tag, payload);
-      for (const Code c : lits) lit_mark_[c] = 0;
-      if (!why.empty()) return fail("theory lemma rejected: " + why);
-      ++result_.theory_lemmas;
-      if (!install(lits)) return fail(kArenaFull);
-    } else if (kind == "D") {
-      if (const char* err = read_lits(line, lits, "unterminated deletion")) {
-        return fail(err);
-      }
-      canonicalize(lits);
-      // The solver stores theory clauses root-simplified, so some deletions
-      // have no exact match here; keeping those clauses only strengthens
-      // propagation over valid clauses, which stays sound.
-      erase(lits);
-      ++result_.deletions;
-    } else if (kind == "U") {
-      if (const char* err = read_lits(line, lits, "unterminated conclusion")) {
-        return fail(err);
-      }
-      if (!refutes_assumptions(lits)) {
-        return fail("Unsat conclusion is not supported by the database");
-      }
-      ++result_.conclusions;
-      if (lits.empty()) result_.concluded_global_unsat = true;
-      if (opts_.shard_objective >= 0) maybe_record_shard_box(lits);
-    } else if (kind == "M") {
-      // model marker — nothing to verify on the proof side
-    } else if (kind == "X") {
-      std::int64_t zero = 0;
-      if (!line.integer(zero) || zero != 0) {
-        return fail("malformed truncation marker");
-      }
-      result_.truncated = true;
-    } else if (kind == "F") {
-      std::int64_t k = 0;
-      if (!line.integer(k) || k < 0) return fail("malformed feasible point");
-      std::vector<std::int64_t> point(static_cast<std::size_t>(k));
-      for (auto& v : point) {
-        if (!line.integer(v)) return fail("malformed feasible point");
-      }
-      std::int64_t zero = 0;
-      if (!line.integer(zero) || zero != 0) {
-        return fail("unterminated feasible point");
-      }
-      if (!opts_.trust_feasible_steps &&
-          std::find(opts_.feasible_points.begin(), opts_.feasible_points.end(),
-                    point) == opts_.feasible_points.end()) {
-        return fail("feasible point lacks a validated witness");
-      }
-      feasible_.push_back(std::move(point));
-      ++result_.feasible_points;
-    } else if (kind == "S") {
-      std::int64_t id = 0;
-      std::int64_t n = 0;
-      if (!line.integer(id) || !line.integer(n) || n < 0 ||
-          id != static_cast<std::int64_t>(sums_.size())) {
-        return fail("malformed sum definition");
-      }
-      std::vector<std::pair<Code, std::int64_t>> terms;
-      terms.reserve(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) {
-        std::int64_t guard = 0;
-        std::int64_t weight = 0;
-        if (!line.integer(guard) || !line.integer(weight) || guard == 0 ||
-            weight < 0) {
-          return fail("malformed sum term");
-        }
-        Code c = 0;
-        if (!declared_lit(guard, c)) return fail(kOutOfRange);
-        if (!note_var(c, kAxiom | kStructural)) {
-          return fail("sum term mentions a replay guard variable");
-        }
-        terms.emplace_back(c, weight);
-      }
-      sums_.push_back(std::move(terms));
-    } else if (kind == "SB") {
-      std::int64_t id = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
-          id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
-        return fail("malformed sum bound");
-      }
-      if (const char* err = note_act(act, "sum bound mentions a replay guard variable")) {
-        return fail(err);
-      }
-      sum_bounds_.insert({id, bound, act});
-      note_bound_act(0, id, bound, act);
-    } else if (kind == "SL") {
-      std::int64_t id = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
-          id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
-        return fail("malformed sum floor");
-      }
-      if (const char* err = note_act(act, "sum floor mentions a replay guard variable")) {
-        return fail(err);
-      }
-      sum_lower_bounds_.insert({id, bound, act});
-      note_bound_act(1, id, bound, act);
-    } else if (kind == "N") {
-      std::int64_t id = 0;
-      if (!line.integer(id) || id != num_nodes_) {
-        return fail("malformed node definition");
-      }
-      ++num_nodes_;
-    } else if (kind == "E") {
-      std::int64_t id = 0;
-      Edge e;
-      std::int64_t n = 0;
-      if (!line.integer(id) || !line.integer(e.from) || !line.integer(e.to) ||
-          !line.integer(e.weight) || !line.integer(n) || n < 0 ||
-          id != static_cast<std::int64_t>(edges_.size()) || e.from < 0 ||
-          e.from >= num_nodes_ || e.to < 0 || e.to >= num_nodes_) {
-        return fail("malformed edge definition");
-      }
-      e.guards.resize(static_cast<std::size_t>(n));
-      for (Code& c : e.guards) {
-        std::int64_t g = 0;
-        if (!line.integer(g) || g == 0) return fail("malformed edge guard");
-        if (!declared_lit(g, c)) return fail(kOutOfRange);
-        if (!note_var(c, kAxiom | kStructural)) {
-          return fail("edge guard mentions a replay guard variable");
-        }
-      }
-      edges_.push_back(std::move(e));
-    } else if (kind == "NB") {
-      std::int64_t id = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
-          id < 0 || id >= num_nodes_) {
-        return fail("malformed node bound");
-      }
-      if (const char* err = note_act(act, "node bound mentions a replay guard variable")) {
-        return fail(err);
-      }
-      node_bounds_.insert({id, bound, act});
-      note_bound_act(2, id, bound, act);
-    } else if (kind == "O") {
-      std::int64_t obj = 0;
-      if (!line.integer(obj) || obj < 0) {
-        return fail("malformed objective binding");
-      }
-      ObjTree tree;
-      std::size_t nodes = 0;
-      const std::string why = parse_obj_tree(line, tree, 0, nodes);
-      if (!why.empty()) return fail("malformed objective binding: " + why);
-      std::string_view rest;
-      if (line.word(rest)) {
-        return fail("malformed objective binding: trailing tokens");
-      }
-      if (objectives_.size() < static_cast<std::size_t>(obj) + 1) {
-        objectives_.resize(static_cast<std::size_t>(obj) + 1);
-      }
-      objectives_[static_cast<std::size_t>(obj)] = std::move(tree);
-    } else if (kind == "OB") {
-      std::int64_t obj = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(obj) || !line.integer(bound) || !line.integer(act) ||
-          obj < 0 || static_cast<std::size_t>(obj) >= objectives_.size() ||
-          objectives_[static_cast<std::size_t>(obj)].kind == 0) {
-        return fail("combinator bound on an undeclared objective");
-      }
-      if (const char* err =
-              note_act(act, "combinator bound mentions a replay guard variable")) {
-        return fail(err);
-      }
-      comb_bounds_.insert({obj, bound, act});
-      note_bound_act(3, obj, bound, act);
+    if (partial_.empty()) {
+      step(cursor, eol);
     } else {
-      return fail("unknown step kind '" + std::string(kind) + "'");
+      partial_.append(cursor, eol);
+      step(partial_.data(), partial_.data() + partial_.size());
+      partial_.clear();
     }
+    cursor = eol + 1;
+  }
+  return !failed_;
+}
+
+CheckResult Checker::finish() {
+  if (!failed_ && !partial_.empty()) {
+    step(partial_.data(), partial_.data() + partial_.size());
+  }
+  if (failed_) return std::move(result_);
+  if (!saw_header_) {
+    ++line_no_;
+    fail("empty proof");
+  } else if (opts_.require_global_unsat && !result_.concluded_global_unsat) {
+    ++line_no_;
+    fail("proof never concludes global unsatisfiability");
+  } else {
+    result_.ok = true;
+  }
+  return std::move(result_);
+}
+
+bool Checker::step(const char* begin, const char* end) {
+  Line line(begin, end);
+  ++line_no_;
+
+  std::string_view kind;
+  if (!line.word(kind)) return true;  // blank line
+  if (!saw_header_) {
+    std::string_view fmt;
+    std::string_view version;
+    if (kind != "p" || !line.word(fmt) || fmt != "aspmt" ||
+        !line.word(version) || version != "1") {
+      return fail("missing or unsupported 'p aspmt 1' header");
+    }
+    saw_header_ = true;
+    return true;
   }
 
-  if (!saw_header) {
-    ++line_no;
-    return fail("empty proof");
+  if (kind == "I" || kind == "L") {
+    if (const char* err = read_lits(line, lits_, "unterminated clause")) return fail(err);
+    canonicalize(lits_);
+    if (kind == "L") {
+      if (!rup(lits_)) return fail("learnt clause is not RUP");
+      ++result_.learnt_clauses;
+    } else {
+      if (!note_vars(lits_, kAxiom | kStructural)) {
+        return fail("input clause mentions a replay guard variable");
+      }
+      ++result_.input_clauses;
+    }
+    if (!install(lits_)) return fail(kArenaFull);
+  } else if (kind == "G") {
+    if (const char* err = read_lits(line, lits_, "unterminated guarded clause")) {
+      return fail(err);
+    }
+    if (lits_.empty()) return fail("guarded clause without a guard literal");
+    const Code guard = lits_.front();
+    if ((guard & 1) != 0) return fail("guard literal must be positive");
+    if ((var_flags_[guard >> 1] & kAxiom) != 0) {
+      return fail("guard variable is not fresh w.r.t. the axioms");
+    }
+    Codes tail(lits_.begin() + 1, lits_.end());
+    for (const Code c : tail) {
+      if ((c >> 1) == (guard >> 1)) {
+        return fail("guard variable occurs in its own clause tail");
+      }
+      if (!note_var(c, kAxiom | kStructural)) {
+        return fail("guarded clause tail mentions a guard variable");
+      }
+    }
+    var_flags_[guard >> 1] |= kGuard;
+    tail.push_back(guard ^ 1);
+    canonicalize(tail);
+    ++result_.guarded_clauses;
+    if (!install(tail)) return fail(kArenaFull);
+  } else if (kind == "T") {
+    std::string_view tag;
+    if (!line.word(tag)) return fail("theory step without tag");
+    std::vector<std::int64_t> payload;
+    std::string_view tok;
+    bool separated = false;
+    while (line.word(tok)) {
+      if (tok == ";") {
+        separated = true;
+        break;
+      }
+      std::int64_t v = 0;
+      const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+      if (res.ec != std::errc{} || res.ptr != tok.data() + tok.size()) {
+        return fail("malformed theory payload");
+      }
+      payload.push_back(v);
+    }
+    if (!separated) return fail("theory step without ';' separator");
+    if (const char* err = read_lits(line, lits_, "unterminated clause")) return fail(err);
+    canonicalize(lits_);
+    if (!note_vars(lits_, kAxiom)) {
+      return fail("theory lemma mentions a replay guard variable");
+    }
+    for (const Code c : lits_) lit_mark_[c] = 1;
+    const std::string why = verify_lemma(tag, payload);
+    for (const Code c : lits_) lit_mark_[c] = 0;
+    if (!why.empty()) return fail("theory lemma rejected: " + why);
+    ++result_.theory_lemmas;
+    if (!install(lits_)) return fail(kArenaFull);
+  } else if (kind == "D") {
+    if (const char* err = read_lits(line, lits_, "unterminated deletion")) {
+      return fail(err);
+    }
+    canonicalize(lits_);
+    // The solver stores theory clauses root-simplified, so some deletions
+    // have no exact match here; keeping those clauses only strengthens
+    // propagation over valid clauses, which stays sound.
+    erase(lits_);
+    ++result_.deletions;
+  } else if (kind == "U") {
+    if (const char* err = read_lits(line, lits_, "unterminated conclusion")) {
+      return fail(err);
+    }
+    if (!refutes_assumptions(lits_)) {
+      return fail("Unsat conclusion is not supported by the database");
+    }
+    ++result_.conclusions;
+    if (lits_.empty()) result_.concluded_global_unsat = true;
+    if (opts_.shard_objective >= 0) maybe_record_shard_box(lits_);
+  } else if (kind == "M") {
+    // model marker — nothing to verify on the proof side
+  } else if (kind == "X") {
+    std::int64_t zero = 0;
+    if (!line.integer(zero) || zero != 0) {
+      return fail("malformed truncation marker");
+    }
+    result_.truncated = true;
+  } else if (kind == "F") {
+    std::int64_t k = 0;
+    if (!line.integer(k) || k < 0) return fail("malformed feasible point");
+    std::vector<std::int64_t> point(static_cast<std::size_t>(k));
+    for (auto& v : point) {
+      if (!line.integer(v)) return fail("malformed feasible point");
+    }
+    std::int64_t zero = 0;
+    if (!line.integer(zero) || zero != 0) {
+      return fail("unterminated feasible point");
+    }
+    if (!opts_.trust_feasible_steps &&
+        std::find(opts_.feasible_points.begin(), opts_.feasible_points.end(),
+                  point) == opts_.feasible_points.end()) {
+      want_of_points_ = true;
+      return fail("feasible point lacks a validated witness");
+    }
+    feasible_.push_back(std::move(point));
+    ++result_.feasible_points;
+  } else if (kind == "S") {
+    std::int64_t id = 0;
+    std::int64_t n = 0;
+    if (!line.integer(id) || !line.integer(n) || n < 0 ||
+        id != static_cast<std::int64_t>(sums_.size())) {
+      return fail("malformed sum definition");
+    }
+    std::vector<std::pair<Code, std::int64_t>> terms;
+    terms.reserve(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+      std::int64_t guard = 0;
+      std::int64_t weight = 0;
+      if (!line.integer(guard) || !line.integer(weight) || guard == 0 ||
+          weight < 0) {
+        return fail("malformed sum term");
+      }
+      Code c = 0;
+      if (!declared_lit(guard, c)) return fail(kOutOfRange);
+      if (!note_var(c, kAxiom | kStructural)) {
+        return fail("sum term mentions a replay guard variable");
+      }
+      terms.emplace_back(c, weight);
+    }
+    sums_.push_back(std::move(terms));
+  } else if (kind == "SB") {
+    std::int64_t id = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
+        id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
+      return fail("malformed sum bound");
+    }
+    if (const char* err = note_act(act, "sum bound mentions a replay guard variable")) {
+      return fail(err);
+    }
+    sum_bounds_.insert({id, bound, act});
+    note_bound_act(0, id, bound, act);
+  } else if (kind == "SL") {
+    std::int64_t id = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
+        id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
+      return fail("malformed sum floor");
+    }
+    if (const char* err = note_act(act, "sum floor mentions a replay guard variable")) {
+      return fail(err);
+    }
+    sum_lower_bounds_.insert({id, bound, act});
+    note_bound_act(1, id, bound, act);
+  } else if (kind == "N") {
+    std::int64_t id = 0;
+    if (!line.integer(id) || id != num_nodes_) {
+      return fail("malformed node definition");
+    }
+    ++num_nodes_;
+  } else if (kind == "E") {
+    std::int64_t id = 0;
+    Edge e;
+    std::int64_t n = 0;
+    if (!line.integer(id) || !line.integer(e.from) || !line.integer(e.to) ||
+        !line.integer(e.weight) || !line.integer(n) || n < 0 ||
+        id != static_cast<std::int64_t>(edges_.size()) || e.from < 0 ||
+        e.from >= num_nodes_ || e.to < 0 || e.to >= num_nodes_) {
+      return fail("malformed edge definition");
+    }
+    e.guards.resize(static_cast<std::size_t>(n));
+    for (Code& c : e.guards) {
+      std::int64_t g = 0;
+      if (!line.integer(g) || g == 0) return fail("malformed edge guard");
+      if (!declared_lit(g, c)) return fail(kOutOfRange);
+      if (!note_var(c, kAxiom | kStructural)) {
+        return fail("edge guard mentions a replay guard variable");
+      }
+    }
+    edges_.push_back(std::move(e));
+  } else if (kind == "NB") {
+    std::int64_t id = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
+        id < 0 || id >= num_nodes_) {
+      return fail("malformed node bound");
+    }
+    if (const char* err = note_act(act, "node bound mentions a replay guard variable")) {
+      return fail(err);
+    }
+    node_bounds_.insert({id, bound, act});
+    note_bound_act(2, id, bound, act);
+  } else if (kind == "O") {
+    std::int64_t obj = 0;
+    if (!line.integer(obj) || obj < 0) {
+      return fail("malformed objective binding");
+    }
+    ObjTree tree;
+    std::size_t nodes = 0;
+    const std::string why = parse_obj_tree(line, tree, 0, nodes);
+    if (!why.empty()) return fail("malformed objective binding: " + why);
+    std::string_view rest;
+    if (line.word(rest)) {
+      return fail("malformed objective binding: trailing tokens");
+    }
+    if (objectives_.size() < static_cast<std::size_t>(obj) + 1) {
+      objectives_.resize(static_cast<std::size_t>(obj) + 1);
+    }
+    objectives_[static_cast<std::size_t>(obj)] = std::move(tree);
+  } else if (kind == "OB") {
+    std::int64_t obj = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(obj) || !line.integer(bound) || !line.integer(act) ||
+        obj < 0 || static_cast<std::size_t>(obj) >= objectives_.size() ||
+        objectives_[static_cast<std::size_t>(obj)].kind == 0) {
+      return fail("combinator bound on an undeclared objective");
+    }
+    if (const char* err =
+            note_act(act, "combinator bound mentions a replay guard variable")) {
+      return fail(err);
+    }
+    comb_bounds_.insert({obj, bound, act});
+    note_bound_act(3, obj, bound, act);
+  } else {
+    return fail("unknown step kind '" + std::string(kind) + "'");
   }
-  if (opts_.require_global_unsat && !result_.concluded_global_unsat) {
-    ++line_no;
-    return fail("proof never concludes global unsatisfiability");
-  }
-  result_.ok = true;
-  return result_;
+  return true;
 }
 
 }  // namespace
 
+class ProofChecker::Impl : public Checker {
+ public:
+  using Checker::Checker;
+};
+
+ProofChecker::ProofChecker(CheckOptions options)
+    : impl_(std::make_unique<Impl>(std::move(options))) {}
+
+ProofChecker::~ProofChecker() = default;
+
+void ProofChecker::admit(std::vector<std::int64_t> point) {
+  impl_->admit(std::move(point));
+}
+
+bool ProofChecker::feed(std::string_view bytes) { return impl_->feed(bytes); }
+
+CheckResult ProofChecker::finish() { return impl_->finish(); }
+
+bool ProofChecker::failed_for_want_of_points() const noexcept {
+  return impl_->failed_for_want_of_points();
+}
+
 CheckResult check_proof(std::string_view proof, const CheckOptions& options) {
-  Checker checker(options);
-  return checker.run(proof);
+  ProofChecker checker(options);
+  checker.feed(proof);
+  return checker.finish();
 }
 
 }  // namespace aspmt::cert

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,9 +88,41 @@ struct CheckResult {
   bool unsafe_bounds = false;
   /// First failure, with its 1-based line number; empty when ok.
   std::string error;
+
+  friend bool operator==(const CheckResult&, const CheckResult&) = default;
 };
 
-/// Replay and verify a complete proof stream.
+/// The incremental checker: feed the stream in pieces split anywhere — mid
+/// line, mid number, one byte at a time — and finish() returns the
+/// CheckResult check_proof gives for the concatenated bytes, field for
+/// field.  Complete lines are replayed in place as they arrive; only a line
+/// cut by a piece boundary is copied.
+class ProofChecker {
+ public:
+  explicit ProofChecker(CheckOptions options);
+  ~ProofChecker();
+  ProofChecker(const ProofChecker&) = delete;
+  ProofChecker& operator=(const ProofChecker&) = delete;
+
+  /// Add one externally validated point to CheckOptions::feasible_points
+  /// (the dominance sources when trust_feasible_steps is false).
+  void admit(std::vector<std::int64_t> point);
+  /// Replay the next bytes of the stream.  False once the check has failed;
+  /// later bytes are ignored.
+  bool feed(std::string_view bytes);
+  /// End of stream: replay a last unterminated line, apply the end-of-stream
+  /// conditions and return the verdict.  Call once.
+  [[nodiscard]] CheckResult finish();
+  /// The check failed on an `F` step or `DOM` lemma that no admitted point
+  /// supports, so more admitted points might have let it pass.
+  [[nodiscard]] bool failed_for_want_of_points() const noexcept;
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Replay and verify a complete proof stream: ProofChecker fed in one piece.
 [[nodiscard]] CheckResult check_proof(std::string_view proof,
                                       const CheckOptions& options = {});
 

@@ -28,6 +28,7 @@ void export_metrics(obs::MetricsRegistry& registry,
   registry.counter("explore.replayed_clauses").set(s.replayed_clauses);
   registry.counter("explore.front_size").set(result.front.size());
   registry.gauge("explore.seconds").set(s.seconds);
+  registry.gauge("explore.certify_tail_seconds").set(s.certify_tail_seconds);
   registry.gauge("explore.complete").set(s.complete ? 1.0 : 0.0);
   if (s.seconds > 0.0) {
     registry.gauge("explore.conflicts_per_sec")

@@ -9,7 +9,9 @@
 //   ASPMT_FAULT_INJECT="worker-throw=1:2,alloc-fail=3,deadline-polls=5,corrupt-checkpoint"
 //
 //   worker-throw=W[:M]   worker W throws std::runtime_error after its M-th
-//                        accepted model (default M = 1)
+//                        accepted model (default M = 1); M = 0 throws as
+//                        soon as the worker has built its search context,
+//                        before its first solve
 //   alloc-fail[=N]       the N-th witness capture across the run throws
 //                        std::bad_alloc (default N = 1)
 //   deadline-polls=N     the budget deadline trips on the N-th monitor poll
@@ -30,6 +32,7 @@ namespace aspmt::dse {
 struct FaultPlan {
   int throw_worker = -1;                   ///< worker index to crash; -1 = off
   std::uint64_t throw_after_models = 1;    ///< crash on the N-th accepted model
+                                           ///< (0: once the context is built)
   std::uint64_t alloc_fail_after = 0;      ///< 0 = off; N-th capture throws
   std::uint64_t deadline_after_polls = 0;  ///< 0 = off; N-th poll trips deadline
   bool corrupt_checkpoint = false;         ///< writer flips a payload byte
@@ -55,7 +58,8 @@ struct FaultState {
   std::atomic<std::uint64_t> polls{0};
 };
 
-/// Hook: worker `worker` has `models` accepted models; throws when armed.
+/// Hook: worker `worker` has `models` accepted models (0: it has just built
+/// its context); throws when armed.
 void fault_worker_throw(const FaultPlan* plan, std::size_t worker,
                         std::uint64_t models);
 

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cert/certify.hpp"
@@ -19,10 +22,52 @@
 namespace aspmt {
 namespace {
 
+/// Feed `proof` to a ProofChecker in the pieces `cut` chooses: cut(pos)
+/// is the length of the piece starting at byte `pos`.
+cert::CheckResult check_in_pieces(
+    std::string_view proof, const cert::CheckOptions& opts,
+    const std::function<std::size_t(std::size_t)>& cut) {
+  cert::ProofChecker checker(opts);
+  for (std::size_t pos = 0; pos < proof.size();) {
+    const std::size_t n = std::max<std::size_t>(1, cut(pos));
+    checker.feed(proof.substr(pos, n));
+    pos += n;
+  }
+  return checker.finish();
+}
+
+/// The incremental checker must give check_proof's result, field for field
+/// and error line included, however the stream is split: one byte at a
+/// time, at random lengths, and inside every number.
+void expect_splits_agree(std::string_view proof, const cert::CheckOptions& opts,
+                         const cert::CheckResult& whole) {
+  EXPECT_EQ(check_in_pieces(proof, opts, [](std::size_t) { return 1; }), whole)
+      << "1-byte pieces";
+  std::mt19937_64 rng(proof.size());
+  EXPECT_EQ(check_in_pieces(proof, opts,
+                            [&](std::size_t) { return 1 + rng() % 97; }),
+            whole)
+      << "random pieces";
+  // Each piece ends right after the first digit of a number with more.
+  const auto mid_number = [&](std::size_t pos) {
+    std::size_t i = pos + 1;
+    while (i + 1 < proof.size() &&
+           !(std::isdigit(static_cast<unsigned char>(proof[i - 1])) &&
+             std::isdigit(static_cast<unsigned char>(proof[i])) &&
+             (i < 2 || !std::isdigit(static_cast<unsigned char>(proof[i - 2]))))) {
+      ++i;
+    }
+    return i - pos;
+  };
+  EXPECT_EQ(check_in_pieces(proof, opts, mid_number), whole) << "mid-number cuts";
+}
+
 cert::CheckResult check(const std::string& proof, bool require_unsat = false) {
   cert::CheckOptions opts;
   opts.require_global_unsat = require_unsat;
-  return cert::check_proof(proof, opts);
+  const cert::CheckResult whole = cert::check_proof(proof, opts);
+  expect_splits_agree(proof, opts, whole);
+  return whole;
 }
 
 TEST(ProofChecker, RejectsMissingHeader) {

@@ -174,11 +174,12 @@ TEST(ClauseGc, ProofStreamIsCompactionInvariantAndChecks) {
       << "learnt-DB reduction never fired; the GC had nothing to collect";
   // Deletions are identified by literal content, so relocation must be
   // invisible in the proof stream.
-  EXPECT_EQ(base_proof.text(), gc_proof.text());
+  const std::string gc_text = gc_proof.take_text();
+  EXPECT_EQ(base_proof.take_text(), gc_text);
 
   cert::CheckOptions check;
   check.require_global_unsat = true;
-  const cert::CheckResult result = cert::check_proof(gc_proof.text(), check);
+  const cert::CheckResult result = cert::check_proof(gc_text, check);
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.concluded_global_unsat);
 }

@@ -188,22 +188,27 @@ TEST(FaultInjection, ParallelWorkerCrashIsContained) {
 }
 
 TEST(FaultInjection, SingleThreadCrashBeforeFirstPublishIsClean) {
-  // threads=1 + crash on the first accepted model: deterministic worker
-  // death with an empty (valid) front and a clean, structured exit.
-  FaultPlan fault;
-  fault.throw_worker = 0;
-  fault.throw_after_models = 1;
-  ParallelExploreOptions opts;
-  opts.threads = 1;
-  opts.common.fault = &fault;
-  const ParallelExploreResult r =
-      explore_parallel(test::two_proc_bus(), opts);
-  EXPECT_FALSE(r.base.stats.complete);
-  EXPECT_EQ(r.base.stats.reason, StopReason::WorkerFailure);
-  ASSERT_EQ(r.worker_errors.size(), 1U);
-  EXPECT_EQ(r.worker_errors.front().worker, 0U);
-  EXPECT_TRUE(r.workers[0].failed);
-  EXPECT_TRUE(r.base.front.empty());
+  // threads=1 + crash on the first accepted model, or (M = 0) as soon as
+  // the worker has built its context: deterministic worker death with an
+  // empty (valid) front and a clean, structured exit, never a throw.
+  for (const std::uint64_t models : {1U, 0U}) {
+    FaultPlan fault;
+    fault.throw_worker = 0;
+    fault.throw_after_models = models;
+    ParallelExploreOptions opts;
+    opts.threads = 1;
+    opts.common.fault = &fault;
+    const ParallelExploreResult r =
+        explore_parallel(test::two_proc_bus(), opts);
+    EXPECT_FALSE(r.base.stats.complete) << models;
+    EXPECT_EQ(r.base.stats.reason, StopReason::WorkerFailure) << models;
+    ASSERT_EQ(r.worker_errors.size(), 1U) << models;
+    EXPECT_EQ(r.worker_errors.front().worker, 0U) << models;
+    EXPECT_NE(r.worker_errors.front().message.find("injected fault"),
+              std::string::npos) << models;
+    EXPECT_TRUE(r.workers[0].failed) << models;
+    EXPECT_TRUE(r.base.front.empty()) << models;
+  }
 }
 
 TEST(FaultInjection, CorruptedCheckpointDegradesToColdStart) {

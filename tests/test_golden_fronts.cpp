@@ -121,6 +121,7 @@ TEST_P(GoldenFronts, SequentialCertifiedFrontMatchesGolden) {
   const dse::ExploreResult r = dse::explore(spec, opts);
   ASSERT_TRUE(r.stats.complete) << c.name;
   EXPECT_TRUE(r.certified) << c.name << ": " << r.certificate_error;
+  EXPECT_TRUE(r.stream_checked) << c.name << ": fell back to the replay";
   test::expect_front_shape(spec, r);
   if (regenerating()) {
     std::ofstream out(golden_path(c));
@@ -145,6 +146,9 @@ TEST_P(GoldenFronts, PortfolioFrontMatchesGoldenAtOneTwoFourThreads) {
     test::expect_front_shape(spec, r.base);
     EXPECT_TRUE(r.base.certified) << c.name << " threads " << threads << ": "
                                   << r.base.certificate_error;
+    // Only a one-worker run checks its proof while the search writes it.
+    EXPECT_EQ(r.base.stream_checked, threads == 1)
+        << c.name << " threads " << threads;
     EXPECT_EQ(r.base.front, golden) << c.name << " threads " << threads;
   }
 }

@@ -89,6 +89,10 @@ TEST(HybridDifferential, WarmFrontEqualsColdFrontEverySpecEveryThreadCount) {
       EXPECT_TRUE(warm.certified)
           << c.name << " threads " << threads << ": "
           << warm.certificate_error;
+      // Seeds are admitted before the worker starts, so a one-worker warm
+      // run is judged from its streamed check, never the fallback replay.
+      EXPECT_EQ(warm.stream_checked, threads == 1)
+          << c.name << " threads " << threads;
       ASSERT_EQ(warm.witnesses.size(), warm.front.size()) << c.name;
       for (std::size_t i = 0; i < warm.front.size(); ++i) {
         EXPECT_EQ(synth::validate_implementation(spec, warm.witnesses[i]), "")

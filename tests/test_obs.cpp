@@ -122,12 +122,28 @@ TEST(Obs, MetricsSnapshotMatchesExploreStats) {
             r.stats.archive_comparisons);
   EXPECT_EQ(reg.counter("explore.front_size").value(), r.front.size());
   EXPECT_EQ(reg.gauge("explore.complete").value(), 1.0);
+  EXPECT_EQ(reg.gauge("explore.certify_tail_seconds").value(),
+            r.stats.certify_tail_seconds);
+  EXPECT_EQ(r.stats.certify_tail_seconds, 0.0);  // certification off
   // Per-insert archive work was observed once per accepted model.
   EXPECT_EQ(reg.histogram("archive.comparisons_per_insert").count(),
             r.stats.models);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"explore.models\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
+}
+
+TEST(Obs, CertifiedMetricsCarryTheCertifyTail) {
+  obs::MetricsRegistry reg;
+  dse::ExploreOptions opts;
+  opts.common.metrics = &reg;
+  opts.common.certify = true;
+  const dse::ExploreResult r = dse::explore(test::chain3_bus(), opts);
+  ASSERT_TRUE(r.certified) << r.certificate_error;
+  EXPECT_GT(r.stats.certify_tail_seconds, 0.0);
+  EXPECT_EQ(reg.gauge("explore.certify_tail_seconds").value(),
+            r.stats.certify_tail_seconds);
+  EXPECT_EQ(reg.gauge("explore.seconds").value(), r.stats.seconds);
 }
 
 TEST(Obs, ParallelMetricsMatchAggregatedStats) {

@@ -20,10 +20,13 @@
 // see cert/certify.hpp).  --require-unsat is implied per shard: each
 // band-conditional Unsat *is* the shard's completeness certificate.
 //
+// A plain stream is checked block by block as it is read (file or pipe, e.g.
+// `cat proof.txt | aspmt_check /dev/stdin`), so its text is never held
+// whole; a merged container is read whole first.
+//
 // Exit code: 0 when the proof verifies, 1 otherwise, 2 on usage errors.
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -59,22 +62,16 @@ int check_merged(const std::string& text) {
   return 0;
 }
 
-/// The whole stream in one string: sized up front when the file can seek,
-/// read to its end otherwise (a pipe).
-std::string read_all(std::ifstream& in) {
-  std::string text;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size > 0) {
-    text.resize(static_cast<std::size_t>(size));
-    in.seekg(0);
-    in.read(text.data(), size);
-    text.resize(static_cast<std::size_t>(in.gcount()));
-  } else {
-    in.clear();
-    text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  return text;
+/// Bytes read and fed to the checker at a time.
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+/// Read the next block of the stream into `block` (shorter only at its
+/// end); false once nothing is left.
+bool next_block(std::istream& in, std::string& block) {
+  block.resize(kBlockBytes);
+  in.read(block.data(), static_cast<std::streamsize>(block.size()));
+  block.resize(static_cast<std::size_t>(in.gcount()));
+  return !block.empty();
 }
 
 }  // namespace
@@ -102,13 +99,18 @@ int main(int argc, char** argv) {
     std::cerr << "cannot read '" << path << "'\n";
     return 2;
   }
-  const std::string text = read_all(in);
-
-  if (text.rfind(aspmt::cert::kMergedProofHeader, 0) == 0) {
+  std::string block;
+  next_block(in, block);
+  if (block.rfind(aspmt::cert::kMergedProofHeader, 0) == 0) {
+    std::string text = block;
+    while (next_block(in, block)) text += block;
     return check_merged(text);
   }
 
-  const aspmt::cert::CheckResult r = aspmt::cert::check_proof(text, options);
+  aspmt::cert::ProofChecker checker(options);
+  while (checker.feed(block) && next_block(in, block)) {
+  }
+  const aspmt::cert::CheckResult r = checker.finish();
   std::cout << "steps: " << r.input_clauses << " input, " << r.learnt_clauses
             << " learnt, " << r.theory_lemmas << " theory, " << r.deletions
             << " deleted, " << r.conclusions << " conclusion(s), "
