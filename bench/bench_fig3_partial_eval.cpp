@@ -38,8 +38,9 @@ int main() {
         with_pe.stats.seconds > 0.0) {
       slowdown = util::fmt(without_pe.stats.seconds / with_pe.stats.seconds, 1) + "x";
     } else if (with_pe.stats.complete && !without_pe.stats.complete) {
-      slowdown = ">" +
-                 util::fmt(limit / std::max(with_pe.stats.seconds, 1e-3), 1) + "x";
+      slowdown = '>';
+      slowdown += util::fmt(limit / std::max(with_pe.stats.seconds, 1e-3), 1);
+      slowdown += 'x';
     }
     table.add_row({entry.name, cell(with_pe.stats.complete, with_pe.stats.seconds),
                    util::fmt(static_cast<long long>(with_pe.stats.models)),

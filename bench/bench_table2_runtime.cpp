@@ -64,9 +64,9 @@ int main() {
       if (cold.complete) {
         speedup = util::fmt(cold.seconds / aspmt_run.stats.seconds, 1) + "x";
       } else {
-        speedup =
-            ">" + util::fmt(limit / std::max(aspmt_run.stats.seconds, 1e-3), 1) +
-            "x";
+        speedup = '>';
+        speedup += util::fmt(limit / std::max(aspmt_run.stats.seconds, 1e-3), 1);
+        speedup += 'x';
       }
     }
 

@@ -26,8 +26,10 @@ aspmt::synth::Specification build_noc_spec() {
   ResourceId tile[3][3];
   for (int y = 0; y < 3; ++y) {
     for (int x = 0; x < 3; ++x) {
-      router[y][x] = spec.add_resource(
-          "r" + std::to_string(x) + std::to_string(y), ResourceKind::Router, 2);
+      std::string name = "r";
+      name += std::to_string(x);
+      name += std::to_string(y);
+      router[y][x] = spec.add_resource(std::move(name), ResourceKind::Router, 2);
     }
   }
   for (int y = 0; y < 3; ++y) {

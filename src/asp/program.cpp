@@ -7,7 +7,10 @@ namespace aspmt::asp {
 
 Atom Program::new_atom(std::string name) {
   const Atom a = static_cast<Atom>(names_.size());
-  if (name.empty()) name = "x" + std::to_string(a);
+  if (name.empty()) {
+    name += 'x';
+    name += std::to_string(a);
+  }
   names_.push_back(std::move(name));
   return a;
 }

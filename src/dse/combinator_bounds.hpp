@@ -2,9 +2,11 @@
 //
 // Weighted and lexicographic axes cannot be fully decomposed into child
 // theory bounds (ObjectiveTerm::push_bound returns false for them), so the
-// ObjectiveManager registers the undischarged remainder here.  Enforcement
-// is conflict-only: whenever the axis' tree lower bound exceeds an active
-// bound, the propagator injects the nogood
+// ObjectiveManager registers the undischarged remainder here.  (A spec's
+// weighted node over linear leaves never gets here: SynthContext builds it
+// as one linear sum, whose bounds LinearSumPropagator enforces in full.)
+// Enforcement is conflict-only: whenever the axis' tree lower bound exceeds
+// an active bound, the propagator injects the nogood
 //
 //   {~act} ∪ ~explain(axis, bound + 1)
 //

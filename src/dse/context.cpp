@@ -1,6 +1,8 @@
 #include "dse/context.hpp"
 
+#include <limits>
 #include <map>
+#include <optional>
 
 #include "synth/objective_expr.hpp"
 
@@ -41,6 +43,62 @@ SumId scenario_energy_sum(const synth::Specification& spec,
     }
   }
   return linear.add_sum("energy@" + s.name, std::move(terms));
+}
+
+/// Σ w_i·(terms of sums[i]), terms sharing a guard merged, in guard order;
+/// nullopt when the total would exceed int64.
+std::optional<std::vector<theory::Term>> weighted_terms(
+    const theory::LinearSumPropagator& linear,
+    const std::vector<std::int64_t>& weights, const std::vector<SumId>& sums) {
+  std::map<asp::Lit, std::int64_t> by_guard;
+  __int128 total = 0;
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    for (const theory::Term& t : linear.terms(sums[i])) {
+      const __int128 w = static_cast<__int128>(weights[i]) * t.weight;
+      total += w;
+      if (total > std::numeric_limits<std::int64_t>::max()) return std::nullopt;
+      by_guard[t.guard] += static_cast<std::int64_t>(w);
+    }
+  }
+  std::vector<theory::Term> terms;
+  terms.reserve(by_guard.size());
+  for (const auto& [guard, weight] : by_guard) {
+    terms.push_back(theory::Term{guard, weight});
+  }
+  return terms;
+}
+
+/// A weighted node whose children are all linear leaves is itself one
+/// guarded linear sum: build it as a linear leaf, so its bounds propagate
+/// through LinearSumPropagator instead of a conflict-only residual.  When a
+/// child has a floor, the leaf gets the floor Σ w_i·(floor_i, or the child's
+/// own sum): it never exceeds the new sum, and the larger of the two lower
+/// bounds is the combinator's fold.  nullopt keeps the combinator: some child
+/// is not linear, or a merged total would exceed int64.
+std::optional<ObjectiveTerm> weighted_as_linear(
+    const std::string& label, const std::vector<std::int64_t>& weights,
+    const std::vector<ObjectiveTerm>& children,
+    theory::LinearSumPropagator& linear) {
+  std::vector<SumId> sums;
+  std::vector<SumId> floors;
+  for (const ObjectiveTerm& c : children) {
+    if (c.kind() != ObjectiveTerm::Kind::Linear) return std::nullopt;
+    sums.push_back(c.leaf_id());
+    floors.push_back(c.floor_sum().value_or(c.leaf_id()));
+  }
+  auto sum = weighted_terms(linear, weights, sums);
+  if (!sum) return std::nullopt;
+  std::optional<std::vector<theory::Term>> floor;
+  if (floors != sums) {
+    floor = weighted_terms(linear, weights, floors);
+    if (!floor) return std::nullopt;
+  }
+  ObjectiveTerm t = ObjectiveTerm::linear(
+      label, &linear, linear.add_sum(label, std::move(*sum)));
+  if (floor) {
+    t.with_floor(&linear, linear.add_sum(label + "_floor", std::move(*floor)));
+  }
+  return t;
 }
 
 /// Instantiate one axis' ObjectiveTerm tree from its spec-level expression.
@@ -96,6 +154,10 @@ ObjectiveTerm build_term(const synth::Specification& spec,
       return ObjectiveTerm::minmax(label, std::move(children));
     case synth::ObjectiveExpr::Kind::Weighted:
     default:
+      if (std::optional<ObjectiveTerm> sum =
+              weighted_as_linear(label, expr.weights, children, linear)) {
+        return std::move(*sum);
+      }
       return ObjectiveTerm::weighted(label, expr.weights, std::move(children));
   }
 }

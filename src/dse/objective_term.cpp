@@ -114,18 +114,17 @@ ObjectiveTerm& ObjectiveTerm::with_floor(theory::LinearSumPropagator* propagator
   if (kind_ != Kind::Linear || propagator == nullptr) {
     throw std::invalid_argument("floors attach to linear leaves only");
   }
-  floors_.push_back(Floor{propagator, sum});
+  if (floor_) throw std::invalid_argument("the leaf already has a floor");
+  floor_ = Floor{propagator, sum};
   return *this;
 }
 
 std::int64_t ObjectiveTerm::lower_bound() const {
   switch (kind_) {
     case Kind::Linear: {
-      std::int64_t best = linear_->lower_bound(sum_);
-      for (const Floor& f : floors_) {
-        best = std::max(best, f.linear->lower_bound(f.sum));
-      }
-      return best;
+      const std::int64_t own = linear_->lower_bound(sum_);
+      return floor_ ? std::max(own, floor_->linear->lower_bound(floor_->sum))
+                    : own;
     }
     case Kind::Difference:
       return difference_->lower_bound(node_);
@@ -162,17 +161,15 @@ void ObjectiveTerm::explain(std::int64_t threshold,
   switch (kind_) {
     case Kind::Linear: {
       // Prefer the primary sum (checker-re-derivable); fall back to the
-      // strongest floor (uncertified runs only — floors are disabled under
-      // proof logging).
+      // floor (uncertified runs only — floors are disabled under proof
+      // logging).
       if (linear_->lower_bound(sum_) >= threshold) {
         linear_->explain_lower_bound(sum_, threshold, out);
         return;
       }
-      for (const Floor& f : floors_) {
-        if (f.linear->lower_bound(f.sum) >= threshold) {
-          f.linear->explain_lower_bound(f.sum, threshold, out);
-          return;
-        }
+      if (floor_ && floor_->linear->lower_bound(floor_->sum) >= threshold) {
+        floor_->linear->explain_lower_bound(floor_->sum, threshold, out);
+        return;
       }
       assert(false && "no source explains the requested threshold");
       return;
@@ -219,11 +216,9 @@ bool ObjectiveTerm::push_bound(std::int64_t bound, asp::Lit activation,
   switch (kind_) {
     case Kind::Linear:
       linear_->add_bound(sum_, bound, activation);
-      if (mirror_floors) {
-        // Floors never exceed the leaf, so the same ceiling holds for them.
-        for (const Floor& f : floors_) {
-          f.linear->add_bound(f.sum, bound, activation);
-        }
+      if (mirror_floors && floor_) {
+        // A floor never exceeds the leaf, so the same ceiling holds for it.
+        floor_->linear->add_bound(floor_->sum, bound, activation);
       }
       return true;
     case Kind::Difference:

@@ -2,14 +2,16 @@
 // made of.
 //
 // Leaves are theory-backed objectives — guarded linear sums and
-// difference-logic nodes, with optional floor sums attached at the leaf.
-// Interior nodes are combinators:
+// difference-logic nodes, with an optional floor sum attached at a linear
+// leaf.  Interior nodes are combinators:
 //
 //   lex(a, b, ...)       big-endian packing Σ clamp(v_i,0,cap_i)·stride_i
 //                        with static caps (part of the axis definition)
 //   minmax(a, b, ...)    max of the children (the spec's worst(...) over
 //                        scenarios is a minmax carrying its own label)
-//   weighted(w*a+...)    positive-integer weighted aggregate
+//   weighted(w*a+...)    positive-integer weighted aggregate; a spec's
+//                        weighted node over linear leaves is built as one
+//                        linear leaf instead (dse::SynthContext)
 //
 // Every node provides three facilities the dominance propagator and the
 // optimizer rely on:
@@ -35,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,7 +89,8 @@ class ObjectiveTerm {
 
   /// Attach a floor sum to a *linear leaf*: a redundant sum that never
   /// exceeds the leaf in a total model but can bound tighter on partial
-  /// assignments.  Throws std::invalid_argument on non-linear terms.
+  /// assignments.  Throws std::invalid_argument on non-linear terms and on
+  /// a leaf that already has its floor.
   ObjectiveTerm& with_floor(theory::LinearSumPropagator* propagator,
                             theory::LinearSumPropagator::SumId sum);
 
@@ -101,6 +105,12 @@ class ObjectiveTerm {
   }
   [[nodiscard]] const std::vector<std::int64_t>& params() const noexcept {
     return params_;  ///< caps (lex) or weights (weighted)
+  }
+  /// Floor sum of a linear leaf; nullopt when none is attached.
+  [[nodiscard]] std::optional<theory::LinearSumPropagator::SumId> floor_sum()
+      const noexcept {
+    if (!floor_) return std::nullopt;
+    return floor_->sum;
   }
 
   // ---- semantics ----------------------------------------------------------
@@ -144,7 +154,7 @@ class ObjectiveTerm {
     theory::LinearSumPropagator* linear = nullptr;
     theory::LinearSumPropagator::SumId sum = 0;
   };
-  std::vector<Floor> floors_;
+  std::optional<Floor> floor_;
   // Interior payload.
   std::vector<std::int64_t> params_;  // caps (lex) or weights (weighted)
   std::vector<ObjectiveTerm> children_;

@@ -53,8 +53,10 @@ BuiltArchitecture build_architecture(const GeneratorConfig& config,
       const ResourceId bus = spec.add_resource("bus", ResourceKind::Bus, 3);
       for (std::uint32_t p = 0; p < config.bus_processors; ++p) {
         const ProcessorProfile prof = sample_processor(rng);
-        const ResourceId r = spec.add_resource("p" + std::to_string(p),
-                                               ResourceKind::Processor, prof.cost);
+        std::string name = "p";
+        name += std::to_string(p);
+        const ResourceId r =
+            spec.add_resource(std::move(name), ResourceKind::Processor, prof.cost);
         add_bidirectional(spec, r, bus, 1, 1);
         arch.processors.push_back(r);
         arch.profiles.push_back(prof);
@@ -67,8 +69,10 @@ BuiltArchitecture build_architecture(const GeneratorConfig& config,
       std::vector<std::vector<ResourceId>> router(k, std::vector<ResourceId>(k));
       for (std::uint32_t y = 0; y < k; ++y) {
         for (std::uint32_t x = 0; x < k; ++x) {
-          router[y][x] = spec.add_resource(
-              "r" + std::to_string(x) + std::to_string(y), ResourceKind::Router, 2);
+          std::string name = "r";
+          name += std::to_string(x);
+          name += std::to_string(y);
+          router[y][x] = spec.add_resource(std::move(name), ResourceKind::Router, 2);
         }
       }
       for (std::uint32_t y = 0; y < k; ++y) {
@@ -76,9 +80,11 @@ BuiltArchitecture build_architecture(const GeneratorConfig& config,
           if (x + 1 < k) add_bidirectional(spec, router[y][x], router[y][x + 1], 1, 1);
           if (y + 1 < k) add_bidirectional(spec, router[y][x], router[y + 1][x], 1, 1);
           const ProcessorProfile prof = sample_processor(rng);
-          const ResourceId p = spec.add_resource(
-              "p" + std::to_string(x) + std::to_string(y), ResourceKind::Processor,
-              prof.cost);
+          std::string name = "p";
+          name += std::to_string(x);
+          name += std::to_string(y);
+          const ResourceId p =
+              spec.add_resource(std::move(name), ResourceKind::Processor, prof.cost);
           add_bidirectional(spec, p, router[y][x], 1, 1);
           arch.processors.push_back(p);
           arch.profiles.push_back(prof);
@@ -138,7 +144,9 @@ synth::Specification generate(const GeneratorConfig& config) {
   std::vector<std::uint32_t> app_of;
   std::uint32_t msg_count = 0;
   auto add_msg = [&](TaskId a, TaskId b) {
-    spec.add_message("m" + std::to_string(msg_count++), a, b,
+    std::string name = "m";
+    name += std::to_string(msg_count++);
+    spec.add_message(std::move(name), a, b,
                      rng.range(config.payload_min, config.payload_max));
   };
   std::uint32_t created = 0;
@@ -148,8 +156,11 @@ synth::Specification generate(const GeneratorConfig& config) {
     const std::uint32_t layers = std::min(config.layers, count);
     const std::uint32_t base = created;
     for (std::uint32_t i = 0; i < count; ++i) {
-      tasks.push_back(spec.add_task("a" + std::to_string(app) + "t" +
-                                    std::to_string(i)));
+      std::string name = "a";
+      name += std::to_string(app);
+      name += 't';
+      name += std::to_string(i);
+      tasks.push_back(spec.add_task(std::move(name)));
       layer_of.push_back(static_cast<std::uint32_t>(
           (static_cast<std::uint64_t>(i) * layers) / count));
       app_of.push_back(app);

@@ -112,11 +112,15 @@ synth::Specification generate_multicore(const MulticoreConfig& config) {
   const std::uint32_t layers = std::min(config.layers, config.tasks);
   std::uint32_t msg_count = 0;
   auto add_msg = [&](TaskId a, TaskId b) {
-    spec.add_message("m" + std::to_string(msg_count++), a, b,
+    std::string name = "m";
+    name += std::to_string(msg_count++);
+    spec.add_message(std::move(name), a, b,
                      rng.range(config.payload_min, config.payload_max));
   };
   for (std::uint32_t i = 0; i < config.tasks; ++i) {
-    tasks.push_back(spec.add_task("t" + std::to_string(i)));
+    std::string name = "t";
+    name += std::to_string(i);
+    tasks.push_back(spec.add_task(std::move(name)));
     layer_of.push_back(static_cast<std::uint32_t>(
         (static_cast<std::uint64_t>(i) * layers) / config.tasks));
   }

@@ -14,7 +14,11 @@ using asp::Solver;
 DifferencePropagator::NodeId DifferencePropagator::new_node(std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   Node n;
-  n.name = name.empty() ? ("n" + std::to_string(id)) : std::move(name);
+  if (name.empty()) {
+    name += 'n';
+    name += std::to_string(id);
+  }
+  n.name = std::move(name);
   nodes_.push_back(std::move(n));
   if (proof_ != nullptr) proof_->def_node(id);
   return id;

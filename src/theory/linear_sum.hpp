@@ -45,6 +45,11 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
 
   [[nodiscard]] const std::string& name(SumId s) const { return sums_[s].name; }
 
+  /// The sum's terms, heaviest first (ties in guard order).
+  [[nodiscard]] const std::vector<Term>& terms(SumId s) const {
+    return sums_[s].terms;
+  }
+
   /// Lower bound of the sum under the current partial assignment.
   [[nodiscard]] std::int64_t lower_bound(SumId s) const noexcept {
     return sums_[s].lower;

@@ -357,7 +357,10 @@ TEST(ProofChecker, RupVerdictsMatchANaiveReference) {
     std::size_t line = 1;
     const auto emit = [&](char kind, const NaiveRup::Clause& c) {
       proof += kind;
-      for (const int l : c) proof += " " + std::to_string(l);
+      for (const int l : c) {
+        proof += ' ';
+        proof += std::to_string(l);
+      }
       proof += " 0\n";
       ++line;
     };

@@ -1,7 +1,8 @@
 // Combinator objectives end to end: differential fronts against a
 // brute-force reference at 1/2/4 threads (certified), the multicore PPA
-// family through the portfolio and distributed paths, scenario/objective
-// spec round-trips, and adversarial proofs tampering with the serialized
+// family through the portfolio and distributed paths, weighted axes over
+// linear leaves built as one linear sum, scenario/objective spec
+// round-trips, and adversarial proofs tampering with the serialized
 // objective-tree bindings.
 //
 // The reference construction leans on monotonicity: every combinator is
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "cert/checker.hpp"
+#include "dse/context.hpp"
 #include "dse/distributed.hpp"
 #include "dse/explorer.hpp"
 #include "dse/parallel_explorer.hpp"
@@ -142,6 +144,35 @@ TEST(CombinatorFronts, DiamondLexMatchesBruteForceCertified) {
                       {"lex(latency,cost)", "energy"});
 }
 
+// A weighted node over linear leaves is built as one linear sum; these
+// cover the leaf kinds it merges (nominal and scenario energy, cost, shared
+// guards, a nested rewrite) and a mixed tree whose inner node alone merges.
+TEST(CombinatorFronts, WeightedLinearLeavesMatchBruteForceCertified) {
+  expect_differential(chain3_hot(), {"weighted(2*energy+1*cost)", "latency"});
+}
+
+TEST(CombinatorFronts, WeightedScenarioEnergyMatchesBruteForceCertified) {
+  expect_differential(chain3_hot(),
+                      {"weighted(3*energy@hot+1*cost)", "latency"});
+}
+
+TEST(CombinatorFronts, WeightedSharedGuardsMatchBruteForceCertified) {
+  expect_differential(chain3_hot(),
+                      {"weighted(1*energy+2*energy)", "latency"});
+}
+
+TEST(CombinatorFronts, NestedWeightedLinearMatchesBruteForceCertified) {
+  expect_differential(
+      chain3_hot(),
+      {"weighted(1*weighted(2*energy+1*cost)+2*energy@hot)", "latency"});
+}
+
+TEST(CombinatorFronts, MixedWeightedOverALinearSumMatchesBruteForceCertified) {
+  expect_differential(
+      chain3_hot(),
+      {"weighted(2*latency+1*weighted(2*energy+1*cost))", "latency"});
+}
+
 // ---- the multicore PPA family ----------------------------------------------
 
 gen::MulticoreConfig small_multicore() {
@@ -249,6 +280,127 @@ TEST(MulticoreFamily, CombinatorShardAxisIsRejectedNotMiscomputed) {
           << "threads " << threads << ", objective " << objective;
     }
   }
+}
+
+// ---- weighted axes over linear leaves: one linear sum ---------------------
+
+/// The context a certified run builds (floors off, as under proof logging).
+dse::ContextOptions certified_context() {
+  dse::ContextOptions o;
+  o.objective_floors = false;
+  return o;
+}
+
+/// True when a line of `proof` after its header starts with `prefix`.
+bool has_line_starting(const std::string& proof, const std::string& prefix) {
+  std::string needle = "\n";
+  needle += prefix;
+  return proof.find(needle) != std::string::npos;
+}
+
+TEST(CombinatorWeightedAsLinear, MergesSharedGuardsIntoOneSumWithAFloor) {
+  const synth::Specification spec =
+      with_axes(chain3_hot(), {"weighted(1*energy+2*energy)", "latency"});
+  dse::SynthContext ctx(spec);
+  ASSERT_EQ(ctx.objectives.source(0).kind,
+            dse::ObjectiveManager::Source::Kind::Linear);
+  const dse::ObjectiveTerm& axis = ctx.objectives.term(0);
+  // k·terms of sum s, in the sum's order.
+  auto scaled = [&](theory::LinearSumPropagator::SumId s, std::int64_t k) {
+    std::vector<std::pair<asp::Lit, std::int64_t>> out;
+    for (const theory::Term& t : ctx.linear.terms(s)) {
+      out.emplace_back(t.guard, k * t.weight);
+    }
+    return out;
+  };
+  // 3·energy term for term, and 3·energy_floor as its floor.
+  EXPECT_EQ(scaled(axis.leaf_id(), 1), scaled(ctx.encoding.energy_sum, 3));
+  ASSERT_TRUE(axis.floor_sum().has_value());
+  EXPECT_EQ(scaled(*axis.floor_sum(), 1),
+            scaled(ctx.encoding.energy_floor_sum, 3));
+}
+
+TEST(CombinatorWeightedAsLinear, CertifiedProofBindsTheSumAndHasNoResidualBound) {
+  const synth::Specification spec =
+      with_axes(chain3_hot(), {"weighted(2*energy+1*cost)", "latency"});
+  const dse::SynthContext ctx(spec, certified_context());
+  const dse::ObjectiveManager::Source src = ctx.objectives.source(0);
+  ASSERT_EQ(src.kind, dse::ObjectiveManager::Source::Kind::Linear);
+
+  dse::ExploreOptions opts;
+  opts.common.certify = true;
+  const dse::ExploreResult r = dse::explore(spec, opts);
+  ASSERT_TRUE(r.certified) << r.certificate_error;
+  std::string binding = "O 0 L ";
+  binding += std::to_string(src.id);
+  binding += '\n';
+  EXPECT_TRUE(has_line_starting(r.proof, binding)) << binding;
+  EXPECT_FALSE(has_line_starting(r.proof, "OB "));
+  EXPECT_FALSE(has_line_starting(r.proof, "T CB "));
+  cert::CheckOptions copts;
+  copts.require_global_unsat = true;
+  const cert::CheckResult verdict = cert::check_proof(r.proof, copts);
+  EXPECT_TRUE(verdict.ok) << verdict.error;
+}
+
+TEST(CombinatorWeightedAsLinear, ANonLinearChildKeepsTheCombinator) {
+  const synth::Specification spec =
+      with_axes(chain3_hot(), {"weighted(2*latency+3*energy)", "cost"});
+  const dse::SynthContext ctx(spec, certified_context());
+  EXPECT_EQ(ctx.objectives.source(0).kind,
+            dse::ObjectiveManager::Source::Kind::Combinator);
+  EXPECT_EQ(ctx.objectives.term(0).kind(), dse::ObjectiveTerm::Kind::Weighted);
+
+  dse::ExploreOptions opts;
+  opts.common.certify = true;
+  const dse::ExploreResult r = dse::explore(spec, opts);
+  ASSERT_TRUE(r.certified) << r.certificate_error;
+  EXPECT_TRUE(has_line_starting(r.proof, "O 0 W 2 2 3 D "));
+
+  // In a mixed tree only the all-linear inner node becomes a sum.
+  const synth::Specification mixed = with_axes(
+      chain3_hot(), {"weighted(2*latency+1*weighted(2*energy+1*cost))", "cost"});
+  const dse::SynthContext mctx(mixed, certified_context());
+  const dse::ObjectiveTerm& outer = mctx.objectives.term(0);
+  ASSERT_EQ(outer.kind(), dse::ObjectiveTerm::Kind::Weighted);
+  EXPECT_EQ(outer.children()[0].kind(), dse::ObjectiveTerm::Kind::Difference);
+  EXPECT_EQ(outer.children()[1].kind(), dse::ObjectiveTerm::Kind::Linear);
+}
+
+TEST(CombinatorWeightedAsLinear, AnInt64OverflowingTotalKeepsTheCombinator) {
+  // 10^18 times any energy total above 9 exceeds INT64_MAX.
+  const std::vector<std::string> axes = {
+      "weighted(1000000000000000000*energy+1*cost)", "latency"};
+  const synth::Specification spec = with_axes(chain3_hot(), axes);
+  const dse::SynthContext ctx(spec);
+  EXPECT_EQ(ctx.objectives.term(0).kind(), dse::ObjectiveTerm::Kind::Weighted);
+  dse::ExploreResult r;
+  ASSERT_NO_THROW(r = dse::explore(spec));
+  ASSERT_TRUE(r.stats.complete);
+  EXPECT_EQ(sorted(r.front), reference_front(chain3_hot(), axes));
+}
+
+TEST(CombinatorWeightedAsLinear, DistributedShardsDeclareTheSameSum) {
+  gen::MulticoreConfig cfg = small_multicore();
+  cfg.axes = {"weighted(2*energy+1*cost)", "latency", "cost"};
+  const synth::Specification spec = gen::generate_multicore(cfg);
+  const dse::ExploreResult seq = dse::explore(spec);
+  ASSERT_TRUE(seq.stats.complete);
+
+  dse::DistributedOptions opts;
+  opts.worker_path = ASPMT_DSE_BIN;
+  opts.processes = 2;
+  opts.shards = 3;
+  opts.shard_objective = 2;  // cost
+  opts.base.common.certify = true;
+  const dse::DistributedResult r = dse::explore_distributed(spec, opts);
+  ASSERT_TRUE(r.base.stats.complete);
+  EXPECT_GE(r.shards.size(), 2U);
+  // The merged certificate compares the shards' declarations, so it only
+  // holds when every shard built the same merged sum.
+  EXPECT_TRUE(r.base.certified) << r.base.certificate_error;
+  test::expect_front_shape(spec, r.base);
+  EXPECT_EQ(sorted(r.base.front), sorted(seq.front));
 }
 
 // ---- scenario/objective spec round-trips ------------------------------------

@@ -45,10 +45,12 @@ const GoldenCase kCases[] = {
     {"bus_small_edited", nullptr},
     {"mesh_small_edited", nullptr},
     // Multicore PPA family under combinator objectives (ObjectiveTerm
-    // trees): lexicographic latency-then-energy vs. area, and a
-    // minmax/scenario-worst robustness pairing.
+    // trees): lexicographic latency-then-energy vs. area, a
+    // minmax/scenario-worst robustness pairing, and a weighted energy/area
+    // axis (built as one linear sum) vs. latency.
     {"multicore_lex", nullptr},
     {"multicore_minmax", nullptr},
+    {"multicore_weighted", nullptr},
 };
 
 /// Checked-in (base, single-edit) spec pairs for the incremental

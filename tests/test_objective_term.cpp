@@ -91,7 +91,10 @@ TEST(ObjectiveTermFactories, WeightedAndFanoutCombinatorsRejectBadShapes) {
 TEST(ObjectiveTermFactories, FloorsAttachOnlyAtLinearLeaves) {
   Fixture f;
   ObjectiveTerm leaf = ObjectiveTerm::linear("l", &f.linear, f.s0);
+  EXPECT_FALSE(leaf.floor_sum().has_value());
   leaf.with_floor(&f.linear, f.s1);  // fine
+  EXPECT_EQ(leaf.floor_sum(), f.s1);
+  EXPECT_THROW(leaf.with_floor(&f.linear, f.s0), std::invalid_argument);
   ObjectiveTerm comb = ObjectiveTerm::minmax(
       "m", {ObjectiveTerm::linear("a", &f.linear, f.s0),
             ObjectiveTerm::linear("b", &f.linear, f.s1)});

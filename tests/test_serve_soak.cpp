@@ -89,7 +89,8 @@ void soak(std::size_t workers) {
         const std::size_t fixture = n % goldens.size();
         const bool flaky = n % 3 == 0;
         JobRequest req;
-        req.tenant = "t" + std::to_string(s % 2);
+        req.tenant = 't';
+        req.tenant += std::to_string(s % 2);
         req.spec_text = goldens[fixture].text;
         req.priority = static_cast<std::int64_t>(n % 4);
         // Certification is asserted for clean first-attempt completions, so
