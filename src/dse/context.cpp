@@ -96,7 +96,7 @@ std::optional<ObjectiveTerm> weighted_as_linear(
   ObjectiveTerm t = ObjectiveTerm::linear(
       label, &linear, linear.add_sum(label, std::move(*sum)));
   if (floor) {
-    t.with_floor(&linear, linear.add_sum(label + "_floor", std::move(*floor)));
+    t.with_floor(linear.add_sum(label + "_floor", std::move(*floor)));
   }
   return t;
 }
@@ -121,7 +121,7 @@ ObjectiveTerm build_term(const synth::Specification& spec,
     }
     if (expr.scenario.empty()) {
       ObjectiveTerm t = ObjectiveTerm::linear(label, &linear, enc.energy_sum);
-      t.with_floor(&linear, enc.energy_floor_sum);
+      if (enc.energy_floor_sum) t.with_floor(*enc.energy_floor_sum);
       return t;
     }
     const std::size_t scn = spec.scenario_index(expr.scenario);
@@ -179,8 +179,10 @@ SynthContext::SynthContext(const synth::Specification& spec, ContextOptions opti
     linear.set_proof(options.proof);
     difference.set_proof(options.proof);
   }
+  // The checker cannot re-derive a floor, so a proof-logged context builds
+  // none (floors are pure pruning: the front is unchanged).
   synth::EncodeOptions eopts;
-  eopts.objective_floors = options.objective_floors;
+  eopts.objective_floors = options.objective_floors && options.proof == nullptr;
   encoding = synth::encode(spec, solver, linear, difference, eopts);
 
   // One ObjectiveTerm tree per Pareto axis, instantiated from the spec's

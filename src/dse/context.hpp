@@ -21,13 +21,14 @@ namespace aspmt::dse {
 struct ContextOptions {
   std::string archive_kind = "quadtree";
   bool partial_evaluation = true;
-  /// Binding-pair floor bounds in the encoding (ablation switch).
+  /// Binding-pair floor bounds in the encoding (ablation switch).  Ignored
+  /// when `proof` is set.
   bool objective_floors = true;
   /// When set, the whole session is proof-logged: the solver emits its
   /// inference trace and every theory propagator mirrors its declarations
-  /// and lemma justifications.  The pointee must outlive the context.
-  /// Certified exploration requires objective_floors = false (floor-based
-  /// bound explanations are not independently re-derivable).
+  /// and lemma justifications.  The pointee must outlive the context.  A
+  /// proof-logged context builds no floors: the checker cannot re-derive a
+  /// floor's copair sum, so every explanation must cite a declared sum.
   asp::ProofLog* proof = nullptr;
   asp::SolverOptions solver_options{};
 };

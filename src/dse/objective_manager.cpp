@@ -28,17 +28,7 @@ void ObjectiveManager::explain(std::size_t i, std::int64_t threshold,
 
 void ObjectiveManager::add_bound(std::size_t i, std::int64_t bound,
                                  asp::Lit activation) {
-  if (axes_[i].push_bound(bound, activation, /*mirror_floors=*/true)) return;
-  if (residual_ == nullptr) {
-    throw std::logic_error(
-        "combinator axis bound requires an attached CombinatorBoundPropagator");
-  }
-  residual_->add_bound(i, bound, activation);
-}
-
-void ObjectiveManager::add_primary_bound(std::size_t i, std::int64_t bound,
-                                         asp::Lit activation) {
-  if (axes_[i].push_bound(bound, activation, /*mirror_floors=*/false)) return;
+  if (axes_[i].push_bound(bound, activation)) return;
   if (residual_ == nullptr) {
     throw std::logic_error(
         "combinator axis bound requires an attached CombinatorBoundPropagator");
@@ -49,18 +39,6 @@ void ObjectiveManager::add_primary_bound(std::size_t i, std::int64_t bound,
 bool ObjectiveManager::add_lower_bound(std::size_t i, std::int64_t bound,
                                        asp::Lit activation) {
   return axes_[i].push_lower_bound(bound, activation);
-}
-
-ObjectiveManager::Source ObjectiveManager::source(std::size_t i) const noexcept {
-  const ObjectiveTerm& t = axes_[i];
-  switch (t.kind()) {
-    case ObjectiveTerm::Kind::Linear:
-      return Source{Source::Kind::Linear, t.leaf_id()};
-    case ObjectiveTerm::Kind::Difference:
-      return Source{Source::Kind::Difference, t.leaf_id()};
-    default:
-      return Source{Source::Kind::Combinator, 0};
-  }
 }
 
 }  // namespace aspmt::dse

@@ -63,18 +63,11 @@ class ObjectiveManager {
   /// Impose `axis_i <= bound` (activation-guarded; see the theory
   /// propagators' add_bound contracts).  Leaf axes decompose fully; on
   /// combinator axes the sound pushdowns are installed and any undischarged
-  /// remainder goes to the attached CombinatorBoundPropagator.
+  /// remainder goes to the attached CombinatorBoundPropagator.  A floored
+  /// linear leaf bounds its floor too; a proof-logged context has no
+  /// floors, so there every leaf bound touches the leaf's own sum only.
   void add_bound(std::size_t i, std::int64_t bound,
                  asp::Lit activation = asp::kLitUndef);
-
-  /// Like add_bound but on the primary source only — leaf bounds are NOT
-  /// mirrored onto floors.  Used for the distributed shard-band ceiling: the
-  /// merged-front checker only accepts a shard box whose activation bounds
-  /// touch exactly one sum (the shard objective's), so the ceiling must not
-  /// fan out across floor sums.  Mirroring is purely a propagation
-  /// sharpener; skipping it never affects exactness.
-  void add_primary_bound(std::size_t i, std::int64_t bound,
-                         asp::Lit activation = asp::kLitUndef);
 
   /// Impose `axis_i >= bound` (distributed shard banding).  Only supported
   /// for linear *leaf* axes — returns false for difference-logic leaves and
@@ -83,17 +76,6 @@ class ObjectiveManager {
   /// contract instead of silently miscomputing).
   bool add_lower_bound(std::size_t i, std::int64_t bound,
                        asp::Lit activation = asp::kLitUndef);
-
-  /// Primary theory source of an axis — what a proof log's objective binding
-  /// declares and the checker re-evaluates explanations against.  Combinator
-  /// axes have no single theory id; callers that need one (distributed
-  /// shard-objective validation) must check the kind first.
-  struct Source {
-    enum class Kind : std::uint8_t { Linear, Difference, Combinator };
-    Kind kind = Kind::Linear;
-    std::uint32_t id = 0;  ///< sum id (linear) or node id (difference); 0 otherwise
-  };
-  [[nodiscard]] Source source(std::size_t i) const noexcept;
 
  private:
   std::vector<ObjectiveTerm> axes_;

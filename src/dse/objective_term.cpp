@@ -109,13 +109,12 @@ ObjectiveTerm ObjectiveTerm::weighted(std::string name,
                     std::move(children));
 }
 
-ObjectiveTerm& ObjectiveTerm::with_floor(theory::LinearSumPropagator* propagator,
-                                         theory::LinearSumPropagator::SumId sum) {
-  if (kind_ != Kind::Linear || propagator == nullptr) {
+ObjectiveTerm& ObjectiveTerm::with_floor(theory::LinearSumPropagator::SumId sum) {
+  if (kind_ != Kind::Linear) {
     throw std::invalid_argument("floors attach to linear leaves only");
   }
   if (floor_) throw std::invalid_argument("the leaf already has a floor");
-  floor_ = Floor{propagator, sum};
+  floor_ = sum;
   return *this;
 }
 
@@ -123,8 +122,7 @@ std::int64_t ObjectiveTerm::lower_bound() const {
   switch (kind_) {
     case Kind::Linear: {
       const std::int64_t own = linear_->lower_bound(sum_);
-      return floor_ ? std::max(own, floor_->linear->lower_bound(floor_->sum))
-                    : own;
+      return floor_ ? std::max(own, linear_->lower_bound(*floor_)) : own;
     }
     case Kind::Difference:
       return difference_->lower_bound(node_);
@@ -161,14 +159,13 @@ void ObjectiveTerm::explain(std::int64_t threshold,
   switch (kind_) {
     case Kind::Linear: {
       // Prefer the primary sum (checker-re-derivable); fall back to the
-      // floor (uncertified runs only — floors are disabled under proof
-      // logging).
+      // floor (uncertified runs only — a proof-logged context builds none).
       if (linear_->lower_bound(sum_) >= threshold) {
         linear_->explain_lower_bound(sum_, threshold, out);
         return;
       }
-      if (floor_ && floor_->linear->lower_bound(floor_->sum) >= threshold) {
-        floor_->linear->explain_lower_bound(floor_->sum, threshold, out);
+      if (floor_ && linear_->lower_bound(*floor_) >= threshold) {
+        linear_->explain_lower_bound(*floor_, threshold, out);
         return;
       }
       assert(false && "no source explains the requested threshold");
@@ -211,14 +208,13 @@ void ObjectiveTerm::explain(std::int64_t threshold,
   }
 }
 
-bool ObjectiveTerm::push_bound(std::int64_t bound, asp::Lit activation,
-                               bool mirror_floors) const {
+bool ObjectiveTerm::push_bound(std::int64_t bound, asp::Lit activation) const {
   switch (kind_) {
     case Kind::Linear:
       linear_->add_bound(sum_, bound, activation);
-      if (mirror_floors && floor_) {
+      if (floor_) {
         // A floor never exceeds the leaf, so the same ceiling holds for it.
-        floor_->linear->add_bound(floor_->sum, bound, activation);
+        linear_->add_bound(*floor_, bound, activation);
       }
       return true;
     case Kind::Difference:
@@ -228,7 +224,7 @@ bool ObjectiveTerm::push_bound(std::int64_t bound, asp::Lit activation,
       // max(children) <= B  <=>  every child <= B: complete fan-out.
       bool complete = true;
       for (const ObjectiveTerm& c : children_) {
-        complete &= c.push_bound(bound, activation, mirror_floors);
+        complete &= c.push_bound(bound, activation);
       }
       return complete;
     }
@@ -237,7 +233,7 @@ bool ObjectiveTerm::push_bound(std::int64_t bound, asp::Lit activation,
       // sound — but the conjunction of the pushed bounds does not imply the
       // aggregate bound: a residual combinator bound is required.
       for (std::size_t i = 0; i < children_.size(); ++i) {
-        children_[i].push_bound(bound / params_[i], activation, mirror_floors);
+        children_[i].push_bound(bound / params_[i], activation);
       }
       return false;
     }
@@ -248,12 +244,12 @@ bool ObjectiveTerm::push_bound(std::int64_t bound, asp::Lit activation,
       // (their contribution can be compensated), so a residual bound is
       // always required.
       if (bound < 0) {
-        children_[0].push_bound(-1, activation, mirror_floors);
+        children_[0].push_bound(-1, activation);
         return false;
       }
       const std::int64_t head = bound / lex_head_stride(params_);
       if (head < params_[0]) {
-        children_[0].push_bound(head, activation, mirror_floors);
+        children_[0].push_bound(head, activation);
       }
       return false;
     }

@@ -87,12 +87,11 @@ class ObjectiveTerm {
                                               std::vector<std::int64_t> weights,
                                               std::vector<ObjectiveTerm> children);
 
-  /// Attach a floor sum to a *linear leaf*: a redundant sum that never
-  /// exceeds the leaf in a total model but can bound tighter on partial
-  /// assignments.  Throws std::invalid_argument on non-linear terms and on
-  /// a leaf that already has its floor.
-  ObjectiveTerm& with_floor(theory::LinearSumPropagator* propagator,
-                            theory::LinearSumPropagator::SumId sum);
+  /// Attach a floor sum of the leaf's own propagator to a *linear leaf*: a
+  /// redundant sum that never exceeds the leaf in a total model but can
+  /// bound tighter on partial assignments.  Throws std::invalid_argument on
+  /// non-linear terms and on a leaf that already has its floor.
+  ObjectiveTerm& with_floor(theory::LinearSumPropagator::SumId sum);
 
   // ---- inspection ---------------------------------------------------------
 
@@ -109,8 +108,7 @@ class ObjectiveTerm {
   /// Floor sum of a linear leaf; nullopt when none is attached.
   [[nodiscard]] std::optional<theory::LinearSumPropagator::SumId> floor_sum()
       const noexcept {
-    if (!floor_) return std::nullopt;
-    return floor_->sum;
+    return floor_;
   }
 
   // ---- semantics ----------------------------------------------------------
@@ -125,11 +123,9 @@ class ObjectiveTerm {
   /// Push `term <= bound` into child theory bounds where sound.  Returns
   /// true iff the decomposition *fully* enforces the bound (leaves, minmax
   /// fan-out); false when a residual combinator-level
-  /// bound is still required (weighted, lex).  `mirror_floors` additionally
-  /// mirrors leaf bounds onto attached floor sums (a propagation sharpener;
-  /// skip it for shard ceilings, whose proofs must touch one sum only).
-  bool push_bound(std::int64_t bound, asp::Lit activation,
-                  bool mirror_floors) const;
+  /// bound is still required (weighted, lex).  A linear leaf's bound is
+  /// mirrored onto its floor, which never exceeds the leaf.
+  bool push_bound(std::int64_t bound, asp::Lit activation) const;
 
   /// Push `term >= bound`.  Only sound on linear leaves; returns false
   /// (no constraint installed) everywhere else.
@@ -150,11 +146,7 @@ class ObjectiveTerm {
   theory::DifferencePropagator* difference_ = nullptr;
   theory::DifferencePropagator::NodeId node_ = 0;
   std::uint32_t id_ = 0;
-  struct Floor {
-    theory::LinearSumPropagator* linear = nullptr;
-    theory::LinearSumPropagator::SumId sum = 0;
-  };
-  std::optional<Floor> floor_;
+  std::optional<theory::LinearSumPropagator::SumId> floor_;  // on linear_
   // Interior payload.
   std::vector<std::int64_t> params_;  // caps (lex) or weights (weighted)
   std::vector<ObjectiveTerm> children_;

@@ -52,8 +52,9 @@ struct CommonOptions {
   /// witness with synth::Validator, and machine-check the terminating Unsat
   /// proof with the independent checker — on success the result's
   /// `certified` flag asserts the front is exactly the Pareto front of the
-  /// declared system.  Forces objective floors off (floor explanations are
-  /// not independently re-derivable; the front is unaffected).
+  /// declared system.  Its proof-logged contexts build no objective floors
+  /// (SynthContext: floor explanations are not independently re-derivable;
+  /// the front is unaffected).
   /// Incompatible with a non-empty epsilon.  Witnesses are collected on
   /// every run, certified or not.
   bool certify = false;

@@ -246,9 +246,8 @@ void run_worker(std::size_t index, const synth::Specification& spec,
   ContextOptions copts;
   copts.archive_kind = common.archive_kind;
   copts.partial_evaluation = common.partial_evaluation;
-  // Certified runs disable floors for checkable explanations (see
-  // CommonOptions::certify) and give every worker its own proof stream.
-  copts.objective_floors = proof != nullptr ? false : common.objective_floors;
+  copts.objective_floors = common.objective_floors;
+  // Certified runs give every worker its own proof stream.
   copts.proof = proof;
   copts.solver_options = diversify(common.solver_options, index, opts.seed);
   copts.solver_options.stop = shared.budget->token();
@@ -296,11 +295,9 @@ void run_worker(std::size_t index, const synth::Specification& spec,
     constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
     if (opts.shard.hi != kMax) {
       const asp::Lit act = asp::Lit::make(ctx.solver.new_var(), true);
-      // Primary-only: a floor-mirrored ceiling would make the checker's
-      // shard-box extraction reject the activation as impure (bounds on
-      // more than one sum).
-      ctx.objectives.add_primary_bound(opts.shard.objective, opts.shard.hi,
-                                       act);
+      // A certified context has no floors, so its shard box bounds the
+      // shard sum alone, as the checker's shard-box extraction requires.
+      ctx.objectives.add_bound(opts.shard.objective, opts.shard.hi, act);
       shard_assume.push_back(act);
     }
     if (opts.shard.lo != kMin) {
@@ -714,13 +711,12 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
       // certifies all bands at once.  Here the run is the one unbounded
       // band; its stream moves into the band and back, never copied, and
       // certify judges it from the streamed check when there is one.
-      std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs(
-          shared.witnesses.begin(), shared.witnesses.end());
       result.base.stream_checked = streamed.has_value();
       cert::ShardProof band{.proof = std::move(result.base.proof),
                             .checked = std::move(streamed)};
-      const cert::CertifyResult cr = cert::certify(
-          spec, pairs, result.base.front, {&band, 1}, 0);
+      const cert::CertifyResult cr =
+          cert::certify(spec, result.discovery_witnesses, result.base.front,
+                        {&band, 1}, 0);
       result.base.proof = std::move(band.proof);
       result.base.certified = cr.certified;
       if (!cr.certified) result.base.certificate_error = cr.error;

@@ -209,9 +209,9 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
   // energy — regardless of the route eventually chosen.  These floors give
   // partial assignment evaluation teeth *before* any routing decision:
   //  * copair atoms guard minimal-communication-energy terms,
-  //  * guarded difference-logic edges carry minimal end-to-end delays,
-  //  * pairs that cannot be connected within the hop bound are forbidden
-  //    outright.
+  //  * guarded difference-logic edges carry minimal end-to-end delays.
+  // Pairs that cannot be connected within the hop bound are forbidden
+  // outright, floors or not.
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
   auto weighted_apsp = [&](auto link_weight) {
     std::vector<std::vector<std::int64_t>> d(R, std::vector<std::int64_t>(R, kInf));
@@ -245,7 +245,7 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
   };
   std::vector<FloorEdge> floor_edges;
 
-  for (MessageId m = 0; options.objective_floors && m < M; ++m) {
+  for (MessageId m = 0; m < M; ++m) {
     const Message& msg = msgs[m];
     std::map<std::pair<ResourceId, ResourceId>, asp::Atom> copair_of;
     for (std::size_t i = 0; i < spec.mappings_of(msg.src).size(); ++i) {
@@ -256,10 +256,12 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
         const Atom b1 = enc.bind_atom[msg.src][i];
         const Atom b2 = enc.bind_atom[msg.dst][j];
         if (dist[r1][r2] == Specification::kUnreachable || dist[r1][r2] > H) {
-          // This endpoint combination can never deliver the message.
+          // This endpoint combination can never deliver the message: a
+          // plain constraint, not a floor, so it holds with floors off too.
           prog.integrity({pos(b1), pos(b2)});
           continue;
         }
+        if (!options.objective_floors) continue;
         floor_edges.push_back(
             FloorEdge{msg.src, msg.dst, b1, b2,
                       w1 + min_delay[r1][r2] * msg.payload});
@@ -382,20 +384,23 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
     enc.energy_sum = linear.add_sum("energy", std::move(energy_terms));
 
     // Redundant energy floor: task terms + minimal communication energy of
-    // each bound endpoint pair (never exceeds the true energy).
-    std::vector<theory::Term> floor;
-    for (TaskId t = 0; t < T; ++t) {
-      for (std::size_t i = 0; i < spec.mappings_of(t).size(); ++i) {
-        const MappingOption& o = spec.mappings()[spec.mappings_of(t)[i]];
-        if (o.energy > 0) {
-          floor.push_back(theory::Term{enc.lit(enc.bind_atom[t][i]), o.energy});
+    // each bound endpoint pair (never exceeds the true energy).  Without a
+    // copair term it would be a sub-sum of energy that can never bind.
+    if (!floor_terms.empty()) {
+      std::vector<theory::Term> floor;
+      for (TaskId t = 0; t < T; ++t) {
+        for (std::size_t i = 0; i < spec.mappings_of(t).size(); ++i) {
+          const MappingOption& o = spec.mappings()[spec.mappings_of(t)[i]];
+          if (o.energy > 0) {
+            floor.push_back(theory::Term{enc.lit(enc.bind_atom[t][i]), o.energy});
+          }
         }
       }
+      for (const FloorTerm& ft : floor_terms) {
+        floor.push_back(theory::Term{enc.lit(ft.copair), ft.weight});
+      }
+      enc.energy_floor_sum = linear.add_sum("energy_floor", std::move(floor));
     }
-    for (const FloorTerm& ft : floor_terms) {
-      floor.push_back(theory::Term{enc.lit(ft.copair), ft.weight});
-    }
-    enc.energy_floor_sum = linear.add_sum("energy_floor", std::move(floor));
   }
 
   // ---- latency: difference-logic scheduling -------------------------------

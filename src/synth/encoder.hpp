@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "asp/completion.hpp"
@@ -67,8 +68,9 @@ struct Encoding {
   /// Redundant floor on the energy objective: task terms plus the minimal
   /// communication energy implied by each message's bound endpoints
   /// (copair atoms), valid before any routing is decided.  Never exceeds
-  /// energy_sum in a total model.
-  theory::LinearSumPropagator::SumId energy_floor_sum = 0;
+  /// energy_sum in a total model.  nullopt when there is no copair term
+  /// (floors off, or no endpoint pair whose cheapest path costs energy).
+  std::optional<theory::LinearSumPropagator::SumId> energy_floor_sum;
   theory::DifferencePropagator::NodeId makespan = 0;
   std::vector<theory::DifferencePropagator::NodeId> start_node;  // per task
   std::vector<std::vector<theory::DifferencePropagator::NodeId>> msgpos_node;
@@ -82,8 +84,8 @@ struct Encoding {
 
 struct EncodeOptions {
   /// Emit the binding-pair floors (copair energy terms, minimal-delay DL
-  /// edges, unroutable-pair constraints).  Disabling them is an ablation —
-  /// results never change, partial-assignment bounds just get much weaker.
+  /// edges).  Disabling them is an ablation — results never change,
+  /// partial-assignment bounds just get much weaker.
   bool objective_floors = true;
 };
 

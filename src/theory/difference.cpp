@@ -66,13 +66,6 @@ void DifferencePropagator::add_bound(NodeId n, std::int64_t bound, Lit activatio
   nodes_[n].bounds.push_back(BoundEntry{bound, activation});
 }
 
-void DifferencePropagator::set_bound(NodeId n, std::int64_t bound, Lit activation) {
-  nodes_[n].bounds.clear();
-  add_bound(n, bound, activation);
-}
-
-void DifferencePropagator::clear_bounds(NodeId n) { nodes_[n].bounds.clear(); }
-
 bool DifferencePropagator::on_parent_chain(NodeId ancestor_candidate,
                                            NodeId start) const {
   NodeId n = start;

@@ -67,8 +67,6 @@ class DifferencePropagator final : public asp::TheoryPropagator {
   /// activation-literal contract).  Several bounds may coexist; the tightest
   /// active one is enforced.
   void add_bound(NodeId n, std::int64_t bound, asp::Lit activation = asp::kLitUndef);
-  void set_bound(NodeId n, std::int64_t bound, asp::Lit activation = asp::kLitUndef);
-  void clear_bounds(NodeId n);
 
   /// Disable conflict detection on partial assignments (ablation switch —
   /// bookkeeping still runs; violations surface only in check()).

@@ -53,13 +53,6 @@ void LinearSumPropagator::add_lower_bound(SumId s, std::int64_t bound,
   sums_[s].lower_bounds.push_back(BoundEntry{bound, activation});
 }
 
-void LinearSumPropagator::set_bound(SumId s, std::int64_t bound, Lit activation) {
-  sums_[s].bounds.clear();
-  add_bound(s, bound, activation);
-}
-
-void LinearSumPropagator::clear_bounds(SumId s) { sums_[s].bounds.clear(); }
-
 void LinearSumPropagator::explain_lower_bound(SumId id, std::int64_t threshold,
                                               std::vector<Lit>& out) const {
   if (threshold <= 0) return;
@@ -188,7 +181,6 @@ bool LinearSumPropagator::enforce_lower_bound(Solver& solver, SumId id) {
 }
 
 bool LinearSumPropagator::propagate(Solver& solver) {
-  bool any_change = false;
   while (cursor_ < solver.trail().size()) {
     const Lit p = solver.trail()[cursor_];
     const std::size_t pos = cursor_;
@@ -204,7 +196,6 @@ bool LinearSumPropagator::propagate(Solver& solver) {
           t.contributing = true;
         }
         undo_stack_.push_back(UndoOp{pos, w.sum, t.weight, became_true, w.term});
-        any_change = true;
       }
     };
     process(p.index(), /*became_true=*/true);     // guards equal to p
@@ -213,7 +204,6 @@ bool LinearSumPropagator::propagate(Solver& solver) {
   // Activation literals may have become true without touching any guard;
   // enforcing is cheap, so always sweep bounded sums (unless the ablation
   // switch restricts evaluation to total assignments).
-  (void)any_change;
   if (!partial_eval_) return true;
   for (SumId id = 0; id < sums_.size(); ++id) {
     if (!enforce_bound(solver, id)) return false;

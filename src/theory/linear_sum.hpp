@@ -55,11 +55,6 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
     return sums_[s].lower;
   }
 
-  /// Upper bound (lower + all undecided weights).
-  [[nodiscard]] std::int64_t upper_bound(SumId s) const noexcept {
-    return sums_[s].lower + sums_[s].slack;
-  }
-
   /// Impose `sum <= bound`.  If `activation` is a real literal the constraint
   /// only applies while that literal is true (pass it as an assumption or
   /// decide it); all clauses injected for this bound then contain its
@@ -77,14 +72,6 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
   /// guards are forced true, and running out of weight is a conflict.
   void add_lower_bound(SumId s, std::int64_t bound,
                        asp::Lit activation = asp::kLitUndef);
-
-  /// Replace all bounds of a sum by a single one.
-  void set_bound(SumId s, std::int64_t bound, asp::Lit activation = asp::kLitUndef);
-
-  /// Remove all bounds of a sum.  Only sound when every removed bound was
-  /// activation-guarded (the guard keeps previously learned clauses valid)
-  /// or when the solver is rebuilt afterwards.
-  void clear_bounds(SumId s);
 
   /// Collect true guards explaining `lower_bound(s) >= threshold`, greedily
   /// preferring heavy guards so explanations stay short.  Appends the guard
@@ -141,7 +128,7 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
   [[nodiscard]] bool enforce_bound(asp::Solver& solver, SumId id);
   [[nodiscard]] bool enforce_lower_bound(asp::Solver& solver, SumId id);
   // Collect FALSE guards (appended positively) explaining
-  // `upper_bound(s) <= total - threshold`, heavy-first.
+  // `lower + slack <= total - threshold`, heavy-first.
   void explain_forfeit(SumId s, std::int64_t threshold,
                        const asp::Solver& solver,
                        std::vector<asp::Lit>& out) const;

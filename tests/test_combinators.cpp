@@ -302,9 +302,8 @@ TEST(CombinatorWeightedAsLinear, MergesSharedGuardsIntoOneSumWithAFloor) {
   const synth::Specification spec =
       with_axes(chain3_hot(), {"weighted(1*energy+2*energy)", "latency"});
   dse::SynthContext ctx(spec);
-  ASSERT_EQ(ctx.objectives.source(0).kind,
-            dse::ObjectiveManager::Source::Kind::Linear);
   const dse::ObjectiveTerm& axis = ctx.objectives.term(0);
+  ASSERT_EQ(axis.kind(), dse::ObjectiveTerm::Kind::Linear);
   // k·terms of sum s, in the sum's order.
   auto scaled = [&](theory::LinearSumPropagator::SumId s, std::int64_t k) {
     std::vector<std::pair<asp::Lit, std::int64_t>> out;
@@ -317,22 +316,22 @@ TEST(CombinatorWeightedAsLinear, MergesSharedGuardsIntoOneSumWithAFloor) {
   EXPECT_EQ(scaled(axis.leaf_id(), 1), scaled(ctx.encoding.energy_sum, 3));
   ASSERT_TRUE(axis.floor_sum().has_value());
   EXPECT_EQ(scaled(*axis.floor_sum(), 1),
-            scaled(ctx.encoding.energy_floor_sum, 3));
+            scaled(ctx.encoding.energy_floor_sum.value(), 3));
 }
 
 TEST(CombinatorWeightedAsLinear, CertifiedProofBindsTheSumAndHasNoResidualBound) {
   const synth::Specification spec =
       with_axes(chain3_hot(), {"weighted(2*energy+1*cost)", "latency"});
   const dse::SynthContext ctx(spec, certified_context());
-  const dse::ObjectiveManager::Source src = ctx.objectives.source(0);
-  ASSERT_EQ(src.kind, dse::ObjectiveManager::Source::Kind::Linear);
+  const dse::ObjectiveTerm& axis = ctx.objectives.term(0);
+  ASSERT_EQ(axis.kind(), dse::ObjectiveTerm::Kind::Linear);
 
   dse::ExploreOptions opts;
   opts.common.certify = true;
   const dse::ExploreResult r = dse::explore(spec, opts);
   ASSERT_TRUE(r.certified) << r.certificate_error;
   std::string binding = "O 0 L ";
-  binding += std::to_string(src.id);
+  binding += std::to_string(axis.leaf_id());
   binding += '\n';
   EXPECT_TRUE(has_line_starting(r.proof, binding)) << binding;
   EXPECT_FALSE(has_line_starting(r.proof, "OB "));
@@ -347,8 +346,6 @@ TEST(CombinatorWeightedAsLinear, ANonLinearChildKeepsTheCombinator) {
   const synth::Specification spec =
       with_axes(chain3_hot(), {"weighted(2*latency+3*energy)", "cost"});
   const dse::SynthContext ctx(spec, certified_context());
-  EXPECT_EQ(ctx.objectives.source(0).kind,
-            dse::ObjectiveManager::Source::Kind::Combinator);
   EXPECT_EQ(ctx.objectives.term(0).kind(), dse::ObjectiveTerm::Kind::Weighted);
 
   dse::ExploreOptions opts;

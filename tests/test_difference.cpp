@@ -75,7 +75,7 @@ TEST(Difference, GuardedEdgeActivatesWithLiteral) {
   const auto a = dl.new_node();
   const auto b = dl.new_node();
   dl.add_edge(a, b, 5, {L(g)});
-  dl.set_bound(b, 3);
+  dl.add_bound(b, 3);
   // g true violates the bound on b.
   ASSERT_TRUE(s.add_clause({L(g)}));
   EXPECT_EQ(s.solve(), Solver::Result::Unsat);
@@ -89,7 +89,7 @@ TEST(Difference, GuardedEdgeInactiveWhenGuardFalse) {
   const auto a = dl.new_node();
   const auto b = dl.new_node();
   dl.add_edge(a, b, 5, {L(g)});
-  dl.set_bound(b, 3);
+  dl.add_bound(b, 3);
   EXPECT_EQ(s.solve(), Solver::Result::Sat);
   EXPECT_FALSE(s.model_value(g));  // bound forces the guard off
 }
@@ -103,7 +103,7 @@ TEST(Difference, ConjunctiveGuardNeedsAllLiterals) {
   const auto a = dl.new_node();
   const auto b = dl.new_node();
   dl.add_edge(a, b, 5, {L(g1), L(g2)});
-  dl.set_bound(b, 3);
+  dl.add_bound(b, 3);
   const auto models = test::enumerate_projected(s, {g1, g2});
   // Only g1 & g2 together are forbidden.
   EXPECT_EQ(models.size(), 3U);
@@ -141,10 +141,10 @@ TEST(Difference, DisjunctiveOrderingBothDirectionsFeasible) {
   dl.add_edge(b, mak, 4, {});
   ASSERT_TRUE(s.add_clause({L(o_ab), L(o_ba)}));
   ASSERT_TRUE(s.add_clause({~L(o_ab), ~L(o_ba)}));
-  dl.set_bound(mak, 8);
+  dl.add_bound(mak, 8);
   EXPECT_EQ(s.solve(), Solver::Result::Sat);
   // Makespan below the serial length is impossible.
-  dl.set_bound(mak, 7);
+  dl.add_bound(mak, 7);
   EXPECT_EQ(s.solve(), Solver::Result::Unsat);
 }
 

@@ -1,7 +1,7 @@
 // The ObjectiveTerm tree API: factory validation, proof-binding
 // serialization, combinator lower-bound semantics on total assignments, the
-// tagged Source variant, the linear-only add_lower_bound contract and the
-// one-release deprecation shims over the old flat registration calls.
+// axes' kinds and theory ids, the linear-only add_lower_bound contract and
+// the one-release deprecation shims over the old flat registration calls.
 #include "dse/objective_term.hpp"
 
 #include <gtest/gtest.h>
@@ -92,16 +92,16 @@ TEST(ObjectiveTermFactories, FloorsAttachOnlyAtLinearLeaves) {
   Fixture f;
   ObjectiveTerm leaf = ObjectiveTerm::linear("l", &f.linear, f.s0);
   EXPECT_FALSE(leaf.floor_sum().has_value());
-  leaf.with_floor(&f.linear, f.s1);  // fine
+  leaf.with_floor(f.s1);  // fine
   EXPECT_EQ(leaf.floor_sum(), f.s1);
-  EXPECT_THROW(leaf.with_floor(&f.linear, f.s0), std::invalid_argument);
+  EXPECT_THROW(leaf.with_floor(f.s0), std::invalid_argument);
   ObjectiveTerm comb = ObjectiveTerm::minmax(
       "m", {ObjectiveTerm::linear("a", &f.linear, f.s0),
             ObjectiveTerm::linear("b", &f.linear, f.s1)});
-  EXPECT_THROW(comb.with_floor(&f.linear, f.s1), std::invalid_argument);
+  EXPECT_THROW(comb.with_floor(f.s1), std::invalid_argument);
   const auto node = f.difference.new_node("mk");
   ObjectiveTerm mk = ObjectiveTerm::makespan("mk", &f.difference, node);
-  EXPECT_THROW(mk.with_floor(&f.linear, f.s1), std::invalid_argument);
+  EXPECT_THROW(mk.with_floor(f.s1), std::invalid_argument);
 }
 
 // ---- proof-binding serialization -------------------------------------------
@@ -187,7 +187,7 @@ TEST(ObjectiveTermSemantics, ExplanationsJustifyTheThresholdByChildRecursion) {
   }
 }
 
-// ---- ObjectiveManager: Source variant and bound contracts -------------------
+// ---- ObjectiveManager: axis kinds and bound contracts -----------------------
 
 TEST(ObjectiveManagerSources, TaggedVariantReportsKindAndTheoryId) {
   Fixture f;
@@ -199,11 +199,11 @@ TEST(ObjectiveManagerSources, TaggedVariantReportsKindAndTheoryId) {
       "m", {ObjectiveTerm::linear("a", &f.linear, f.s0),
             ObjectiveTerm::linear("b", &f.linear, f.s1)}));
   ASSERT_EQ(m.count(), 3U);
-  EXPECT_EQ(m.source(0).kind, ObjectiveManager::Source::Kind::Difference);
-  EXPECT_EQ(m.source(0).id, node);
-  EXPECT_EQ(m.source(1).kind, ObjectiveManager::Source::Kind::Linear);
-  EXPECT_EQ(m.source(1).id, f.s1);
-  EXPECT_EQ(m.source(2).kind, ObjectiveManager::Source::Kind::Combinator);
+  EXPECT_EQ(m.term(0).kind(), ObjectiveTerm::Kind::Difference);
+  EXPECT_EQ(m.term(0).leaf_id(), node);
+  EXPECT_EQ(m.term(1).kind(), ObjectiveTerm::Kind::Linear);
+  EXPECT_EQ(m.term(1).leaf_id(), f.s1);
+  EXPECT_EQ(m.term(2).kind(), ObjectiveTerm::Kind::MinMax);
 }
 
 TEST(ObjectiveManagerBounds, LowerBoundsPushOnlyOntoLinearLeaves) {
