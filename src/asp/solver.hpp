@@ -39,20 +39,6 @@ struct SolverStats {
   std::uint64_t theory_conflicts = 0;
   std::uint64_t models = 0;
   std::uint64_t arena_gcs = 0;  ///< clause-arena compactions
-
-  /// Accumulate another solver's counters (parallel portfolio reporting).
-  void merge(const SolverStats& other) noexcept {
-    conflicts += other.conflicts;
-    decisions += other.decisions;
-    propagations += other.propagations;
-    restarts += other.restarts;
-    learnt_clauses += other.learnt_clauses;
-    deleted_clauses += other.deleted_clauses;
-    theory_clauses += other.theory_clauses;
-    theory_conflicts += other.theory_conflicts;
-    models += other.models;
-    arena_gcs += other.arena_gcs;
-  }
 };
 
 /// Off-hot-path observer of a running search.  The solver calls poll() at
@@ -278,7 +264,6 @@ class Solver {
   ProofLog* proof_ = nullptr;
 
   std::vector<Lbool> model_;
-  std::vector<Lit> root_units_;  // units injected/learnt, replayed after restarts
 
   double max_learnts_ = 0.0;
   float clause_inc_ = 1.0F;

@@ -23,13 +23,7 @@ BaselineResult enumerate_and_filter(const synth::Specification& spec,
     if (r == asp::Solver::Result::Sat) {
       ++result.models;
       vectors.push_back(ctx.capture().vector());
-      // Block exactly this implementation (projection onto decision atoms).
-      std::vector<asp::Lit> blocking;
-      blocking.reserve(ctx.encoding.decision_lits.size());
-      for (const asp::Lit d : ctx.encoding.decision_lits) {
-        blocking.push_back(ctx.solver.model_value(d.var()) == d.positive() ? ~d : d);
-      }
-      if (!ctx.solver.add_clause(std::move(blocking))) {
+      if (!ctx.block_model()) {
         result.complete = true;
         break;
       }

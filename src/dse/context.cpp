@@ -165,10 +165,19 @@ ObjectiveTerm build_term(const synth::Specification& spec,
 }  // namespace
 
 bool ModelCapture::check(asp::Solver& solver) {
-  vector_ = ctx_.objectives.lower_bounds();
+  ctx_.objectives.lower_bounds_into(vector_);
   impl_ = synth::decode_current(ctx_.spec(), ctx_.encoding, solver, ctx_.linear,
                                 ctx_.difference);
   return true;
+}
+
+bool SynthContext::block_model() {
+  std::vector<asp::Lit> blocking;
+  blocking.reserve(encoding.decision_lits.size());
+  for (const asp::Lit d : encoding.decision_lits) {
+    blocking.push_back(solver.model_value(d.var()) == d.positive() ? ~d : d);
+  }
+  return solver.add_clause(std::move(blocking));
 }
 
 SynthContext::SynthContext(const synth::Specification& spec, ContextOptions options)
@@ -193,16 +202,7 @@ SynthContext::SynthContext(const synth::Specification& spec, ContextOptions opti
     objectives.add(
         build_term(spec, encoding, linear, difference, scenario_sums, expr));
   }
-  combinator_bounds_ = std::make_unique<CombinatorBoundPropagator>(objectives);
-  combinator_bounds_->set_proof(options.proof);
-  objectives.attach_combinator_bounds(combinator_bounds_.get());
-  if (options.proof != nullptr) {
-    for (std::size_t i = 0; i < objectives.count(); ++i) {
-      std::string tokens;
-      objectives.term(i).serialize(tokens);
-      options.proof->def_objective_term(i, tokens);
-    }
-  }
+  if (options.proof != nullptr) objectives.attach_proof(*options.proof);
 
   archive_ = pareto::make_archive(options.archive_kind, objectives.count());
   dominance_ = std::make_unique<DominancePropagator>(objectives, *archive_);
@@ -225,11 +225,11 @@ SynthContext::SynthContext(const synth::Specification& spec, ContextOptions opti
   }
 
   // Registration order matters: theories first (they feed the objective
-  // bounds), then the residual combinator bounds, then dominance, then
+  // bounds), then the objectives' residual bounds, then dominance, then
   // capture (which must only run on accepted assignments).
   solver.add_propagator(&linear);
   solver.add_propagator(&difference);
-  solver.add_propagator(combinator_bounds_.get());
+  solver.add_propagator(&objectives);
   solver.add_propagator(dominance_.get());
   solver.add_propagator(capture_.get());
 }

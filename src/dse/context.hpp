@@ -7,7 +7,6 @@
 #include <string>
 
 #include "asp/solver.hpp"
-#include "dse/combinator_bounds.hpp"
 #include "dse/dominance.hpp"
 #include "dse/objective_manager.hpp"
 #include "pareto/archive.hpp"
@@ -76,14 +75,15 @@ class SynthContext {
 
   [[nodiscard]] pareto::Archive& archive() noexcept { return *archive_; }
   [[nodiscard]] DominancePropagator& dominance() noexcept { return *dominance_; }
-  [[nodiscard]] CombinatorBoundPropagator& combinator_bounds() noexcept {
-    return *combinator_bounds_;
-  }
   [[nodiscard]] ModelCapture& capture() noexcept { return *capture_; }
+
+  /// Forbid the last model's implementation: add the clause over the
+  /// encoding's decision atoms that excludes their current model values.
+  /// False when that leaves the problem unsatisfiable.
+  bool block_model();
 
  private:
   const synth::Specification* spec_;
-  std::unique_ptr<CombinatorBoundPropagator> combinator_bounds_;
   std::unique_ptr<pareto::Archive> archive_;
   std::unique_ptr<DominancePropagator> dominance_;
   std::unique_ptr<ModelCapture> capture_;

@@ -85,6 +85,25 @@ std::string check_point_lengths(const ShardResultPayload& p, std::size_t axes) {
   return {};
 }
 
+/// The first option a shard worker would drop, or "" when there is none.
+/// The launch line forwards only the thread count, seed, time limit,
+/// archive kind, partial evaluation and certify; anything else the caller
+/// set would be silently ignored.
+std::string dropped_option(const ParallelExploreOptions& base) {
+  const CommonOptions& c = base.common;
+  if (!c.drill_down) return "common.drill_down";
+  if (!c.objective_floors) return "common.objective_floors";
+  if (warm_start_enabled(c.warm_start)) return "common.warm_start";
+  if (c.conflict_budget != 0) return "common.conflict_budget";
+  if (c.mem_limit_mb != 0) return "common.mem_limit_mb";
+  if (c.budget != nullptr) return "common.budget";
+  if (!c.checkpoint_path.empty()) return "common.checkpoint_path";
+  if (!c.clause_replay.clauses.empty()) return "common.clause_replay";
+  if (c.fault != nullptr) return "common.fault";
+  if (base.shard.active) return "shard";
+  return {};
+}
+
 std::string resolve_worker_path(const std::string& configured) {
   if (!configured.empty()) return configured;
   if (const char* env = std::getenv("ASPMT_DSE_BIN");
@@ -312,6 +331,10 @@ DistributedResult explore_distributed(const synth::Specification& spec,
   if (std::string err = shard_axis_error(spec, options.shard_objective);
       !err.empty()) {
     throw std::invalid_argument(std::move(err));
+  }
+  if (const std::string field = dropped_option(options.base); !field.empty()) {
+    throw std::invalid_argument("explore_distributed: shard workers cannot "
+                                "honour base." + field);
   }
 
   DistributedResult result;

@@ -160,7 +160,14 @@ struct DistributedResult {
 
 /// Explore `spec` distributed over `options.processes` workers.  Throws
 /// std::invalid_argument, before any worker starts, when the specification
-/// is invalid or shard_axis_error rejects the shard objective.
+/// is invalid, shard_axis_error rejects the shard objective, or `base` sets
+/// an option the shard workers would drop.  Workers are launched with only
+/// the thread count, seed, time limit, archive kind, partial evaluation and
+/// certify of `base`, so these fields of `base.common` must keep their
+/// defaults: drill_down, objective_floors, warm_start, conflict_budget,
+/// mem_limit_mb, budget, checkpoint_path, clause_replay and fault; and
+/// `base.shard` must be inactive, because the coordinator installs the
+/// bands itself.  The message names the first such field.
 [[nodiscard]] DistributedResult explore_distributed(
     const synth::Specification& spec, const DistributedOptions& options = {});
 

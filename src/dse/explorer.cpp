@@ -88,12 +88,7 @@ WitnessEnumeration enumerate_witnesses(const synth::Specification& spec,
           pareto::to_string(ctx.capture().vector()) + " dominates it");
     }
     result.implementations.push_back(ctx.capture().implementation());
-    std::vector<asp::Lit> blocking;
-    blocking.reserve(ctx.encoding.decision_lits.size());
-    for (const asp::Lit d : ctx.encoding.decision_lits) {
-      blocking.push_back(ctx.solver.model_value(d.var()) == d.positive() ? ~d : d);
-    }
-    if (!ctx.solver.add_clause(std::move(blocking))) {
+    if (!ctx.block_model()) {
       result.complete = true;
       return result;
     }

@@ -1,8 +1,9 @@
 #include "dse/objective_manager.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
-#include "dse/combinator_bounds.hpp"
+#include "asp/proof.hpp"
+#include "asp/solver.hpp"
 
 namespace aspmt::dse {
 
@@ -10,10 +11,13 @@ void ObjectiveManager::add(ObjectiveTerm term) {
   axes_.push_back(std::move(term));
 }
 
-pareto::Vec ObjectiveManager::lower_bounds() const {
-  pareto::Vec v;
-  lower_bounds_into(v);
-  return v;
+void ObjectiveManager::attach_proof(asp::ProofLog& proof) {
+  proof_ = &proof;
+  for (std::size_t i = 0; i < axes_.size(); ++i) {
+    std::string tokens;
+    axes_[i].serialize(tokens);
+    proof.def_objective_term(i, tokens);
+  }
 }
 
 void ObjectiveManager::lower_bounds_into(pareto::Vec& out) const {
@@ -29,16 +33,35 @@ void ObjectiveManager::explain(std::size_t i, std::int64_t threshold,
 void ObjectiveManager::add_bound(std::size_t i, std::int64_t bound,
                                  asp::Lit activation) {
   if (axes_[i].push_bound(bound, activation)) return;
-  if (residual_ == nullptr) {
-    throw std::logic_error(
-        "combinator axis bound requires an attached CombinatorBoundPropagator");
-  }
-  residual_->add_bound(i, bound, activation);
+  if (proof_ != nullptr) proof_->def_objective_bound(i, bound, activation);
+  residuals_.push_back(Residual{i, bound, activation});
 }
 
 bool ObjectiveManager::add_lower_bound(std::size_t i, std::int64_t bound,
                                        asp::Lit activation) {
   return axes_[i].push_lower_bound(bound, activation);
+}
+
+bool ObjectiveManager::enforce(asp::Solver& solver) {
+  for (const Residual& r : residuals_) {
+    if (r.activation != asp::kLitUndef &&
+        solver.value(r.activation) != asp::Lbool::True) {
+      continue;
+    }
+    if (lower_bound(r.axis) <= r.bound) continue;
+    std::vector<asp::Lit> clause;
+    explain(r.axis, r.bound + 1, clause);
+    std::sort(clause.begin(), clause.end());
+    clause.erase(std::unique(clause.begin(), clause.end()), clause.end());
+    for (asp::Lit& l : clause) l = ~l;
+    if (r.activation != asp::kLitUndef) clause.push_back(~r.activation);
+    const asp::TheoryJustification just{
+        asp::TheoryTag::CombinatorBound,
+        {static_cast<std::int64_t>(r.axis), r.bound,
+         r.activation == asp::kLitUndef ? 0 : asp::proof_int(r.activation)}};
+    return solver.add_theory_clause(clause, &just);
+  }
+  return true;
 }
 
 }  // namespace aspmt::dse

@@ -29,8 +29,8 @@
 //                       completely; weighted pushes child_i <= bound/w_i and
 //                       lex pushes a prefix bound on its most significant
 //                       child — both sound but incomplete, so the caller
-//                       must install a residual combinator bound (see
-//                       CombinatorBoundPropagator).  push_lower_bound() is
+//                       must keep a residual combinator bound (see
+//                       ObjectiveManager).  push_lower_bound() is
 //                       only sound on linear leaves and is rejected
 //                       elsewhere, which keeps the distributed banding
 //                       contract linear-only.

@@ -4,10 +4,10 @@
 // tests enforce that over the full {threads} x {processes} matrix on every
 // synth fixture with forked shard workers (ASPMT_DSE_BIN, the real CLI, so
 // the fork/exec + pipe + RESULT path runs end to end), feed the
-// coordinator a worker whose result has points of the wrong length, and
-// drive the certified merge with adversarial shard results — forged
-// witnesses, truncated proofs, overlapping, empty and missing bands — that
-// must all be rejected.
+// coordinator a worker whose result has points of the wrong length, check
+// that it refuses the options a worker would drop, and drive the certified
+// merge with adversarial shard results — forged witnesses, truncated
+// proofs, overlapping, empty and missing bands — that must all be rejected.
 #include "dse/distributed.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -25,8 +26,10 @@
 #include <vector>
 
 #include "cert/certify.hpp"
+#include "dse/budget.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/explorer.hpp"
+#include "dse/fault.hpp"
 #include "dse/parallel_explorer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
@@ -646,6 +649,67 @@ TEST(Distributed, ShortPointInAWorkerResultFailsItsShard) {
   }
   std::remove(payload_path.c_str());
   std::remove(script_path.c_str());
+}
+
+// The launch line forwards only the thread count, seed, time limit, archive
+// kind, partial evaluation and certify.  Every other option a caller can
+// set would be dropped by the workers, so the coordinator refuses it by name
+// before it writes anything into its work directory or starts a worker.
+TEST(Distributed, OptionsAWorkerWouldDropAreRefused) {
+  const synth::Specification spec = test::singleton();
+  Budget budget;
+  const FaultPlan fault;
+  const struct {
+    const char* field;
+    std::function<void(ParallelExploreOptions&)> set;
+  } cases[] = {
+      {"base.common.drill_down",
+       [](ParallelExploreOptions& b) { b.common.drill_down = false; }},
+      {"base.common.objective_floors",
+       [](ParallelExploreOptions& b) { b.common.objective_floors = false; }},
+      {"base.common.warm_start",
+       [](ParallelExploreOptions& b) {
+         b.common.warm_start.method = WarmStartMethod::Sampler;
+       }},
+      {"base.common.conflict_budget",
+       [](ParallelExploreOptions& b) { b.common.conflict_budget = 50; }},
+      {"base.common.mem_limit_mb",
+       [](ParallelExploreOptions& b) { b.common.mem_limit_mb = 1; }},
+      {"base.common.budget",
+       [&](ParallelExploreOptions& b) { b.common.budget = &budget; }},
+      {"base.common.checkpoint_path",
+       [](ParallelExploreOptions& b) {
+         b.common.checkpoint_path = temp_path("dropped.ckpt");
+       }},
+      {"base.common.clause_replay",
+       [](ParallelExploreOptions& b) {
+         b.common.clause_replay.clauses.push_back({1});
+       }},
+      {"base.common.fault",
+       [&](ParallelExploreOptions& b) { b.common.fault = &fault; }},
+      {"base.shard",
+       [](ParallelExploreOptions& b) { b.shard.active = true; }},
+  };
+  const std::filesystem::path dir = temp_path("dropped_options");
+  for (const auto& c : cases) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    DistributedOptions opts;
+    opts.worker_path = ASPMT_DSE_BIN;
+    opts.work_dir = dir.string();
+    opts.split_sample_budget = 16;
+    c.set(opts.base);
+    try {
+      (void)explore_distributed(spec, opts);
+      ADD_FAILURE() << c.field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir))
+        << c.field << ": the run prepared its workers";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Distributed, RemovedCliAliasesAreHardErrors) {

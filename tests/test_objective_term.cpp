@@ -1,7 +1,7 @@
 // The ObjectiveTerm tree API: factory validation, proof-binding
 // serialization, combinator lower-bound semantics on total assignments, the
 // axes' kinds and theory ids, the linear-only add_lower_bound contract and
-// the one-release deprecation shims over the old flat registration calls.
+// the manager's enforcement of the residual bounds its axes cannot push down.
 #include "dse/objective_term.hpp"
 
 #include <gtest/gtest.h>
@@ -220,20 +220,44 @@ TEST(ObjectiveManagerBounds, LowerBoundsPushOnlyOntoLinearLeaves) {
   EXPECT_FALSE(m.add_lower_bound(2, 3));
 }
 
-TEST(ObjectiveManagerBounds, ResidualCombinatorBoundsRequireThePropagator) {
+TEST(ObjectiveManagerBounds, RegisteredManagerEnforcesWeightedResidual) {
   Fixture f;
   ObjectiveManager m;
-  // minmax fans out fully: no residual needed even when unattached.
-  m.add(ObjectiveTerm::minmax(
-      "m", {ObjectiveTerm::linear("a", &f.linear, f.s0),
-            ObjectiveTerm::linear("b", &f.linear, f.s1)}));
-  // weighted pushdown is incomplete: the remainder needs the propagator.
+  // weighted pushdown is incomplete (s0 <= 10, s1 <= 6): the remainder of
+  // 2*s0 + 3*s1 <= 20 is a residual the registered manager enforces.
   m.add(ObjectiveTerm::weighted(
       "w", {2, 3},
       {ObjectiveTerm::linear("a", &f.linear, f.s0),
        ObjectiveTerm::linear("b", &f.linear, f.s1)}));
-  m.add_bound(0, 5);  // ok
-  EXPECT_THROW(m.add_bound(1, 5), std::logic_error);
+  f.solver.add_propagator(&m);
+  m.add_bound(0, 20);
+
+  const auto value = [](const std::vector<bool>& v) {
+    const std::int64_t s0 = 5 * v[0] + 3 * v[1];
+    const std::int64_t s1 = 7 * v[2] + 2 * v[3];
+    return 2 * s0 + 3 * s1;
+  };
+  std::size_t brute_force = 0;
+  for (unsigned bits = 0; bits < 16; ++bits) {
+    const std::vector<bool> v{(bits & 1U) != 0, (bits & 2U) != 0,
+                              (bits & 4U) != 0, (bits & 8U) != 0};
+    if (value(v) <= 20) ++brute_force;
+  }
+  ASSERT_EQ(brute_force, 7U);
+
+  std::size_t models = 0;
+  while (f.solver.solve() == Solver::Result::Sat) {
+    ++models;
+    std::vector<bool> v;
+    std::vector<Lit> blocking;
+    for (const Var x : f.vars) {
+      v.push_back(f.solver.model_value(x));
+      blocking.push_back(L(x, !f.solver.model_value(x)));
+    }
+    EXPECT_LE(value(v), 20);
+    if (!f.solver.add_clause(std::move(blocking))) break;
+  }
+  EXPECT_EQ(models, brute_force);
 }
 
 }  // namespace
