@@ -9,6 +9,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#include <unistd.h>
 #endif
 
 namespace aspmt::bench {
@@ -72,6 +73,35 @@ std::string json_number(double v) {
   return buf;
 }
 
+/// The machine the report was recorded on, as perfbench's reports record
+/// it: online processors, the first "model name" of /proc/cpuinfo, and the
+/// bench binary's build type and compiler.
+std::string host_json() {
+  long nproc = 0;
+#if defined(__unix__) || defined(__APPLE__)
+  nproc = sysconf(_SC_NPROCESSORS_ONLN);
+#endif
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) continue;
+    cpu = line.substr(colon + 1);
+    cpu.erase(0, cpu.find_first_not_of(' '));
+    break;
+  }
+  std::string json = "{\"nproc\": ";
+  json += std::to_string(nproc);
+  json += ", \"cpu_model\": \"";
+  json += json_escape(cpu);
+  json += "\", \"build_type\": \"";
+  json += json_escape(ASPMT_BUILD_TYPE);
+  json += "\", \"compiler\": \"";
+  json += json_escape(ASPMT_COMPILER);
+  json += "\"}";
+  return json;
+}
+
 }  // namespace
 
 long peak_rss_kib() {
@@ -112,6 +142,7 @@ std::string Report::write() const {
   out << "{\n";
   out << "  \"name\": \"" << json_escape(name_) << "\",\n";
   out << "  \"git_rev\": \"" << json_escape(git_rev()) << "\",\n";
+  out << "  \"host\": " << host_json() << ",\n";
   out << "  \"peak_rss_kib\": " << peak_rss_kib() << ",\n";
   out << "  \"threads\": " << threads_ << ",\n";
   out << "  \"processes\": " << processes_ << ",\n";

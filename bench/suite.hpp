@@ -29,9 +29,10 @@ struct SuiteEntry {
 
 /// Machine-readable result sink.  Every benchmark executable records its
 /// headline numbers (wall time, conflicts/s, propagations/s, ...) here and
-/// calls write(), which serializes them together with the peak RSS and the
-/// git revision to `BENCH_<name>.json` so the perf trajectory of the repo
-/// can be tracked across commits.  The output directory defaults to the
+/// calls write(), which serializes them together with the peak RSS, the
+/// git revision and the host (nproc, CPU, build type, compiler) to
+/// `BENCH_<name>.json` so the perf trajectory of the repo can be tracked
+/// across commits and machines.  The output directory defaults to the
 /// working directory and can be redirected with ASPMT_BENCH_OUT.
 class Report {
  public:

@@ -446,6 +446,7 @@ void Solver::record_learnt(std::vector<Lit> learnt, std::uint32_t bt_level) {
   if (proof_ != nullptr) proof_->learnt_clause(learnt);
   if (learnt.size() == 1) {
     assert(bt_level == 0);
+    if (options_.exchange != nullptr) options_.exchange->offer(learnt, 1);
     enqueue(learnt[0], kClauseRefUndef);
     return;
   }
@@ -453,9 +454,44 @@ void Solver::record_learnt(std::vector<Lit> learnt, std::uint32_t bt_level) {
   Clause c = arena_[cref];
   c.set_lbd(compute_lbd(c.lits()));
   c.bump_activity(clause_inc_);
+  if (options_.exchange != nullptr) options_.exchange->offer(learnt, c.lbd());
   attach(cref);
   learnt_clauses_.push_back(cref);
   enqueue(c[0], cref);
+}
+
+void Solver::import_shared() {
+  assert(decision_level() == 0);
+  received_.clear();
+  options_.exchange->receive(received_);
+  std::vector<Lit> c;
+  for (const SharedClause& shared : received_) {
+    if (!ok_) return;
+    // Root-simplify: at level 0 every assigned literal is fixed for good.
+    c.clear();
+    bool satisfied = false;
+    for (const Lit l : shared.lits) {
+      const Lbool v = value(l);
+      if (v == Lbool::True) {
+        satisfied = true;
+        break;
+      }
+      if (v == Lbool::Undef) c.push_back(l);
+    }
+    if (satisfied) continue;
+    if (c.empty()) {
+      ok_ = false;
+      return;
+    }
+    if (c.size() == 1) {
+      enqueue(c[0], kClauseRefUndef);  // the search's next fixpoint propagates it
+      continue;
+    }
+    const ClauseRef cref = allocate(c, /*learnt=*/true);
+    arena_[cref].set_lbd(shared.lbd);
+    attach(cref);
+    learnt_clauses_.push_back(cref);
+  }
 }
 
 void Solver::cancel_until(std::uint32_t target_level) {
@@ -615,6 +651,7 @@ Solver::Result Solver::search(std::span<const Lit> assumptions,
   std::uint64_t conflicts_this_round = 0;
   std::vector<Lit> learnt;
   if (options_.monitor != nullptr) options_.monitor->poll(stats_);
+  if (options_.exchange != nullptr) import_shared();
 
   for (;;) {
     if ((deadline != nullptr && deadline->expired()) ||
@@ -672,6 +709,7 @@ Solver::Result Solver::search(std::span<const Lit> assumptions,
       conflicts_this_round = 0;
       cancel_until(0);
       if (options_.monitor != nullptr) options_.monitor->poll(stats_);
+      if (options_.exchange != nullptr) import_shared();
       continue;
     }
     if (static_cast<double>(learnt_clauses_.size()) > max_learnts_) {

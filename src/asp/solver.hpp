@@ -3,9 +3,10 @@
 //
 // Features: two-watched-literal propagation with blockers, 1UIP clause
 // learning with local minimization, VSIDS + phase saving, Luby restarts,
-// LBD/activity-based learnt-clause reduction, assumptions, and uniform
+// LBD/activity-based learnt-clause reduction, assumptions, uniform
 // handling of clauses injected by theory propagators at any decision level
-// (the clingo-style ASPmT integration described in the paper series).
+// (the clingo-style ASPmT integration described in the paper series), and
+// learnt-clause exchange with peer solvers of a portfolio.
 #pragma once
 
 #include <atomic>
@@ -53,6 +54,28 @@ class SearchMonitor {
   virtual void poll(const SolverStats& stats) = 0;
 };
 
+/// One clause handed between solvers, with the LBD its exporter computed.
+struct SharedClause {
+  std::vector<Lit> lits;
+  std::uint32_t lbd = 0;
+};
+
+/// Learnt-clause exchange between solvers of the same formula (ManySAT /
+/// plingeling style).  The solver offers every clause it learns, with its
+/// LBD, and at decision level 0 — at solve() entry and after every restart
+/// — installs what receive() hands over.  The exchange decides what is safe
+/// to share: every clause it delivers must follow from what the receiving
+/// solver itself holds.
+class ClauseExchange {
+ public:
+  virtual ~ClauseExchange() = default;
+  /// A clause the solver has just learnt.  Called once per conflict, so an
+  /// implementation should reject cheaply.
+  virtual void offer(std::span<const Lit> lits, std::uint32_t lbd) = 0;
+  /// Append to `out` the clauses this solver has not received yet.
+  virtual void receive(std::vector<SharedClause>& out) = 0;
+};
+
 struct SolverOptions {
   double var_decay = 0.95;
   std::uint32_t restart_base = 100;   ///< Luby unit, in conflicts.
@@ -83,6 +106,10 @@ struct SolverOptions {
   /// The pointee must outlive every solve() call.  Monitors observe the
   /// search; they never alter its trajectory.
   SearchMonitor* monitor = nullptr;
+  /// Optional learnt-clause exchange with peer solvers (see ClauseExchange).
+  /// The pointee must outlive every solve() call.  Unlike a monitor, it
+  /// changes the search: received clauses prune and propagate.
+  ClauseExchange* exchange = nullptr;
   /// Conflicts between two monitor polls (also polled at solve() entry and
   /// at every restart).  Must be non-zero.
   std::uint32_t monitor_interval = 1024;
@@ -216,6 +243,8 @@ class Solver {
   void analyze(ClauseRef conflict, std::vector<Lit>& learnt, std::uint32_t& bt_level);
   [[nodiscard]] bool literal_redundant(Lit l);
   void record_learnt(std::vector<Lit> learnt, std::uint32_t bt_level);
+  /// Install the clauses the exchange delivers (level 0 only).
+  void import_shared();
   void enqueue(Lit l, ClauseRef reason);
   void cancel_until(std::uint32_t target_level);
   void new_decision_level() { trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size())); }
@@ -264,6 +293,7 @@ class Solver {
   ProofLog* proof_ = nullptr;
 
   std::vector<Lbool> model_;
+  std::vector<SharedClause> received_;  // import_shared's reused buffer
 
   double max_learnts_ = 0.0;
   float clause_inc_ = 1.0F;

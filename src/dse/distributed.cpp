@@ -100,6 +100,10 @@ std::string dropped_option(const ParallelExploreOptions& base) {
   if (!c.checkpoint_path.empty()) return "common.checkpoint_path";
   if (!c.clause_replay.clauses.empty()) return "common.clause_replay";
   if (c.fault != nullptr) return "common.fault";
+  if (const std::string f = run_owned_solver_field(c.solver_options);
+      !f.empty()) {
+    return "common.solver_options." + f;
+  }
   if (base.shard.active) return "shard";
   return {};
 }

@@ -26,6 +26,7 @@ void export_metrics(obs::MetricsRegistry& registry,
   registry.counter("explore.warm_seeds").set(s.warm_seeds);
   registry.counter("explore.warm_rejected").set(s.warm_rejected);
   registry.counter("explore.replayed_clauses").set(s.replayed_clauses);
+  registry.counter("explore.clauses_imported").set(s.clauses_imported);
   registry.counter("explore.front_size").set(result.front.size());
   registry.gauge("explore.seconds").set(s.seconds);
   registry.gauge("explore.certify_tail_seconds").set(s.certify_tail_seconds);

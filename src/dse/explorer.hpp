@@ -58,6 +58,9 @@ struct ExploreStats {
   /// Incremental re-exploration (respec.hpp): learnt clauses installed
   /// behind the replay guard (summed over workers in the portfolio).
   std::uint64_t replayed_clauses = 0;
+  /// Portfolio clause exchange: peers' learnt clauses the workers received
+  /// (0 at one worker and on certified runs).
+  std::uint64_t clauses_imported = 0;
   /// Wall time of the whole run: search, certification and the final
   /// checkpoint write.
   double seconds = 0.0;

@@ -58,7 +58,11 @@ struct CommonOptions {
   /// Incompatible with a non-empty epsilon.  Witnesses are collected on
   /// every run, certified or not.
   bool certify = false;
-  asp::SolverOptions solver_options{};  ///< portfolio workers diversify this
+  /// Portfolio workers diversify this.  Its `stop`, `monitor`, `recorder`
+  /// and `exchange` are wired by the run itself and must stay unset
+  /// (std::invalid_argument names the field): cancel a run through
+  /// `budget`, observe it through `sink`.
+  asp::SolverOptions solver_options{};
   /// Hybrid heuristic–exact pipeline (warmstart.hpp): a budgeted heuristic
   /// pass whose validated candidates seed the archive before solving, so
   /// dominance pruning bites from the first conflict.  Exactness-preserving:

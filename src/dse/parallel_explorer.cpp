@@ -17,6 +17,7 @@
 
 #include "cert/certify.hpp"
 #include "dse/checkpoint.hpp"
+#include "dse/clause_pool.hpp"
 #include "dse/context.hpp"
 #include "obs/collector.hpp"
 #include "obs/metrics.hpp"
@@ -167,6 +168,9 @@ struct SharedState {
   std::vector<WorkerError> errors;
 
   CheckpointWriter* checkpoint = nullptr;
+  /// Learnt-clause exchange between the workers (uncertified runs of two or
+  /// more workers only; DESIGN.md §7).
+  std::unique_ptr<ClausePool> pool;
   /// The one worker's streamed proof check (one-worker unbanded certified
   /// runs only): every point the worker inserts is admitted to it.
   StreamCheck* stream = nullptr;
@@ -254,7 +258,17 @@ void run_worker(std::size_t index, const synth::Specification& spec,
   BudgetMonitor monitor(shared.budget, shared.fault, &shared.fstate, rec);
   copts.solver_options.monitor = &monitor;
   copts.solver_options.recorder = rec;
+  std::optional<ClausePool::Port> port;
+  if (shared.pool != nullptr) {
+    port.emplace(*shared.pool, index);
+    copts.solver_options.exchange = &*port;
+  }
   SynthContext ctx(spec, copts);
+  // The encoding's variables, the same in every worker: replay guards,
+  // shard and drill-down activations are allocated after this point, so
+  // the pool never shares a clause that mentions one.
+  const std::uint32_t base_vars = ctx.solver.num_vars();
+  if (port) port->set_var_bound(base_vars);
   fault_worker_throw(shared.fault, index, 0);  // worker-throw=W:0
   assert(ctx.objectives.count() == spec.axis_count());
   ctx.dominance().attach_shared(&shared.archive);
@@ -272,7 +286,6 @@ void run_worker(std::size_t index, const synth::Specification& spec,
   // behind its own assumption guard.  The guard is dropped on the first
   // Unsat under it, before the completeness claim, so replay never taints
   // the global Unsat proof.
-  const std::uint32_t base_vars = ctx.solver.num_vars();
   std::vector<asp::Lit> base_assume;
   if (!common.clause_replay.clauses.empty()) {
     const auto replay = decode_replay(common.clause_replay, base_vars);
@@ -464,6 +477,10 @@ void run_worker(std::size_t index, const synth::Specification& spec,
   report.restarts = s.restarts;
   report.theory_clauses = s.theory_clauses;
   report.archive_comparisons = ctx.archive().comparisons();
+  if (port) {
+    report.clauses_exported = port->exported();
+    report.clauses_imported = port->imported();
+  }
   report.seconds = worker_timer.elapsed_seconds();
   if (rec != nullptr) {
     rec->record(obs::EventKind::WorkerEnd,
@@ -489,6 +506,14 @@ std::string shard_axis_error(const synth::Specification& spec,
          "combinator and out-of-range axes do not";
 }
 
+std::string run_owned_solver_field(const asp::SolverOptions& options) {
+  if (options.stop != nullptr) return "stop";
+  if (options.monitor != nullptr) return "monitor";
+  if (options.recorder != nullptr) return "recorder";
+  if (options.exchange != nullptr) return "exchange";
+  return {};
+}
+
 namespace detail {
 
 ParallelExploreResult run_portfolio(const synth::Specification& spec,
@@ -498,6 +523,13 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
   // throw there would surface as per-worker failures, not as this call's.
   spec.require_valid();
   const CommonOptions& common = options.common;
+  if (const std::string field = run_owned_solver_field(common.solver_options);
+      !field.empty()) {
+    throw std::invalid_argument(
+        "common.solver_options." + field +
+        " is wired by the run itself: cancel through common.budget, observe "
+        "through common.sink");
+  }
   if (!epsilon.empty() && epsilon.size() != spec.axis_count()) {
     throw std::invalid_argument(
         "epsilon has " + std::to_string(epsilon.size()) +
@@ -530,6 +562,11 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
   }
 
   SharedState shared(common.archive_kind, spec.axis_count(), budget);
+  // An imported clause is not RUP in the importer's own proof stream, so a
+  // certified portfolio exchanges nothing.
+  if (threads > 1 && !certify) {
+    shared.pool = std::make_unique<ClausePool>(threads);
+  }
   shared.fault = fault;
   shared.epsilon = epsilon;
   shared.fingerprint = spec_fingerprint(spec);
@@ -625,6 +662,7 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
       result.workers[w].error = e.what();
       shared.record_failure(w, e.what());
     }
+    if (shared.pool != nullptr) shared.pool->leave(w);
   };
   if (threads == 1) {
     run_contained(0);
@@ -670,6 +708,7 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
     stats.theory_clauses += w.theory_clauses;
     stats.archive_comparisons += w.archive_comparisons;
     stats.replayed_clauses += w.replayed_clauses;
+    stats.clauses_imported += w.clauses_imported;
   }
   stats.archive_comparisons += shared.archive.comparisons();
   stats.complete = shared.complete.load(std::memory_order_acquire);
@@ -753,6 +792,10 @@ ParallelExploreResult run_portfolio(const synth::Specification& spec,
       common.metrics->counter(prefix + ".conflicts").set(w.conflicts);
       common.metrics->counter(prefix + ".models").set(w.models);
       common.metrics->counter(prefix + ".shared_inserts").set(w.shared_inserts);
+      common.metrics->counter(prefix + ".clauses_exported")
+          .set(w.clauses_exported);
+      common.metrics->counter(prefix + ".clauses_imported")
+          .set(w.clauses_imported);
       common.metrics->gauge(prefix + ".conflict_share")
           .set(stats.conflicts == 0
                    ? 0.0

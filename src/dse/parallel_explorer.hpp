@@ -12,10 +12,12 @@
 // activation-guarded bounds f <= v.
 //
 // There is no work partitioning: every worker searches the whole problem.
-// Worker 0 keeps the caller's solver configuration, so it runs exactly the
-// one-worker search; workers 1..N-1 differ from it only by diversify()'s
-// seed, restart cadence and activity-decay jitter.  A dead worker leaves
-// nothing to rescue: the survivors' own searches cover its share.
+// Worker 0 keeps the caller's solver configuration; workers 1..N-1 differ
+// from it by diversify()'s seed, restart cadence and activity-decay jitter.
+// An uncertified portfolio of two or more workers also exchanges short
+// learnt clauses over the encoding's variables (clause_pool.hpp), so worker
+// 0 runs exactly the one-worker search only at one thread.  A dead worker
+// leaves nothing to rescue: the survivors' own searches cover its share.
 //
 // Exactness: diversification only changes the *order* of discovery.  The
 // run ends when some worker proves the problem unsatisfiable under
@@ -79,6 +81,15 @@ struct ParallelExploreOptions {
 [[nodiscard]] std::string shard_axis_error(const synth::Specification& spec,
                                            std::size_t objective);
 
+/// The solver wiring every worker's run sets itself: "" when `options`
+/// leaves all of it unset, else the first field set ("stop", "monitor",
+/// "recorder" or "exchange").  A run cancels through CommonOptions::budget
+/// and reports through CommonOptions::sink, so explore, explore_parallel and
+/// explore_distributed refuse a caller's value (std::invalid_argument)
+/// instead of overwriting it.
+[[nodiscard]] std::string run_owned_solver_field(
+    const asp::SolverOptions& options);
+
 /// Per-worker accounting for the CLI report and the consistency tests.
 struct WorkerReport {
   std::size_t worker = 0;
@@ -96,6 +107,10 @@ struct WorkerReport {
   std::uint64_t theory_clauses = 0;
   std::uint64_t archive_comparisons = 0;  ///< in the local snapshot archive
   std::uint64_t replayed_clauses = 0;     ///< installed behind this worker's guard
+  /// Learnt clauses this worker sent to the pool, and peers' clauses it
+  /// received from it (0 at one worker and on certified runs).
+  std::uint64_t clauses_exported = 0;
+  std::uint64_t clauses_imported = 0;
   double seconds = 0.0;
   bool proved_complete = false;  ///< this worker closed the global Unsat proof
   bool failed = false;   ///< this worker died; `error` holds the reason
@@ -134,8 +149,9 @@ struct ParallelExploreResult {
 /// memory limit spawns one thread, which checks the proof while the search
 /// writes it): that run is dse::explore's search, step for step.  Throws
 /// std::invalid_argument, before any worker starts, when the specification
-/// is invalid or an active shard band sits on an axis shard_axis_error
-/// rejects.
+/// is invalid, an active shard band sits on an axis shard_axis_error
+/// rejects, or the caller set solver wiring the run owns
+/// (run_owned_solver_field).
 [[nodiscard]] ParallelExploreResult explore_parallel(
     const synth::Specification& spec, const ParallelExploreOptions& options = {});
 

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dse/baselines.hpp"
 #include "dse/distributed.hpp"
 #include "dse/parallel_explorer.hpp"
+#include "obs/recorder.hpp"
 #include "synth/specio.hpp"
 #include "synth_fixtures.hpp"
 #include "synth/validator.hpp"
@@ -201,6 +206,63 @@ TEST(Explorer, InvalidSpecificationIsRejected) {
     dist.worker_path = ASPMT_DSE_BIN;
     expect_rejected([&] { (void)explore_distributed(spec, dist); },
                     "distributed");
+  }
+}
+
+// Every worker's run wires its solver's stop token, monitor, recorder and
+// clause exchange itself; a caller's value would be silently replaced, so
+// each entry point refuses it by name before any worker starts.  A run is
+// cancelled through CommonOptions::budget and observed through its sink.
+TEST(Explorer, SolverWiringTheRunOwnsIsRefused) {
+  struct NullMonitor final : asp::SearchMonitor {
+    void poll(const asp::SolverStats&) override {}
+  };
+  struct NullExchange final : asp::ClauseExchange {
+    void offer(std::span<const asp::Lit>, std::uint32_t) override {}
+    void receive(std::vector<asp::SharedClause>&) override {}
+  };
+  const std::atomic<bool> stop{false};
+  NullMonitor monitor;
+  obs::Recorder recorder(0, obs::Recorder::Clock::now(), 8);
+  NullExchange exchange;
+  const struct {
+    const char* field;
+    std::function<void(asp::SolverOptions&)> set;
+  } cases[] = {
+      {"solver_options.stop", [&](asp::SolverOptions& o) { o.stop = &stop; }},
+      {"solver_options.monitor",
+       [&](asp::SolverOptions& o) { o.monitor = &monitor; }},
+      {"solver_options.recorder",
+       [&](asp::SolverOptions& o) { o.recorder = &recorder; }},
+      {"solver_options.exchange",
+       [&](asp::SolverOptions& o) { o.exchange = &exchange; }},
+  };
+  const synth::Specification spec = test::chain3_bus();
+  for (const auto& c : cases) {
+    const auto expect_refused = [&](const auto& run, const std::string& what) {
+      try {
+        run();
+        ADD_FAILURE() << what << ": ran with " << c.field << " set";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << what << ": " << e.what();
+      }
+    };
+    ExploreOptions seq;
+    c.set(seq.common.solver_options);
+    expect_refused([&] { (void)explore(spec, seq); }, "explore");
+    for (const std::size_t threads : {1U, 4U}) {
+      ParallelExploreOptions par;
+      par.threads = threads;
+      c.set(par.common.solver_options);
+      expect_refused([&] { (void)explore_parallel(spec, par); },
+                     "threads " + std::to_string(threads));
+    }
+    DistributedOptions dist;
+    dist.worker_path = ASPMT_DSE_BIN;
+    c.set(dist.base.common.solver_options);
+    expect_refused([&] { (void)explore_distributed(spec, dist); },
+                   "distributed");
   }
 }
 

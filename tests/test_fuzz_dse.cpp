@@ -20,6 +20,7 @@
 #include "gen/generator.hpp"
 #include "pareto/indicators.hpp"
 #include "spec_mutations.hpp"
+#include "synth_fixtures.hpp"
 #include "synth/validator.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -150,6 +151,15 @@ TEST_P(FuzzParallelDse, ParallelFrontEqualsSequentialFront) {
     EXPECT_EQ(par.base.witnesses[i].objectives(), par.base.front[i])
         << "seed " << seed;
   }
+
+  // Uncertified, the same portfolio exchanges learnt clauses between its
+  // workers; the front must not move.
+  popts.common.certify = false;
+  const dse::ParallelExploreResult plain = dse::explore_parallel(spec, popts);
+  ASSERT_TRUE(plain.base.stats.complete) << "seed " << seed;
+  test::expect_front_shape(spec, plain.base);
+  EXPECT_EQ(plain.base.front, seq.front)
+      << "seed " << seed << " threads " << popts.threads << " uncertified";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzParallelDse,

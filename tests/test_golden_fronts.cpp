@@ -152,6 +152,14 @@ TEST_P(GoldenFronts, PortfolioFrontMatchesGoldenAtOneTwoFourThreads) {
     EXPECT_EQ(r.base.stream_checked, threads == 1)
         << c.name << " threads " << threads;
     EXPECT_EQ(r.base.front, golden) << c.name << " threads " << threads;
+    // Uncertified, a portfolio exchanges learnt clauses between its workers.
+    opts.common.certify = false;
+    const dse::ParallelExploreResult plain = dse::explore_parallel(spec, opts);
+    ASSERT_TRUE(plain.base.stats.complete)
+        << c.name << " threads " << threads << " uncertified";
+    test::expect_front_shape(spec, plain.base);
+    EXPECT_EQ(plain.base.front, golden)
+        << c.name << " threads " << threads << " uncertified";
   }
 }
 

@@ -120,6 +120,9 @@ TEST(Obs, MetricsSnapshotMatchesExploreStats) {
             r.stats.theory_clauses);
   EXPECT_EQ(reg.counter("explore.archive_comparisons").value(),
             r.stats.archive_comparisons);
+  EXPECT_EQ(reg.counter("explore.clauses_imported").value(),
+            r.stats.clauses_imported);
+  EXPECT_EQ(r.stats.clauses_imported, 0U);  // one worker: no peers
   EXPECT_EQ(reg.counter("explore.front_size").value(), r.front.size());
   EXPECT_EQ(reg.gauge("explore.complete").value(), 1.0);
   EXPECT_EQ(reg.gauge("explore.certify_tail_seconds").value(),
@@ -157,12 +160,18 @@ TEST(Obs, ParallelMetricsMatchAggregatedStats) {
   EXPECT_EQ(reg.counter("explore.models").value(), r.base.stats.models);
   EXPECT_EQ(reg.counter("explore.conflicts").value(), r.base.stats.conflicts);
   std::uint64_t worker_conflicts = 0;
+  std::uint64_t worker_imports = 0;
   for (const dse::WorkerReport& w : r.workers) {
-    worker_conflicts +=
-        reg.counter("worker." + std::to_string(w.worker) + ".conflicts")
-            .value();
+    const std::string prefix = "worker." + std::to_string(w.worker);
+    worker_conflicts += reg.counter(prefix + ".conflicts").value();
+    worker_imports += reg.counter(prefix + ".clauses_imported").value();
+    EXPECT_EQ(reg.counter(prefix + ".clauses_exported").value(),
+              w.clauses_exported);
   }
   EXPECT_EQ(worker_conflicts, r.base.stats.conflicts);
+  EXPECT_EQ(worker_imports, r.base.stats.clauses_imported);
+  EXPECT_EQ(reg.counter("explore.clauses_imported").value(),
+            r.base.stats.clauses_imported);
 }
 
 // ---- 2. Ring: drop, never block -------------------------------------------

@@ -684,7 +684,8 @@ int cmd_explore(const Args& args) {
   if (r.workers.size() > 1) {
     std::cout << "\nper-worker breakdown:\n";
     util::Table workers({"worker", "models", "inserts", "rejected",
-                         "prunings", "conflicts", "restarts", "sec", "proof"});
+                         "prunings", "conflicts", "restarts", "imported",
+                         "sec", "proof"});
     for (const dse::WorkerReport& w : r.workers) {
       workers.add_row({util::fmt(static_cast<long long>(w.worker)),
                        util::fmt(static_cast<long long>(w.models)),
@@ -693,6 +694,7 @@ int cmd_explore(const Args& args) {
                        util::fmt(static_cast<long long>(w.prunings)),
                        util::fmt(static_cast<long long>(w.conflicts)),
                        util::fmt(static_cast<long long>(w.restarts)),
+                       util::fmt(static_cast<long long>(w.clauses_imported)),
                        util::fmt(w.seconds, 3),
                        w.proved_complete ? "yes" : "-"});
     }
